@@ -43,7 +43,6 @@ from .grid import (
     grid_to_text,
     neighbor_counts,
     neighborhood,
-    new_adoption_grid,
     new_grid,
 )
 from .model import (
@@ -111,7 +110,6 @@ __all__ = [
     "moving_average",
     "neighbor_counts",
     "neighborhood",
-    "new_adoption_grid",
     "new_grid",
     "next_innovation_state",
     "next_news_state",

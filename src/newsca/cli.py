@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .engine import (
     run,
     run_ensemble,
 )
-from .grid import ADOPTION_CHARS, NEWS_CHARS, Boundary, Grid, grid_to_text
+from .grid import Boundary, Grid, grid_to_text
 from .model import (
     AnalyticModel,
     FitResult,
@@ -37,7 +38,7 @@ from .model import (
     fit_model,
     reference_model,
 )
-from .rules import InnovationRuleParams, NewsRuleParams
+from .rules import MODELS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,9 +48,8 @@ EXIT_FIT_FAILURE = 4
 
 OUTDIR_ENV = "NEWSCA_OUTDIR"
 
-# Greyscale levels for portable graymap snapshots, indexed by cell code.
-NEWS_PGM_LEVELS = np.array([255, 128, 0], dtype=np.int64)
-ADOPTION_PGM_LEVELS = np.array([255, 0], dtype=np.int64)
+# Greyscale level of each snapshot character in portable graymap snapshots.
+PGM_LEVELS = {".": 255, "o": 128, "#": 0}
 
 
 class CsvFormatError(ValueError):
@@ -60,20 +60,14 @@ class CsvFormatError(ValueError):
         self.line = line
 
 
+class ManifestError(ValueError):
+    """Malformed manifest: invalid JSON, or a missing, extra or invalid entry."""
+
+
 # ---------------------------------------------------------------------------
 # manifest
 
 def config_to_dict(config: SimulationConfig) -> dict:
-    if isinstance(config.rule_params, NewsRuleParams):
-        model = "news"
-        rule = {
-            "adoption_threshold": config.rule_params.adoption_threshold,
-            "boost_factor": config.rule_params.boost_factor,
-            "boost_below": config.rule_params.boost_below,
-        }
-    else:
-        model = "innovation"
-        rule = {"threshold": config.rule_params.threshold}
     return {
         "width": config.width,
         "height": config.height,
@@ -82,23 +76,21 @@ def config_to_dict(config: SimulationConfig) -> dict:
         "rng_seed": config.rng_seed,
         "max_steps": config.max_steps,
         "snapshot_every": config.snapshot_every,
-        "model": model,
-        "rule_params": rule,
+        "model": config.rule_params.name,
+        "rule_params": asdict(config.rule_params),
     }
 
 
 def config_from_dict(d: dict) -> SimulationConfig:
+    """Inverse of :func:`config_to_dict`; ``rule_params`` must hold exactly
+    the fields of the named model."""
+    if d["model"] not in MODELS:
+        raise ManifestError(f"unknown model {d['model']!r}")
+    cls = MODELS[d["model"]]
     rule = d["rule_params"]
-    if d["model"] == "news":
-        params: NewsRuleParams | InnovationRuleParams = NewsRuleParams(
-            adoption_threshold=rule["adoption_threshold"],
-            boost_factor=rule["boost_factor"],
-            boost_below=rule["boost_below"],
-        )
-    elif d["model"] == "innovation":
-        params = InnovationRuleParams(threshold=rule["threshold"])
-    else:
-        raise ValueError(f"unknown model {d['model']!r}")
+    names = sorted(f.name for f in fields(cls))
+    if sorted(rule) != names:
+        raise ManifestError(f"rule_params of model {cls.name!r} must be {names}, got {sorted(rule)}")
     seed_position = tuple(d["seed_position"]) if d["seed_position"] else None
     return SimulationConfig(
         width=d["width"],
@@ -107,7 +99,7 @@ def config_from_dict(d: dict) -> SimulationConfig:
         boundary=Boundary(d["boundary"]),
         rng_seed=d["rng_seed"],
         max_steps=d["max_steps"],
-        rule_params=params,
+        rule_params=cls(**rule),
         snapshot_every=d["snapshot_every"],
     )
 
@@ -129,8 +121,15 @@ def save_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def load_manifest(path: Path) -> dict:
-    return json.loads(path.read_text())
+def load_manifest(path: Path) -> tuple[SimulationConfig, dict]:
+    """(config, contents) of a simulate or ensemble manifest; raises ManifestError if malformed."""
+    try:
+        manifest = json.loads(path.read_text())
+        return config_from_dict(manifest["config"]), manifest
+    except KeyError as exc:
+        raise ManifestError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +164,14 @@ def write_convergence_csv(path: Path, result: EnsembleResult) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _model_curves(steps: np.ndarray, model: AnalyticModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grey, white, black) model fractions at ``steps``."""
+    return eval_grey(steps, model), eval_white(steps, model), eval_black(steps, model)
+
+
 def write_model_csv(path: Path, steps: np.ndarray, model: AnalyticModel) -> None:
     """(t, grey, white, black) at full precision so rows sum to 1 within 1e-12."""
-    grey = eval_grey(steps, model)
-    white = eval_white(steps, model)
-    black = eval_black(steps, model)
+    grey, white, black = _model_curves(steps, model)
     lines = ["step,grey_frac,white_frac,black_frac"]
     for t, g, w, b in zip(steps, grey, white, black):
         lines.append(f"{int(t)},{g:.17g},{w:.17g},{b:.17g}")
@@ -180,9 +182,7 @@ def write_fit_series_csv(
     path: Path, steps: np.ndarray, white, grey, black, model: AnalyticModel
 ) -> None:
     """Side-by-side simulated and modeled triples."""
-    mg = eval_grey(steps, model)
-    mw = eval_white(steps, model)
-    mb = eval_black(steps, model)
+    mg, mw, mb = _model_curves(steps, model)
     lines = ["step,white_sim,grey_sim,black_sim,white_model,grey_model,black_model"]
     for i, t in enumerate(steps):
         lines.append(
@@ -192,24 +192,26 @@ def write_fit_series_csv(
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_pgm(path: Path, grid: Grid, levels: np.ndarray) -> None:
-    """Plain-text portable graymap: white=255, grey=128, black=0."""
-    values = levels[grid.cells]
+def write_pgm(path: Path, grid: Grid, chars: dict) -> None:
+    """Plain-text portable graymap: white=255, grey=128, black=0, looked up
+    through each cell code's snapshot character in ``chars``."""
+    values = np.array([PGM_LEVELS[chars[code]] for code in sorted(chars)])[grid.cells]
     lines = ["P2", f"{grid.width} {grid.height}", "255"]
     for row in values:
         lines.append(" ".join(str(int(v)) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_snapshots(outdir: Path, trajectory: Trajectory, fmt: str, news: bool) -> list[Path]:
+def write_snapshots(outdir: Path, trajectory: Trajectory, fmt: str, chars: dict) -> list[Path]:
+    """One file per snapshot, cells written with the alphabet ``chars``."""
     paths = []
     for step_index, grid in trajectory.snapshots:
         if fmt == "pgm":
             p = outdir / f"snapshot_{step_index:06d}.pgm"
-            write_pgm(p, grid, NEWS_PGM_LEVELS if news else ADOPTION_PGM_LEVELS)
+            write_pgm(p, grid, chars)
         else:
             p = outdir / f"snapshot_{step_index:06d}.txt"
-            p.write_text(grid_to_text(grid, NEWS_CHARS if news else ADOPTION_CHARS))
+            p.write_text(grid_to_text(grid, chars))
         paths.append(p)
     return paths
 
@@ -277,11 +279,13 @@ def _add_config_flags(sp: argparse.ArgumentParser, snapshots: bool) -> None:
     sp.add_argument("--boundary", choices=["bounded", "toroidal"], default="bounded")
     sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     sp.add_argument("--max-steps", type=_positive_int, default=1000)
-    sp.add_argument("--model", choices=["news", "innovation"], default="news")
+    sp.add_argument("--model", choices=list(MODELS), default="news")
     sp.add_argument("--adoption-threshold", type=float, default=1.0)
     sp.add_argument("--boost-factor", type=float, default=1.5)
     sp.add_argument("--boost-below", type=int, default=3)
-    sp.add_argument("--innovation-threshold", type=float, default=1.0)
+    # Each rule flag's dest is the name of the rule parameter it sets.
+    sp.add_argument("--innovation-threshold", dest="threshold", metavar="INNOVATION_THRESHOLD",
+                    type=float, default=1.0)
     if snapshots:
         sp.add_argument("--snapshot-every", type=_positive_int, default=None)
         sp.add_argument("--snapshot-format", choices=["ascii", "pgm"], default="ascii")
@@ -293,14 +297,8 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
     if (args.seed_row is None) != (args.seed_col is None):
         parser.error("--seed-row and --seed-col must be given together")
     seed_position = None if args.seed_row is None else (args.seed_row, args.seed_col)
-    if args.model == "news":
-        params: NewsRuleParams | InnovationRuleParams = NewsRuleParams(
-            adoption_threshold=args.adoption_threshold,
-            boost_factor=args.boost_factor,
-            boost_below=args.boost_below,
-        )
-    else:
-        params = InnovationRuleParams(threshold=args.innovation_threshold)
+    cls = MODELS[args.model]
+    params = cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
     return SimulationConfig(
         width=args.width,
         height=args.height,
@@ -321,11 +319,8 @@ def _resolve_outdir(args: argparse.Namespace) -> Path:
 
 
 def _fit_result_dict(fit: FitResult) -> dict:
-    params = None
-    if fit.params is not None:
-        params = {"c": fit.params.c, "tau": fit.params.tau, "gamma": fit.params.gamma}
     return {
-        "params": params,
+        "params": None if fit.params is None else asdict(fit.params),
         "rmse": fit.rmse if np.isfinite(fit.rmse) else None,
         "iterations": fit.iterations,
         "converged": fit.converged,
@@ -338,8 +333,7 @@ def _fit_result_dict(fit: FitResult) -> dict:
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.from_manifest is not None:
-        manifest_in = load_manifest(args.from_manifest)
-        config = config_from_dict(manifest_in["config"])
+        config, manifest_in = load_manifest(args.from_manifest)
         snapshot_format = manifest_in.get("snapshot_format", "ascii")
     else:
         config = _config_from_args(args, parser)
@@ -347,24 +341,20 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     outdir = _resolve_outdir(args)
 
     trajectory = run(config)
-    news = config.is_news
 
     write_series_csv(outdir / "series.csv", trajectory.counts, config.field_size)
     manifest = build_manifest("simulate", config, snapshot_format=snapshot_format)
     save_manifest(outdir / "manifest.json", manifest)
-    snapshot_paths = write_snapshots(outdir, trajectory, snapshot_format, news)
+    snapshot_paths = write_snapshots(outdir, trajectory, snapshot_format, config.rule_params.chars)
 
     grey, white, black = stabilization_ratio(normalize(trajectory, config.field_size))
-    print(f"model={'news' if news else 'innovation'} field={config.width}x{config.height} "
+    print(f"model={config.rule_params.name} field={config.width}x{config.height} "
           f"boundary={config.boundary.value} rng_seed={config.rng_seed}")
     conv = trajectory.converged_at
     print(f"converged_at={conv if conv is not None else 'none'} "
           f"black_extinct_at={trajectory.black_extinct_at if trajectory.black_extinct_at is not None else 'none'} "
           f"steps={trajectory.steps}")
-    if news:
-        print(f"final grey:white:black = {grey:.9g} : {white:.9g} : {black:.9g}")
-    else:
-        print(f"final not_adopted:adopted = {white:.9g} : {black:.9g}")
+    print(f"final grey:white:black = {grey:.9g} : {white:.9g} : {black:.9g}")
     print(f"wrote {outdir / 'series.csv'}" + (f" and {len(snapshot_paths)} snapshots" if snapshot_paths else ""))
     if not trajectory.converged:
         print("warning: run did not converge within max_steps", file=sys.stderr)
@@ -374,9 +364,10 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.from_manifest is not None:
-        manifest_in = load_manifest(args.from_manifest)
-        config = config_from_dict(manifest_in["config"])
-        runs = manifest_in["runs"]
+        config, manifest_in = load_manifest(args.from_manifest)
+        runs = manifest_in.get("runs")
+        if type(runs) is not int or runs < 1:
+            raise ManifestError(f"{args.from_manifest}: runs must be a positive integer, got {runs!r}")
     else:
         config = _config_from_args(args, parser)
         runs = args.runs
@@ -441,10 +432,7 @@ def cmd_eval_model(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     write_model_csv(outdir / "model_series.csv", steps, model)
     manifest = build_manifest(
         "eval-model",
-        model_params={
-            "grey": {"c": model.grey.c, "tau": model.grey.tau, "gamma": model.grey.gamma},
-            "white": {"c": model.white.c, "tau": model.white.tau, "gamma": model.white.gamma},
-        },
+        model_params=asdict(model),
         t_min=args.t_min,
         t_max=args.t_max,
     )
@@ -542,10 +530,7 @@ def main(argv=None) -> int:
     except CsvFormatError as exc:
         print(f"error: {args.input if hasattr(args, 'input') else ''}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ManifestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

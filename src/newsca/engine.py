@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,10 +20,10 @@ from .grid import (
     Boundary,
     CellState,
     Grid,
+    count_adoption,
     count_states,
     neighbor_counts,
     neighborhood,
-    new_adoption_grid,
     new_grid,
 )
 from .rules import (
@@ -69,16 +70,13 @@ class SimulationConfig:
                 raise ValueError(f"seed position {self.seed_position} out of bounds")
 
     @property
-    def is_news(self) -> bool:
-        return isinstance(self.rule_params, NewsRuleParams)
-
-    @property
     def field_size(self) -> int:
         return self.width * self.height
 
     def initial_grid(self) -> Grid:
-        maker = new_grid if self.is_news else new_adoption_grid
-        return maker(self.width, self.height, self.seed_position, self.boundary)
+        return new_grid(
+            self.width, self.height, self.seed_position, self.boundary, self.rule_params.seed_state
+        )
 
 
 @dataclass
@@ -89,9 +87,9 @@ class Trajectory:
     starting from the initial state at ``t = 0``; every row sums to the
     field size. For innovation runs the columns carry (not adopted, 0,
     adopted). ``converged_at`` is the index of the first recorded state
-    that is a fixed point (None if max_steps was exhausted first); the
-    trajectory ends at that state. ``black_extinct_at`` is the first step
-    with no fresh-news cells.
+    that is a fixed point, ``max_steps`` included (None if the state at
+    ``max_steps`` is still live); the trajectory ends at that state.
+    ``black_extinct_at`` is the first step with no fresh-news cells.
     """
 
     counts: np.ndarray
@@ -191,6 +189,50 @@ def _step_innovation(grid: Grid, rng: np.random.Generator, params: InnovationRul
     return Grid(new, grid.boundary)
 
 
+def _news_fixed(grid: Grid, row: tuple[int, int, int], params: NewsRuleParams) -> bool:
+    # Adoption needs a black neighbor, so with no black cell only the
+    # forgetting rule can still fire: a grey cell with no white neighbor.
+    if row[2]:
+        return False
+    cells = grid.cells
+    white_nb = neighbor_counts(cells == CellState.WHITE, grid.boundary)
+    return not bool(np.any((cells == CellState.GREY) & (white_nb == 0)))
+
+
+def _innovation_frozen(grid: Grid, row: tuple[int, int, int], params: InnovationRuleParams) -> bool:
+    # No adoption can ever fire once every not-adopted cell's adopted-neighbor
+    # count m satisfies m <= threshold: draws are < 1, so p*m > threshold
+    # requires m strictly above it.
+    adopted = grid.cells == AdoptionState.ADOPTED
+    m = neighbor_counts(adopted, grid.boundary)
+    return not bool(np.any(~adopted & (m > params.threshold)))
+
+
+def _innovation_row(grid: Grid) -> tuple[int, int, int]:
+    not_adopted, adopted = count_adoption(grid)
+    return not_adopted, 0, adopted
+
+
+class _Model(NamedTuple):
+    """What the engine needs to run one model."""
+
+    transition: Callable  # (grid, rng, params) -> next grid, vectorized
+    cell_rule: Callable  # (state, neighbors, draw, params) -> next state of one cell
+    fixed: Callable  # (grid, count row, params) -> no step can change the grid
+    count_row: Callable  # grid -> (white, grey, black) row of the trajectory
+
+
+# The only place that tells the models apart, keyed by the rule parameters'
+# type. count_states is looked up at call time, so a wrapper installed on
+# newsca.engine.count_states (as the benchmark's tracer does) sees each call.
+_MODELS = {
+    NewsRuleParams: _Model(_step_news, next_news_state, _news_fixed, lambda grid: count_states(grid)),
+    InnovationRuleParams: _Model(
+        _step_innovation, next_innovation_state, _innovation_frozen, _innovation_row
+    ),
+}
+
+
 def step(grid: Grid, step_index: int, rng: np.random.Generator, params: RuleParams) -> Grid:
     """One synchronous update of the whole grid, computed from the old grid.
 
@@ -199,9 +241,7 @@ def step(grid: Grid, step_index: int, rng: np.random.Generator, params: RulePara
     uniform draw per adoptable cell, in row-major order of those cells.
     """
     del step_index
-    if isinstance(params, NewsRuleParams):
-        return _step_news(grid, rng, params)
-    return _step_innovation(grid, rng, params)
+    return _MODELS[type(params)].transition(grid, rng, params)
 
 
 def step_reference(
@@ -213,82 +253,55 @@ def step_reference(
     stream identically, so results are bit-identical for equal seeds.
     """
     del step_index
-    news = isinstance(params, NewsRuleParams)
+    rule = _MODELS[type(params)].cell_rule
+    states = type(params.seed_state)  # the model's state enum
     new = grid.cells.copy()
     for r in range(grid.height):
         for c in range(grid.width):
-            state = int(grid.cells[r, c])
-            nb = neighborhood(grid, (r, c))
-            if news:
-                p = rng.random() if state == CellState.WHITE else 0.0
-                new[r, c] = next_news_state(CellState(state), nb, p, params)
-            else:
-                p = rng.random() if state == AdoptionState.NOT_ADOPTED else 0.0
-                new[r, c] = next_innovation_state(AdoptionState(state), nb, p, params)
+            state = states(int(grid.cells[r, c]))
+            # Code 0 (white / not adopted) is the one adoptable state.
+            p = rng.random() if state == 0 else 0.0
+            new[r, c] = rule(state, neighborhood(grid, (r, c)), p, params)
     return Grid(new, grid.boundary)
-
-
-def _count_row(grid: Grid, news: bool) -> tuple[int, int, int]:
-    if news:
-        return count_states(grid)
-    not_adopted = int(np.count_nonzero(grid.cells == AdoptionState.NOT_ADOPTED))
-    return not_adopted, 0, grid.field_size - not_adopted
-
-
-def _innovation_frozen(grid: Grid, params: InnovationRuleParams) -> bool:
-    # No adoption can ever fire once every not-adopted cell's adopted-neighbor
-    # count m satisfies m <= threshold: draws are < 1, so p*m > threshold
-    # requires m strictly above it.
-    adopted = grid.cells == AdoptionState.ADOPTED
-    m = neighbor_counts(adopted, grid.boundary)
-    return not bool(np.any(~adopted & (m > params.threshold)))
 
 
 def run(config: SimulationConfig) -> Trajectory:
     """Run one simulation until it reaches a fixed point or ``max_steps``.
 
-    News runs are declared converged at the first recorded state with no
-    black cells that one further (deterministic, since adoption needs a
-    black neighbor) step leaves unchanged. Innovation runs are converged
-    once no remaining cell can ever adopt. Hitting ``max_steps`` with the
-    grid still live is reported distinctly via ``converged_at=None``.
+    Every recorded state, the initial one and the one at ``max_steps``
+    included, is tested for being a fixed point: a state no further step
+    can change. For news that is no black cell (adoption needs a black
+    neighbor) and no grey cell without a white neighbor; for innovation, no
+    remaining cell that can ever adopt. A run still live at ``max_steps`` is
+    reported distinctly via ``converged_at=None``.
     """
+    params = config.rule_params
+    model = _MODELS[type(params)]
     rng = make_rng(config.rng_seed)
     grid = config.initial_grid()
-    news = config.is_news
-    counts = [_count_row(grid, news)]
+    row = model.count_row(grid)
+    counts = [row]
     snapshots: list[tuple[int, Grid]] = []
     every = config.snapshot_every
-    if every is not None:
-        snapshots.append((0, grid.copy()))
-
-    converged_at: int | None = None
-    black_extinct_at: int | None = 0 if news and counts[0][2] == 0 else None
-    if not news and _innovation_frozen(grid, config.rule_params):
-        converged_at = 0
+    black_extinct_at: int | None = None
 
     t = 0
-    while converged_at is None and t < config.max_steps:
-        nxt = step(grid, t, rng, config.rule_params)
-        t += 1
-        row = _count_row(nxt, news)
-        if news and row[2] == 0 and nxt == grid:
-            # The verification step changed nothing: state t-1 was already
-            # the fixed point, so the duplicate row is not recorded.
-            converged_at = t - 1
-            break
-        counts.append(row)
-        if news and black_extinct_at is None and row[2] == 0:
+    while True:
+        if black_extinct_at is None and row[2] == 0:
             black_extinct_at = t
         if every is not None and t % every == 0:
-            snapshots.append((t, nxt.copy()))
-        grid = nxt
-        if not news and _innovation_frozen(grid, config.rule_params):
-            converged_at = t
+            snapshots.append((t, grid.copy()))
+        fixed = model.fixed(grid, row, params)
+        if fixed or t == config.max_steps:
+            break
+        grid = step(grid, t, rng, params)
+        t += 1
+        row = model.count_row(grid)
+        counts.append(row)
 
     return Trajectory(
         counts=np.array(counts, dtype=np.int64),
-        converged_at=converged_at,
+        converged_at=t if fixed else None,
         black_extinct_at=black_extinct_at,
         snapshots=snapshots,
         final_grid=grid,

@@ -3,8 +3,10 @@
 Cells live on a rectangular lattice stored row-major as small integer codes.
 Two state alphabets share the same storage: the three-state news model
 (white / grey / black) and the two-state innovation model (not adopted /
-adopted). Neighborhoods are the eight Moore neighbors, truncated at the
-edges of a bounded grid or wrapped on a toroidal one.
+adopted). Both start as a field of code 0 (white / not adopted) with one
+seed cell, made by :func:`new_grid`. Neighborhoods are the eight Moore
+neighbors, truncated at the edges of a bounded grid or wrapped on a
+toroidal one.
 """
 from __future__ import annotations
 
@@ -92,11 +94,14 @@ def new_grid(
     height: int,
     seed_position: tuple[int, int] | None = None,
     boundary: Boundary = Boundary.BOUNDED,
+    seed_state: int = CellState.BLACK,
 ) -> Grid:
-    """All-white news grid with a single black seed cell.
+    """Grid of code-0 cells (white / not adopted) with one seed cell.
 
-    ``seed_position`` is (row, col); ``None`` seeds the grid center, which
-    maximizes room for symmetric growth.
+    ``seed_state`` is the seed's code: ``CellState.BLACK`` for a news grid,
+    ``AdoptionState.ADOPTED`` for an innovation grid. ``seed_position`` is
+    (row, col); ``None`` seeds the grid center, which maximizes room for
+    symmetric growth.
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be positive, got {width}x{height}")
@@ -105,27 +110,8 @@ def new_grid(
     r, c = seed_position
     if not (0 <= r < height and 0 <= c < width):
         raise ValueError(f"seed position {seed_position} out of bounds for {width}x{height}")
-    cells = np.full((height, width), CellState.WHITE, dtype=np.uint8)
-    cells[r, c] = CellState.BLACK
-    return Grid(cells, boundary)
-
-
-def new_adoption_grid(
-    width: int,
-    height: int,
-    seed_position: tuple[int, int] | None = None,
-    boundary: Boundary = Boundary.BOUNDED,
-) -> Grid:
-    """All-not-adopted innovation grid with a single adopted seed cell."""
-    if width < 1 or height < 1:
-        raise ValueError(f"grid dimensions must be positive, got {width}x{height}")
-    if seed_position is None:
-        seed_position = (height // 2, width // 2)
-    r, c = seed_position
-    if not (0 <= r < height and 0 <= c < width):
-        raise ValueError(f"seed position {seed_position} out of bounds for {width}x{height}")
-    cells = np.full((height, width), AdoptionState.NOT_ADOPTED, dtype=np.uint8)
-    cells[r, c] = AdoptionState.ADOPTED
+    cells = np.zeros((height, width), dtype=np.uint8)
+    cells[r, c] = seed_state
     return Grid(cells, boundary)
 
 

@@ -70,16 +70,20 @@ class ModelFit:
     black_rmse: float | None
 
 
+def _sigmoid(t: np.ndarray, c, tau, gamma) -> np.ndarray:
+    # Unvalidated parameters: the fit's simplex probes points LogisticParams rejects.
+    z = gamma * (t - tau)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, c / (1.0 + e), c * e / (1.0 + e))
+
+
 def logistic(t, params: LogisticParams):
     """Evaluate ``c / (1 + exp(-gamma (t - tau)))`` at scalar or array ``t``.
 
     Never overflows: the exponential is only ever taken of a non-positive
     argument, saturating cleanly to 0 or ``c`` for extreme ``t``.
     """
-    t_arr = np.asarray(t, dtype=float)
-    z = params.gamma * (t_arr - params.tau)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, params.c / (1.0 + e), params.c * e / (1.0 + e))
+    out = _sigmoid(np.asarray(t, dtype=float), params.c, params.tau, params.gamma)
     return float(out) if out.ndim == 0 else out
 
 
@@ -151,11 +155,7 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     target = y if shape == "rising" else 1.0 - y
 
     def sse(p: np.ndarray) -> float:
-        c, tau, gamma = p
-        z = gamma * (t - tau)
-        e = np.exp(-np.abs(z))
-        pred = np.where(z >= 0, c / (1.0 + e), c * e / (1.0 + e))
-        return float(np.sum((pred - target) ** 2))
+        return float(np.sum((_sigmoid(t, *p) - target) ** 2))
 
     res = minimize(
         sse,

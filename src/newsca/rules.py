@@ -8,10 +8,11 @@ transitions are deterministic functions of the neighborhood.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .grid import AdoptionState, CellState
+from .grid import ADOPTION_CHARS, NEWS_CHARS, AdoptionState, CellState
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,14 @@ class NewsRuleParams:
     ``p * m > adoption_threshold``, where the draw ``p`` is scaled by
     ``boost_factor`` whenever ``m < boost_below`` (weakly connected cells
     are more receptive).
+
+    The type of a config's rule parameters selects its model; the class
+    variables name the model, its seed cell's state and its ASCII alphabet.
     """
+
+    name: ClassVar[str] = "news"
+    seed_state: ClassVar[CellState] = CellState.BLACK
+    chars: ClassVar[dict] = NEWS_CHARS
 
     adoption_threshold: float = 1.0
     boost_factor: float = 1.5
@@ -41,6 +49,10 @@ class NewsRuleParams:
 class InnovationRuleParams:
     """Parameters of the two-state innovation rule: adopt when ``p * m > threshold``."""
 
+    name: ClassVar[str] = "innovation"
+    seed_state: ClassVar[AdoptionState] = AdoptionState.ADOPTED
+    chars: ClassVar[dict] = ADOPTION_CHARS
+
     threshold: float = 1.0
 
     def __post_init__(self) -> None:
@@ -50,6 +62,9 @@ class InnovationRuleParams:
 
 DEFAULT_NEWS_PARAMS = NewsRuleParams()
 DEFAULT_INNOVATION_PARAMS = InnovationRuleParams()
+
+# Manifest and ``--model`` name -> rule parameter class.
+MODELS = {cls.name: cls for cls in (NewsRuleParams, InnovationRuleParams)}
 
 
 def adopts_news(m: int, p: float, params: NewsRuleParams = DEFAULT_NEWS_PARAMS) -> bool:

@@ -1,9 +1,11 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from newsca import SimulationConfig, InnovationRuleParams
+from newsca.rules import MODELS
 from newsca.cli import (
     EXIT_FIT_FAILURE,
     EXIT_IO,
@@ -224,6 +226,39 @@ class TestManifestRoundTrip:
         back = config_from_dict(config_to_dict(cfg))
         assert back.seed_position is None
         assert back == cfg
+
+    @pytest.mark.parametrize("cls", MODELS.values(), ids=MODELS.keys())
+    def test_rule_params_are_the_dataclass_fields(self, cls):
+        cfg = SimulationConfig(rule_params=cls())
+        d = config_to_dict(cfg)
+        assert d["model"] == cls.name
+        assert d["rule_params"] == asdict(cfg.rule_params)
+        assert config_from_dict(d) == cfg
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["config"].pop("max_steps"),
+        lambda m: m["config"]["rule_params"].pop("boost_factor"),
+        lambda m: m["config"]["rule_params"].update(threshold=1.0),
+        lambda m: m["config"].update(model="rumor"),
+        lambda m: m.pop("runs"),
+        None,
+    ], ids=["missing-config-key", "missing-rule-key", "extra-rule-key",
+            "unknown-model", "missing-runs", "invalid-json"])
+    def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit):
+        path = tmp_path / "manifest.json"
+        assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",
+                     "--outdir", str(tmp_path)]) == EXIT_OK
+        if edit is None:
+            path.write_text(path.read_text()[:-10])
+        else:
+            manifest = json.loads(path.read_text())
+            edit(manifest)
+            path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["ensemble", "--from-manifest", str(path), "--outdir", str(tmp_path / "b")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTopLevel:

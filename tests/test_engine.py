@@ -24,6 +24,8 @@ from newsca import (
     step,
     step_reference,
 )
+from newsca.cli import EXIT_OK, main
+from newsca.engine import _MODELS
 
 news_cells = arrays(
     dtype=np.uint8,
@@ -85,6 +87,16 @@ class TestStep:
         fast = step(grid, 0, make_rng(seed), params)
         slow = step_reference(grid, 0, make_rng(seed), params)
         assert fast == slow
+
+    @settings(max_examples=40, deadline=None)
+    @given(cells=adoption_cells, boundary=boundaries, seed=st.integers(0, 2**32))
+    def test_news_fixed_point_test_matches_a_step(self, cells, boundary, seed):
+        # Codes 0 and 1 are white and grey: with no black cell a news step is
+        # deterministic, so the fixed-point test must agree with taking one.
+        grid = Grid(cells, boundary)
+        params = NewsRuleParams()
+        fixed = _MODELS[NewsRuleParams].fixed(grid, count_states(grid), params)
+        assert fixed == (step(grid, 0, make_rng(seed), params) == grid)
 
     @settings(max_examples=30, deadline=None)
     @given(cells=news_cells, boundary=boundaries, seed=st.integers(0, 2**32))
@@ -152,6 +164,20 @@ class TestRun:
         assert tr.converged_at is None
         assert not tr.converged
         assert len(tr.counts) == 6
+
+    def test_fixed_point_reached_at_max_steps_is_converged(self, tmp_path):
+        # This run's fixed point is its state 35, so capping it at 35 steps
+        # must change nothing: not the verdict, not the series.
+        cfg = SimulationConfig(width=12, height=12, rng_seed=3)
+        free, capped = run(cfg), run(replace(cfg, max_steps=35))
+        assert free.converged_at == 35
+        assert capped.converged_at == 35
+        np.testing.assert_array_equal(capped.counts, free.counts)
+        args = ["simulate", "--width", "12", "--height", "12", "--seed", "3", "--outdir"]
+        assert main(args + [str(tmp_path / "free")]) == EXIT_OK
+        assert main(args + [str(tmp_path / "capped"), "--max-steps", "35"]) == EXIT_OK
+        series = [(tmp_path / d / "series.csv").read_bytes() for d in ("free", "capped")]
+        assert series[0] == series[1]
 
     def test_snapshots_at_multiples(self):
         tr = run(SimulationConfig(width=9, height=9, rng_seed=2, snapshot_every=5))

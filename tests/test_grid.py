@@ -17,7 +17,6 @@ from newsca import (
     grid_to_text,
     neighbor_counts,
     neighborhood,
-    new_adoption_grid,
     new_grid,
 )
 
@@ -69,7 +68,7 @@ class TestNewGrid:
         assert count_states(new_grid(w, h, (r, c))) == (w * h - 1, 0, 1)
 
     def test_adoption_grid(self):
-        grid = new_adoption_grid(5, 4, (2, 3))
+        grid = new_grid(5, 4, (2, 3), seed_state=AdoptionState.ADOPTED)
         assert count_adoption(grid) == (19, 1)
         assert grid.cells[2, 3] == AdoptionState.ADOPTED
 
@@ -157,7 +156,7 @@ class TestAsciiSerialization:
         assert grid_from_text(grid_to_text(grid)) == grid
 
     def test_adoption_round_trip(self):
-        grid = new_adoption_grid(4, 3, (1, 1), boundary=Boundary.TOROIDAL)
+        grid = new_grid(4, 3, (1, 1), boundary=Boundary.TOROIDAL, seed_state=AdoptionState.ADOPTED)
         text = grid_to_text(grid, ADOPTION_CHARS)
         assert text.splitlines()[0] == "4 3 toroidal"
         assert grid_from_text(text, ADOPTION_CHARS) == grid
