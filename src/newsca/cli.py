@@ -38,7 +38,7 @@ from .model import (
     fit_model,
     reference_model,
 )
-from .rules import MODELS
+from .rules import MODELS, InnovationRuleParams, NewsRuleParams
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,6 +47,9 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_FIT_FAILURE = 4
 
 OUTDIR_ENV = "NEWSCA_OUTDIR"
+
+# Values of --snapshot-format and of a simulate manifest's snapshot_format; the first is the default.
+SNAPSHOT_FORMATS = ("ascii", "pgm")
 
 # Greyscale level of each snapshot character in portable graymap snapshots.
 PGM_LEVELS = {".": 255, "o": 128, "#": 0}
@@ -68,40 +71,31 @@ class ManifestError(ValueError):
 # manifest
 
 def config_to_dict(config: SimulationConfig) -> dict:
-    return {
-        "width": config.width,
-        "height": config.height,
-        "seed_position": list(config.seed_position) if config.seed_position else None,
-        "boundary": config.boundary.value,
-        "rng_seed": config.rng_seed,
-        "max_steps": config.max_steps,
-        "snapshot_every": config.snapshot_every,
-        "model": config.rule_params.name,
-        "rule_params": asdict(config.rule_params),
-    }
+    return {**asdict(config), "boundary": config.boundary.value, "model": config.rule_params.name}
+
+
+def _check_fields(cls, d: dict, what: str) -> None:
+    names = sorted(f.name for f in fields(cls))
+    if sorted(d) != names:
+        raise ManifestError(f"{what} must hold {names}, got {sorted(d)}")
 
 
 def config_from_dict(d: dict) -> SimulationConfig:
-    """Inverse of :func:`config_to_dict`; ``rule_params`` must hold exactly
-    the fields of the named model."""
-    if d["model"] not in MODELS:
-        raise ManifestError(f"unknown model {d['model']!r}")
-    cls = MODELS[d["model"]]
-    rule = d["rule_params"]
-    names = sorted(f.name for f in fields(cls))
-    if sorted(rule) != names:
-        raise ManifestError(f"rule_params of model {cls.name!r} must be {names}, got {sorted(rule)}")
-    seed_position = tuple(d["seed_position"]) if d["seed_position"] else None
-    return SimulationConfig(
-        width=d["width"],
-        height=d["height"],
-        seed_position=seed_position,
-        boundary=Boundary(d["boundary"]),
-        rng_seed=d["rng_seed"],
-        max_steps=d["max_steps"],
-        rule_params=cls(**rule),
-        snapshot_every=d["snapshot_every"],
-    )
+    """Inverse of :func:`config_to_dict`; the config and its ``rule_params``
+    must hold exactly the fields of SimulationConfig and of the named model."""
+    d = dict(d)
+    model = d.pop("model")
+    if model not in MODELS:
+        raise ManifestError(f"unknown model {model!r}")
+    cls = MODELS[model]
+    _check_fields(SimulationConfig, d, "config")
+    _check_fields(cls, d["rule_params"], f"rule_params of model {cls.name!r}")
+    return SimulationConfig(**{
+        **d,
+        "seed_position": tuple(d["seed_position"]) if d["seed_position"] else None,
+        "boundary": Boundary(d["boundary"]),
+        "rule_params": cls(**d["rule_params"]),
+    })
 
 
 def build_manifest(command: str, config: SimulationConfig | None = None, **extras) -> dict:
@@ -272,23 +266,24 @@ def _positive_int(text: str) -> int:
 
 
 def _add_config_flags(sp: argparse.ArgumentParser, snapshots: bool) -> None:
-    sp.add_argument("--width", type=_positive_int, default=40)
-    sp.add_argument("--height", type=_positive_int, default=40)
+    config, news, innovation = SimulationConfig(), NewsRuleParams(), InnovationRuleParams()
+    sp.add_argument("--width", type=_positive_int, default=config.width)
+    sp.add_argument("--height", type=_positive_int, default=config.height)
     sp.add_argument("--seed-row", type=int, default=None, help="seed cell row (default: center)")
     sp.add_argument("--seed-col", type=int, default=None, help="seed cell column (default: center)")
-    sp.add_argument("--boundary", choices=["bounded", "toroidal"], default="bounded")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sp.add_argument("--max-steps", type=_positive_int, default=1000)
-    sp.add_argument("--model", choices=list(MODELS), default="news")
-    sp.add_argument("--adoption-threshold", type=float, default=1.0)
-    sp.add_argument("--boost-factor", type=float, default=1.5)
-    sp.add_argument("--boost-below", type=int, default=3)
+    sp.add_argument("--boundary", choices=[b.value for b in Boundary], default=config.boundary.value)
+    sp.add_argument("--seed", type=int, default=config.rng_seed, help="RNG seed")
+    sp.add_argument("--max-steps", type=_positive_int, default=config.max_steps)
+    sp.add_argument("--model", choices=list(MODELS), default=config.rule_params.name)
+    sp.add_argument("--adoption-threshold", type=float, default=news.adoption_threshold)
+    sp.add_argument("--boost-factor", type=float, default=news.boost_factor)
+    sp.add_argument("--boost-below", type=int, default=news.boost_below)
     # Each rule flag's dest is the name of the rule parameter it sets.
     sp.add_argument("--innovation-threshold", dest="threshold", metavar="INNOVATION_THRESHOLD",
-                    type=float, default=1.0)
+                    type=float, default=innovation.threshold)
     if snapshots:
-        sp.add_argument("--snapshot-every", type=_positive_int, default=None)
-        sp.add_argument("--snapshot-format", choices=["ascii", "pgm"], default="ascii")
+        sp.add_argument("--snapshot-every", type=_positive_int, default=config.snapshot_every)
+        sp.add_argument("--snapshot-format", choices=SNAPSHOT_FORMATS, default=SNAPSHOT_FORMATS[0])
     sp.add_argument("--from-manifest", type=Path, default=None,
                     help="load the full configuration from a manifest file (other config flags are ignored)")
 
@@ -319,13 +314,7 @@ def _resolve_outdir(args: argparse.Namespace) -> Path:
 
 
 def _fit_result_dict(fit: FitResult) -> dict:
-    return {
-        "params": None if fit.params is None else asdict(fit.params),
-        "rmse": fit.rmse if np.isfinite(fit.rmse) else None,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "message": fit.message,
-    }
+    return {**asdict(fit), "rmse": fit.rmse if np.isfinite(fit.rmse) else None}
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +323,10 @@ def _fit_result_dict(fit: FitResult) -> dict:
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.from_manifest is not None:
         config, manifest_in = load_manifest(args.from_manifest)
-        snapshot_format = manifest_in.get("snapshot_format", "ascii")
+        snapshot_format = manifest_in.get("snapshot_format", SNAPSHOT_FORMATS[0])
+        if snapshot_format not in SNAPSHOT_FORMATS:
+            raise ManifestError(f"{args.from_manifest}: snapshot_format must be one of "
+                                f"{list(SNAPSHOT_FORMATS)}, got {snapshot_format!r}")
     else:
         config = _config_from_args(args, parser)
         snapshot_format = args.snapshot_format
@@ -423,10 +415,10 @@ def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def cmd_eval_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.t_max < args.t_min:
         parser.error("--t-max must be >= --t-min")
-    model = AnalyticModel(
-        grey=LogisticParams(c=args.grey_c, tau=args.grey_tau, gamma=args.grey_gamma),
-        white=LogisticParams(c=args.white_c, tau=args.white_tau, gamma=args.white_gamma),
-    )
+    model = AnalyticModel(**{
+        curve: LogisticParams(**{name: getattr(args, f"{curve}_{name}") for name in params})
+        for curve, params in asdict(reference_model()).items()
+    })
     outdir = _resolve_outdir(args)
     steps = np.arange(args.t_min, args.t_max + 1)
     write_model_csv(outdir / "model_series.csv", steps, model)
@@ -496,13 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval-model", help="evaluate the closed-form curves over a step range")
     sp.add_argument("--t-min", type=int, default=0)
     sp.add_argument("--t-max", type=int, default=120)
-    ref = reference_model()
-    sp.add_argument("--grey-c", type=float, default=ref.grey.c)
-    sp.add_argument("--grey-tau", type=float, default=ref.grey.tau)
-    sp.add_argument("--grey-gamma", type=float, default=ref.grey.gamma)
-    sp.add_argument("--white-c", type=float, default=ref.white.c)
-    sp.add_argument("--white-tau", type=float, default=ref.white.tau)
-    sp.add_argument("--white-gamma", type=float, default=ref.white.gamma)
+    # --grey-c, --grey-tau, ..., --white-gamma, defaulting to the reference model.
+    for curve, params in asdict(reference_model()).items():
+        for name, value in params.items():
+            sp.add_argument(f"--{curve}-{name}", type=float, default=value)
     sp.add_argument("--outdir", default=None)
     sp.set_defaults(func=cmd_eval_model)
 

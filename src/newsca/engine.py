@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -155,6 +156,20 @@ def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
     return [int(s) for s in state]
 
 
+# The largest value ``rng.random()`` returns. Adoption tests are monotone in
+# the draw, so a cell that does not adopt at this draw can never adopt.
+_MAX_DRAW = np.nextafter(1.0, 0.0)
+
+
+def _news_adopts(draws, m: np.ndarray, params: NewsRuleParams) -> np.ndarray:
+    p_eff = np.where(m < params.boost_below, draws * params.boost_factor, draws)
+    return p_eff * m > params.adoption_threshold
+
+
+def _innovation_adopts(draws, m: np.ndarray, params: InnovationRuleParams) -> np.ndarray:
+    return draws * m > params.threshold
+
+
 def _step_news(grid: Grid, rng: np.random.Generator, params: NewsRuleParams) -> Grid:
     cells = grid.cells
     white = cells == CellState.WHITE
@@ -170,8 +185,7 @@ def _step_news(grid: Grid, rng: np.random.Generator, params: NewsRuleParams) -> 
     if rows.size:
         draws = rng.random(rows.size)
         m = neighbor_counts(black, grid.boundary)[rows, cols]
-        p_eff = np.where(m < params.boost_below, draws * params.boost_factor, draws)
-        fires = p_eff * m > params.adoption_threshold
+        fires = _news_adopts(draws, m, params)
         new[rows[fires], cols[fires]] = CellState.BLACK
     return Grid(new, grid.boundary)
 
@@ -184,28 +198,40 @@ def _step_innovation(grid: Grid, rng: np.random.Generator, params: InnovationRul
     if rows.size:
         draws = rng.random(rows.size)
         m = neighbor_counts(adopted, grid.boundary)[rows, cols]
-        fires = draws * m > params.threshold
+        fires = _innovation_adopts(draws, m, params)
         new[rows[fires], cols[fires]] = AdoptionState.ADOPTED
     return Grid(new, grid.boundary)
 
 
+@lru_cache(maxsize=16)
+def _can_adopt(params: RuleParams) -> tuple[np.ndarray, bool]:
+    """(``table``, ``always``): ``table[m]`` tells whether an adoptable cell with
+    ``m`` neighbors in the spreading state (black / adopted) can ever adopt,
+    and ``always`` whether every ``m`` from 1 to 8 can."""
+    table = _MODELS[type(params)].adopts(_MAX_DRAW, np.arange(9), params)
+    return table, bool(table[1:].all())
+
+
 def _news_fixed(grid: Grid, row: tuple[int, int, int], params: NewsRuleParams) -> bool:
-    # Adoption needs a black neighbor, so with no black cell only the
-    # forgetting rule can still fire: a grey cell with no white neighbor.
-    if row[2]:
-        return False
+    # Fixed when no cell can change: every black or grey cell has a white
+    # neighbor, and no white cell can adopt from its black neighbors.
+    if row[2] and _can_adopt(params)[1]:
+        return False  # a black cell's white neighbor can adopt, or the cell goes stale
     cells = grid.cells
-    white_nb = neighbor_counts(cells == CellState.WHITE, grid.boundary)
-    return not bool(np.any((cells == CellState.GREY) & (white_nb == 0)))
+    white = cells == CellState.WHITE
+    if np.any(~white & (neighbor_counts(white, grid.boundary) == 0)):
+        return False
+    if not row[2]:
+        return True  # no white cell has a black neighbor
+    m = neighbor_counts(cells == CellState.BLACK, grid.boundary)
+    return not bool(np.any(white & _can_adopt(params)[0][m]))
 
 
 def _innovation_frozen(grid: Grid, row: tuple[int, int, int], params: InnovationRuleParams) -> bool:
-    # No adoption can ever fire once every not-adopted cell's adopted-neighbor
-    # count m satisfies m <= threshold: draws are < 1, so p*m > threshold
-    # requires m strictly above it.
+    # Adoption is permanent, so only a not-adopted cell that can adopt keeps the run live.
     adopted = grid.cells == AdoptionState.ADOPTED
     m = neighbor_counts(adopted, grid.boundary)
-    return not bool(np.any(~adopted & (m > params.threshold)))
+    return not bool(np.any(~adopted & _can_adopt(params)[0][m]))
 
 
 def _innovation_row(grid: Grid) -> tuple[int, int, int]:
@@ -217,6 +243,7 @@ class _Model(NamedTuple):
     """What the engine needs to run one model."""
 
     transition: Callable  # (grid, rng, params) -> next grid, vectorized
+    adopts: Callable  # (draws, m, params) -> the transition's adoption test, vectorized
     cell_rule: Callable  # (state, neighbors, draw, params) -> next state of one cell
     fixed: Callable  # (grid, count row, params) -> no step can change the grid
     count_row: Callable  # grid -> (white, grey, black) row of the trajectory
@@ -226,9 +253,11 @@ class _Model(NamedTuple):
 # type. count_states is looked up at call time, so a wrapper installed on
 # newsca.engine.count_states (as the benchmark's tracer does) sees each call.
 _MODELS = {
-    NewsRuleParams: _Model(_step_news, next_news_state, _news_fixed, lambda grid: count_states(grid)),
+    NewsRuleParams: _Model(
+        _step_news, _news_adopts, next_news_state, _news_fixed, lambda grid: count_states(grid)
+    ),
     InnovationRuleParams: _Model(
-        _step_innovation, next_innovation_state, _innovation_frozen, _innovation_row
+        _step_innovation, _innovation_adopts, next_innovation_state, _innovation_frozen, _innovation_row
     ),
 }
 
@@ -270,10 +299,10 @@ def run(config: SimulationConfig) -> Trajectory:
 
     Every recorded state, the initial one and the one at ``max_steps``
     included, is tested for being a fixed point: a state no further step
-    can change. For news that is no black cell (adoption needs a black
-    neighbor) and no grey cell without a white neighbor; for innovation, no
-    remaining cell that can ever adopt. A run still live at ``max_steps`` is
-    reported distinctly via ``converged_at=None``.
+    can change. No cell can change when no black or grey news cell lacks a
+    white neighbor and no white or not-adopted cell can adopt, even at the
+    largest draw. A run still live at ``max_steps`` is reported distinctly
+    via ``converged_at=None``.
     """
     params = config.rule_params
     model = _MODELS[type(params)]

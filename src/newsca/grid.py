@@ -140,20 +140,20 @@ def neighborhood(grid: Grid, position: tuple[int, int]) -> np.ndarray:
 def neighbor_counts(mask: np.ndarray, boundary: Boundary) -> np.ndarray:
     """Per-cell count of True Moore neighbors of a boolean (height, width) mask.
 
-    Vectorized companion of :func:`neighborhood`: out-of-bounds neighbors
-    contribute zero on bounded grids; toroidal grids wrap.
+    Vectorized companion of :func:`neighborhood`: the mask is copied into a
+    one-cell halo that holds zeros on bounded grids and the opposite edges
+    on toroidal ones, then the eight offset slices of the halo are summed.
     """
-    ind = mask.astype(np.int64)
-    h, w = ind.shape
-    out = np.zeros((h, w), dtype=np.int64)
+    h, w = mask.shape
+    padded = np.zeros((h + 2, w + 2), dtype=np.int64)
+    padded[1:-1, 1:-1] = mask
     if boundary is Boundary.TOROIDAL:
-        for dr, dc in MOORE_OFFSETS:
-            out += np.roll(ind, shift=(-dr, -dc), axis=(0, 1))
-    else:
-        padded = np.zeros((h + 2, w + 2), dtype=np.int64)
-        padded[1:-1, 1:-1] = ind
-        for dr, dc in MOORE_OFFSETS:
-            out += padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
+        # Rows first, then whole columns, so the corners wrap too.
+        padded[0], padded[-1] = padded[-2], padded[1]
+        padded[:, 0], padded[:, -1] = padded[:, -2], padded[:, 1]
+    out = np.zeros((h, w), dtype=np.int64)
+    for dr, dc in MOORE_OFFSETS:
+        out += padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
     return out
 
 
@@ -195,5 +195,8 @@ def grid_from_text(text: str, chars: dict | None = None) -> Grid:
     rows = lines[1:]
     if len(rows) != height or any(len(row) != width for row in rows):
         raise ValueError("grid body does not match header dimensions")
-    cells = np.array([[rev[ch] for ch in row] for row in rows], dtype=np.uint8)
+    try:
+        cells = np.array([[rev[ch] for ch in row] for row in rows], dtype=np.uint8)
+    except KeyError as exc:
+        raise ValueError(f"unknown cell character {exc.args[0]!r}") from None
     return Grid(cells, boundary)

@@ -34,8 +34,8 @@ class LogisticParams:
     def __post_init__(self) -> None:
         if not 0 < self.c <= 1:
             raise ValueError(f"plateau c must be in (0, 1], got {self.c}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not math.isfinite(self.tau):
             raise ValueError("tau must be finite")
 
@@ -170,7 +170,7 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     )
     c, tau, gamma = (float(v) for v in res.x)
     rmse = math.sqrt(res.fun / len(y))
-    if not 0 < c <= 1 + 1e-9 or gamma <= 0 or not math.isfinite(tau):
+    if not 0 < c <= 1 + 1e-9 or not 0 < gamma < math.inf or not math.isfinite(tau):
         return FitResult(
             params=None,
             rmse=rmse,

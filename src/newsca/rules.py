@@ -7,6 +7,7 @@ transitions are deterministic functions of the neighborhood.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -37,10 +38,10 @@ class NewsRuleParams:
     boost_below: int = 3
 
     def __post_init__(self) -> None:
-        if self.adoption_threshold <= 0:
-            raise ValueError("adoption_threshold must be positive")
-        if self.boost_factor < 1:
-            raise ValueError("boost_factor must be >= 1")
+        if not 0 < self.adoption_threshold < math.inf:
+            raise ValueError(f"adoption_threshold must be positive and finite, got {self.adoption_threshold}")
+        if not 1 <= self.boost_factor < math.inf:
+            raise ValueError(f"boost_factor must be >= 1 and finite, got {self.boost_factor}")
         if not 0 <= self.boost_below <= 8:
             raise ValueError("boost_below must be in [0, 8]")
 
@@ -56,8 +57,8 @@ class InnovationRuleParams:
     threshold: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
 
 
 DEFAULT_NEWS_PARAMS = NewsRuleParams()

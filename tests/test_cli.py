@@ -51,6 +51,37 @@ class TestSimulate:
         assert code == EXIT_NO_CONVERGENCE
         assert (tmp_path / "series.csv").exists()  # outputs still written
 
+    def test_unspreadable_seed_converges_at_step_0(self, tmp_path, capsys):
+        code = main(["simulate", "--adoption-threshold", "8", "--width", "5", "--height", "5",
+                     "--max-steps", "50", "--outdir", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "converged_at=0 " in capsys.readouterr().out
+        assert len((tmp_path / "series.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--adoption-threshold", "nan"],
+        ["--adoption-threshold", "inf"],
+        ["--boost-factor", "nan"],
+        ["--model", "innovation", "--innovation-threshold", "nan"],
+    ], ids=["threshold-nan", "threshold-inf", "boost-nan", "innovation-nan"])
+    def test_non_finite_rule_parameter_is_usage_error(self, tmp_path, capsys, flags):
+        assert main(["simulate", *flags, "--outdir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "series.csv").exists()
+
+    def test_unknown_snapshot_format_in_manifest_is_io_error(self, tmp_path, capsys):
+        assert main(["simulate", "--width", "6", "--height", "6", "--outdir", str(tmp_path)]) == EXIT_OK
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["snapshot_format"] = "png"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["simulate", "--from-manifest", str(path), "--outdir", str(tmp_path / "b")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "snapshot_format" in err and err.count("\n") == 1
+
     def test_ascii_snapshots_at_intervals(self, tmp_path):
         code = main(["simulate", "--width", "10", "--height", "10", "--seed", "3",
                      "--snapshot-every", "10", "--outdir", str(tmp_path)])
@@ -163,6 +194,14 @@ class TestEvalModel:
         assert main(["eval-model", "--grey-c", "1.5", "--outdir", str(tmp_path)]) == EXIT_USAGE
         assert main(["eval-model", "--t-max", "-5", "--outdir", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [["--grey-gamma", "nan"], ["--white-gamma", "inf"]],
+                             ids=["grey-gamma-nan", "white-gamma-inf"])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys, flags):
+        assert main(["eval-model", *flags, "--t-max", "3", "--outdir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "model_series.csv").exists()
+
 
 class TestFit:
     def test_recovers_model_from_its_own_curves(self, tmp_path):
@@ -211,6 +250,19 @@ class TestFit:
                      "--outdir", str(tmp_path)]) == EXIT_IO
 
 
+class TestPipeline:
+    def test_ensemble_then_fit(self, tmp_path):
+        ens, fit = tmp_path / "ens", tmp_path / "fit"
+        assert main(["ensemble", "--width", "12", "--height", "12", "--runs", "20", "--seed", "1",
+                     "--outdir", str(ens)]) == EXIT_OK
+        assert main(["fit", "--input", str(ens / "mean_series.csv"), "--outdir", str(fit)]) == EXIT_OK
+        mean_header, mean_rows = read_csv_rows(ens / "mean_series.csv")
+        fit_header, fit_rows = read_csv_rows(fit / "fit_series.csv")
+        assert mean_header == ["step", "white_frac", "grey_frac", "black_frac"]
+        assert fit_header[:4] == ["step", "white_sim", "grey_sim", "black_sim"]
+        assert [row[:4] for row in fit_rows] == mean_rows
+
+
 class TestManifestRoundTrip:
     def test_news_config(self):
         cfg = SimulationConfig(width=17, height=9, seed_position=(4, 11),
@@ -237,12 +289,13 @@ class TestManifestRoundTrip:
 
     @pytest.mark.parametrize("edit", [
         lambda m: m["config"].pop("max_steps"),
+        lambda m: m["config"].update(colour="red"),
         lambda m: m["config"]["rule_params"].pop("boost_factor"),
         lambda m: m["config"]["rule_params"].update(threshold=1.0),
         lambda m: m["config"].update(model="rumor"),
         lambda m: m.pop("runs"),
         None,
-    ], ids=["missing-config-key", "missing-rule-key", "extra-rule-key",
+    ], ids=["missing-config-key", "extra-config-key", "missing-rule-key", "extra-rule-key",
             "unknown-model", "missing-runs", "invalid-json"])
     def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit):
         path = tmp_path / "manifest.json"

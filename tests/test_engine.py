@@ -40,6 +40,24 @@ adoption_cells = arrays(
 boundaries = st.sampled_from([Boundary.BOUNDED, Boundary.TOROIDAL])
 
 
+def _at_and_beside(products):
+    """Each value and its two floating-point neighbors."""
+    return st.sampled_from(sorted({float(np.nextafter(x, d)) for x in products for d in (0.0, x, np.inf)}))
+
+
+# Thresholds at, or one ulp beside, the products the adoption tests compare.
+news_thresholds = st.one_of(_at_and_beside(g * m for g in (1.0, 1.5) for m in range(1, 9)),
+                            st.floats(0.1, 12.0))
+innovation_thresholds = st.one_of(_at_and_beside(range(1, 9)), st.floats(0.1, 9.0))
+
+
+class MaxDraws:
+    """Generator stand-in whose every draw is the largest ``rng.random()`` returns."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
 class TestStep:
     def test_all_white_is_inert(self):
         grid = Grid(np.zeros((3, 3), dtype=np.uint8))
@@ -97,6 +115,25 @@ class TestStep:
         params = NewsRuleParams()
         fixed = _MODELS[NewsRuleParams].fixed(grid, count_states(grid), params)
         assert fixed == (step(grid, 0, make_rng(seed), params) == grid)
+
+    # Adoption is monotone in the draw, so a state is fixed exactly when a
+    # step whose every draw is the largest possible changes nothing.
+    @settings(max_examples=150, deadline=None)
+    @given(cells=news_cells, boundary=boundaries, threshold=news_thresholds,
+           boost_below=st.integers(0, 8))
+    def test_news_fixed_iff_the_largest_draws_change_nothing(self, cells, boundary, threshold, boost_below):
+        grid = Grid(cells, boundary)
+        params = NewsRuleParams(adoption_threshold=threshold, boost_below=boost_below)
+        fixed = _MODELS[NewsRuleParams].fixed(grid, count_states(grid), params)
+        assert fixed == (step(grid, 0, MaxDraws(), params) == grid)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells=adoption_cells, boundary=boundaries, threshold=innovation_thresholds)
+    def test_innovation_frozen_iff_the_largest_draws_change_nothing(self, cells, boundary, threshold):
+        grid = Grid(cells, boundary)
+        params = InnovationRuleParams(threshold=threshold)
+        frozen = _MODELS[InnovationRuleParams].fixed(grid, _MODELS[InnovationRuleParams].count_row(grid), params)
+        assert frozen == (step(grid, 0, MaxDraws(), params) == grid)
 
     @settings(max_examples=30, deadline=None)
     @given(cells=news_cells, boundary=boundaries, seed=st.integers(0, 2**32))
@@ -178,6 +215,14 @@ class TestRun:
         assert main(args + [str(tmp_path / "capped"), "--max-steps", "35"]) == EXIT_OK
         series = [(tmp_path / d / "series.csv").read_bytes() for d in ("free", "capped")]
         assert series[0] == series[1]
+
+    def test_unspreadable_news_seed_is_fixed_at_step_0(self):
+        # p * m never exceeds 8, so no white cell can adopt, and the black
+        # seed keeps its white neighbors: no cell can ever change.
+        params = NewsRuleParams(adoption_threshold=8)
+        tr = run(SimulationConfig(width=5, height=5, max_steps=50, rule_params=params))
+        assert tr.converged_at == 0
+        assert tr.counts.tolist() == [[24, 0, 1]]
 
     def test_snapshots_at_multiples(self):
         tr = run(SimulationConfig(width=9, height=9, rng_seed=2, snapshot_every=5))

@@ -163,7 +163,7 @@ class TestAsciiSerialization:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "3 2\n...\n...\n", "3 2 bounded\n...\n", "2 2 bounded\n...\n..\n"],
+        ["", "3 2\n...\n...\n", "3 2 bounded\n...\n", "2 2 bounded\n...\n..\n", "2 1 bounded\n.x\n"],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):

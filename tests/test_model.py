@@ -101,6 +101,9 @@ class TestLogistic:
             LogisticParams(0.5, 10, 0.0)
         with pytest.raises(ValueError):
             LogisticParams(0.5, math.inf, 0.1)
+        for c, gamma in ((math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf)):
+            with pytest.raises(ValueError):
+                LogisticParams(c, 10, gamma)
 
 
 class TestReferenceModel:

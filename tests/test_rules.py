@@ -68,6 +68,11 @@ class TestAdoptsNews:
             NewsRuleParams(boost_factor=0.5)
         with pytest.raises(ValueError):
             NewsRuleParams(boost_below=9)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                NewsRuleParams(adoption_threshold=value)
+            with pytest.raises(ValueError):
+                NewsRuleParams(boost_factor=value)
 
 
 class TestAdoptsInnovation:
@@ -84,8 +89,9 @@ class TestAdoptsInnovation:
     def test_custom_threshold(self):
         params = InnovationRuleParams(threshold=0.5)
         assert adopts_innovation(1, 0.6, params) is True
-        with pytest.raises(ValueError):
-            InnovationRuleParams(threshold=0)
+        for value in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                InnovationRuleParams(threshold=value)
 
 
 class TestNextNewsState:
