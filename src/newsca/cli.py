@@ -10,10 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -74,15 +77,41 @@ def config_to_dict(config: SimulationConfig) -> dict:
     return {**asdict(config), "boundary": config.boundary.value, "model": config.rule_params.name}
 
 
+def _conforms(value, kind) -> bool:
+    """Whether the JSON ``value`` fits a field annotated ``kind``: an int is
+    no bool, a float may be an int, a tuple is a list (or tuple) of its
+    items, an enum is one of its values and a dataclass is an object."""
+    if kind is float:
+        return type(value) in (int, float)
+    if get_origin(kind) is tuple:
+        items = get_args(kind)
+        return (type(value) in (list, tuple) and len(value) == len(items)
+                and all(map(_conforms, value, items)))
+    if get_args(kind):  # a union such as ``int | None``
+        return any(_conforms(value, k) for k in get_args(kind))
+    if is_dataclass(kind):
+        return type(value) is dict
+    if issubclass(kind, Enum):
+        return value in [member.value for member in kind]
+    return type(value) is kind
+
+
 def _check_fields(cls, d: dict, what: str) -> None:
+    """``d`` holds exactly the fields of ``cls``, each of its annotated type."""
     names = sorted(f.name for f in fields(cls))
     if sorted(d) != names:
         raise ManifestError(f"{what} must hold {names}, got {sorted(d)}")
+    hints = get_type_hints(cls)
+    for name in names:
+        if not _conforms(d[name], hints[name]):
+            kind = getattr(hints[name], "__name__", hints[name])
+            raise ManifestError(f"{what} entry {name!r} must be {kind}, got {d[name]!r}")
 
 
 def config_from_dict(d: dict) -> SimulationConfig:
     """Inverse of :func:`config_to_dict`; the config and its ``rule_params``
-    must hold exactly the fields of SimulationConfig and of the named model."""
+    must hold exactly the fields of SimulationConfig and of the named model,
+    each of its annotated type."""
     d = dict(d)
     model = d.pop("model")
     if model not in MODELS:
@@ -92,7 +121,7 @@ def config_from_dict(d: dict) -> SimulationConfig:
     _check_fields(cls, d["rule_params"], f"rule_params of model {cls.name!r}")
     return SimulationConfig(**{
         **d,
-        "seed_position": tuple(d["seed_position"]) if d["seed_position"] else None,
+        "seed_position": None if d["seed_position"] is None else tuple(d["seed_position"]),
         "boundary": Boundary(d["boundary"]),
         "rule_params": cls(**d["rule_params"]),
     })
@@ -215,7 +244,8 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
     Columns are located by header name, so the simulate, ensemble and
     eval-model layouts all work. A missing black column is reconstructed
-    from normalization.
+    from normalization. Every value must be finite and the steps strictly
+    increasing; a CsvFormatError names the first line that is not.
     """
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -228,24 +258,23 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
             raise CsvFormatError(1, "missing 'step' column")
         if "white_frac" not in names or "grey_frac" not in names:
             raise CsvFormatError(1, "missing 'white_frac' or 'grey_frac' column")
-        idx = {name: names.index(name) for name in names}
-        steps, white, grey, black = [], [], [], []
+        columns = [names.index(name) for name in ("step", "white_frac", "grey_frac", "black_frac")
+                   if name in names]
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                steps.append(float(row[idx["step"]]))
-                white.append(float(row[idx["white_frac"]]))
-                grey.append(float(row[idx["grey_frac"]]))
-                if "black_frac" in idx:
-                    black.append(float(row[idx["black_frac"]]))
+                values = [float(row[i]) for i in columns]
             except (ValueError, IndexError) as exc:
                 raise CsvFormatError(lineno, f"unparseable row: {exc}") from None
-    steps_arr = np.array(steps)
-    white_arr = np.array(white)
-    grey_arr = np.array(grey)
-    black_arr = np.array(black) if black else 1.0 - white_arr - grey_arr
-    return steps_arr, white_arr, grey_arr, black_arr
+            if not all(map(math.isfinite, values)):
+                raise CsvFormatError(lineno, f"non-finite value in row {row}")
+            if rows and values[0] <= rows[-1][0]:
+                raise CsvFormatError(lineno, f"step {values[0]:g} does not follow step {rows[-1][0]:g}")
+            rows.append(values)
+    steps, white, grey, *black = np.array(rows).reshape(-1, len(columns)).T.copy()
+    return steps, white, grey, black[0] if black else 1.0 - white - grey
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,10 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .grid import (
-    AdoptionState,
     Boundary,
     CellState,
     Grid,
@@ -160,117 +158,76 @@ def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
 # the draw, so a cell that does not adopt at this draw can never adopt.
 _MAX_DRAW = np.nextafter(1.0, 0.0)
 
-
-def _news_adopts(draws, m: np.ndarray, params: NewsRuleParams) -> np.ndarray:
-    p_eff = np.where(m < params.boost_below, draws * params.boost_factor, draws)
-    return p_eff * m > params.adoption_threshold
-
-
-def _innovation_adopts(draws, m: np.ndarray, params: InnovationRuleParams) -> np.ndarray:
-    return draws * m > params.threshold
-
-
-def _step_news(grid: Grid, rng: np.random.Generator, params: NewsRuleParams) -> Grid:
-    cells = grid.cells
-    white = cells == CellState.WHITE
-    grey = cells == CellState.GREY
-    black = cells == CellState.BLACK
-    white_nb = neighbor_counts(white, grid.boundary)
-    new = cells.copy()
-    # Deterministic transitions: stale out / forget wherever no white neighbor remains.
-    new[black & (white_nb == 0)] = CellState.GREY
-    new[grey & (white_nb == 0)] = CellState.WHITE
-    # Stochastic adoption: one draw per white cell, row-major.
-    rows, cols = np.nonzero(white)
-    if rows.size:
-        draws = rng.random(rows.size)
-        m = neighbor_counts(black, grid.boundary)[rows, cols]
-        fires = _news_adopts(draws, m, params)
-        new[rows[fires], cols[fires]] = CellState.BLACK
-    return Grid(new, grid.boundary)
-
-
-def _step_innovation(grid: Grid, rng: np.random.Generator, params: InnovationRuleParams) -> Grid:
-    cells = grid.cells
-    adopted = cells == AdoptionState.ADOPTED
-    rows, cols = np.nonzero(~adopted)
-    new = cells.copy()
-    if rows.size:
-        draws = rng.random(rows.size)
-        m = neighbor_counts(adopted, grid.boundary)[rows, cols]
-        fires = _innovation_adopts(draws, m, params)
-        new[rows[fires], cols[fires]] = AdoptionState.ADOPTED
-    return Grid(new, grid.boundary)
-
-
-@lru_cache(maxsize=16)
-def _can_adopt(params: RuleParams) -> tuple[np.ndarray, bool]:
-    """(``table``, ``always``): ``table[m]`` tells whether an adoptable cell with
-    ``m`` neighbors in the spreading state (black / adopted) can ever adopt,
-    and ``always`` whether every ``m`` from 1 to 8 can."""
-    table = _MODELS[type(params)].adopts(_MAX_DRAW, np.arange(9), params)
-    return table, bool(table[1:].all())
-
-
-def _news_fixed(grid: Grid, row: tuple[int, int, int], params: NewsRuleParams) -> bool:
-    # Fixed when no cell can change: every black or grey cell has a white
-    # neighbor, and no white cell can adopt from its black neighbors.
-    if row[2] and _can_adopt(params)[1]:
-        return False  # a black cell's white neighbor can adopt, or the cell goes stale
-    cells = grid.cells
-    white = cells == CellState.WHITE
-    if np.any(~white & (neighbor_counts(white, grid.boundary) == 0)):
-        return False
-    if not row[2]:
-        return True  # no white cell has a black neighbor
-    m = neighbor_counts(cells == CellState.BLACK, grid.boundary)
-    return not bool(np.any(white & _can_adopt(params)[0][m]))
-
-
-def _innovation_frozen(grid: Grid, row: tuple[int, int, int], params: InnovationRuleParams) -> bool:
-    # Adoption is permanent, so only a not-adopted cell that can adopt keeps the run live.
-    adopted = grid.cells == AdoptionState.ADOPTED
-    m = neighbor_counts(adopted, grid.boundary)
-    return not bool(np.any(~adopted & _can_adopt(params)[0][m]))
-
-
-def _innovation_row(grid: Grid) -> tuple[int, int, int]:
-    not_adopted, adopted = count_adoption(grid)
-    return not_adopted, 0, adopted
-
-
-class _Model(NamedTuple):
-    """What the engine needs to run one model."""
-
-    transition: Callable  # (grid, rng, params) -> next grid, vectorized
-    adopts: Callable  # (draws, m, params) -> the transition's adoption test, vectorized
-    cell_rule: Callable  # (state, neighbors, draw, params) -> next state of one cell
-    fixed: Callable  # (grid, count row, params) -> no step can change the grid
-    count_row: Callable  # grid -> (white, grey, black) row of the trajectory
-
-
-# The only place that tells the models apart, keyed by the rule parameters'
-# type. count_states is looked up at call time, so a wrapper installed on
-# newsca.engine.count_states (as the benchmark's tracer does) sees each call.
-_MODELS = {
-    NewsRuleParams: _Model(
-        _step_news, _news_adopts, next_news_state, _news_fixed, lambda grid: count_states(grid)
-    ),
-    InnovationRuleParams: _Model(
-        _step_innovation, _innovation_adopts, next_innovation_state, _innovation_frozen, _innovation_row
-    ),
-}
+# The per-cell rule of each model, applied by step_reference.
+_CELL_RULES = {NewsRuleParams: next_news_state, InnovationRuleParams: next_innovation_state}
 
 
 def step(grid: Grid, step_index: int, rng: np.random.Generator, params: RuleParams) -> Grid:
     """One synchronous update of the whole grid, computed from the old grid.
 
+    Cells with no code-0 (white) neighbor first take their ``params.stale``
+    code, if the model has one. Then every code-0 cell consumes one uniform
+    draw, in row-major order, and takes ``params.seed_state`` where
+    ``params.adopts`` fires for its count of seed-state neighbors.
     ``step_index`` is threaded through for rules that depend on time; the
-    built-in rules ignore it beyond the RNG stream position. Consumes one
-    uniform draw per adoptable cell, in row-major order of those cells.
+    built-in rules ignore it beyond the RNG stream position.
     """
     del step_index
-    return _MODELS[type(params)].transition(grid, rng, params)
+    cells = grid.cells
+    adoptable = cells == 0
+    if params.stale is None:
+        new = cells.copy()
+    else:
+        lonely = neighbor_counts(adoptable, grid.boundary) == 0
+        new = np.where(lonely, np.array(params.stale, dtype=np.uint8)[cells], cells)
+    rows, cols = np.nonzero(adoptable)
+    if rows.size:
+        draws = rng.random(rows.size)
+        m = neighbor_counts(cells == params.seed_state, grid.boundary)[rows, cols]
+        fires = params.adopts(draws, m)
+        new[rows[fires], cols[fires]] = params.seed_state
+    return Grid(new, grid.boundary)
+
+
+@lru_cache(maxsize=16)
+def _can_adopt(params: RuleParams) -> tuple[np.ndarray, bool]:
+    """(``table``, ``always``): ``table[m]`` tells whether a code-0 cell with
+    ``m`` seed-state neighbors (black / adopted) can ever adopt, and
+    ``always`` whether every ``m`` from 1 to 8 can."""
+    table = params.adopts(_MAX_DRAW, np.arange(9))
+    return table, bool(table[1:].all())
+
+
+def _fixed(grid: Grid, row: tuple[int, int, int], params: RuleParams) -> bool:
+    """Whether no step can change ``grid``, whose count row is ``row``.
+
+    No cell can change when every cell that would go stale has a code-0
+    neighbor and no code-0 cell can adopt from its seed-state neighbors,
+    even at the largest draw.
+    """
+    table, always = _can_adopt(params)
+    if params.stale is not None and row[2] and always:
+        return False  # a black cell's white neighbor can adopt, or the cell goes stale
+    cells = grid.cells
+    white = cells == 0
+    if params.stale is not None and np.any(~white & (neighbor_counts(white, grid.boundary) == 0)):
+        return False  # some cell goes stale
+    if not row[2]:
+        return True  # no cell has a seed-state neighbor
+    m = neighbor_counts(cells == params.seed_state, grid.boundary)
+    return not bool(np.any(white & table[m]))
+
+
+def _count_row(grid: Grid, params: RuleParams) -> tuple[int, int, int]:
+    """(white, grey, black) row of the trajectory; (not adopted, 0, adopted) for innovation.
+
+    count_states is looked up at call time, so a wrapper installed on
+    newsca.engine.count_states (as the benchmark's tracer does) sees each call.
+    """
+    if isinstance(params.seed_state, CellState):  # the three-state news alphabet
+        return count_states(grid)
+    not_adopted, adopted = count_adoption(grid)
+    return not_adopted, 0, adopted
 
 
 def step_reference(
@@ -282,7 +239,7 @@ def step_reference(
     stream identically, so results are bit-identical for equal seeds.
     """
     del step_index
-    rule = _MODELS[type(params)].cell_rule
+    rule = _CELL_RULES[type(params)]
     states = type(params.seed_state)  # the model's state enum
     new = grid.cells.copy()
     for r in range(grid.height):
@@ -305,10 +262,9 @@ def run(config: SimulationConfig) -> Trajectory:
     via ``converged_at=None``.
     """
     params = config.rule_params
-    model = _MODELS[type(params)]
     rng = make_rng(config.rng_seed)
     grid = config.initial_grid()
-    row = model.count_row(grid)
+    row = _count_row(grid, params)
     counts = [row]
     snapshots: list[tuple[int, Grid]] = []
     every = config.snapshot_every
@@ -320,12 +276,12 @@ def run(config: SimulationConfig) -> Trajectory:
             black_extinct_at = t
         if every is not None and t % every == 0:
             snapshots.append((t, grid.copy()))
-        fixed = model.fixed(grid, row, params)
+        fixed = _fixed(grid, row, params)
         if fixed or t == config.max_steps:
             break
         grid = step(grid, t, rng, params)
         t += 1
-        row = model.count_row(grid)
+        row = _count_row(grid, params)
         counts.append(row)
 
     return Trajectory(

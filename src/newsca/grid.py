@@ -157,16 +157,25 @@ def neighbor_counts(mask: np.ndarray, boundary: Boundary) -> np.ndarray:
     return out
 
 
+def _count_codes(grid: Grid, states: type[IntEnum]) -> list[int]:
+    """Count of each code of the ``states`` alphabet; ValueError on any other code."""
+    size = len(states)
+    counts = np.bincount(grid.cells.ravel(), minlength=size)
+    if len(counts) > size:
+        raise ValueError(f"cell code {len(counts) - 1} is not a {states.__name__}")
+    return counts.tolist()
+
+
 def count_states(grid: Grid) -> tuple[int, int, int]:
     """(white, grey, black) cell counts of a news grid; always sums to width*height."""
-    counts = np.bincount(grid.cells.ravel(), minlength=3)
-    return int(counts[CellState.WHITE]), int(counts[CellState.GREY]), int(counts[CellState.BLACK])
+    white, grey, black = _count_codes(grid, CellState)
+    return white, grey, black
 
 
 def count_adoption(grid: Grid) -> tuple[int, int]:
     """(not adopted, adopted) cell counts of an innovation grid."""
-    counts = np.bincount(grid.cells.ravel(), minlength=2)
-    return int(counts[AdoptionState.NOT_ADOPTED]), int(counts[AdoptionState.ADOPTED])
+    not_adopted, adopted = _count_codes(grid, AdoptionState)
+    return not_adopted, adopted
 
 
 def grid_to_text(grid: Grid, chars: dict | None = None) -> str:

@@ -26,12 +26,15 @@ class NewsRuleParams:
     are more receptive).
 
     The type of a config's rule parameters selects its model; the class
-    variables name the model, its seed cell's state and its ASCII alphabet.
+    variables name the model, its seed cell's state and its ASCII alphabet,
+    and ``stale[code]`` is the next state of a cell with no white neighbor:
+    black news goes stale and grey news is forgotten.
     """
 
     name: ClassVar[str] = "news"
     seed_state: ClassVar[CellState] = CellState.BLACK
     chars: ClassVar[dict] = NEWS_CHARS
+    stale: ClassVar[tuple | None] = (CellState.WHITE, CellState.WHITE, CellState.GREY)
 
     adoption_threshold: float = 1.0
     boost_factor: float = 1.5
@@ -45,20 +48,32 @@ class NewsRuleParams:
         if not 0 <= self.boost_below <= 8:
             raise ValueError("boost_below must be in [0, 8]")
 
+    def adopts(self, p, m):
+        """Vectorized :func:`adopts_news` over draws ``p`` and black-neighbor counts ``m``."""
+        return np.where(m < self.boost_below, p * self.boost_factor, p) * m > self.adoption_threshold
+
 
 @dataclass(frozen=True)
 class InnovationRuleParams:
-    """Parameters of the two-state innovation rule: adopt when ``p * m > threshold``."""
+    """Parameters of the two-state innovation rule: adopt when ``p * m > threshold``.
+
+    Adoption is permanent, so no state goes stale (``stale`` is None).
+    """
 
     name: ClassVar[str] = "innovation"
     seed_state: ClassVar[AdoptionState] = AdoptionState.ADOPTED
     chars: ClassVar[dict] = ADOPTION_CHARS
+    stale: ClassVar[tuple | None] = None
 
     threshold: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 < self.threshold < math.inf:
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
+
+    def adopts(self, p, m):
+        """Vectorized :func:`adopts_innovation` over draws ``p`` and adopted-neighbor counts ``m``."""
+        return p * m > self.threshold
 
 
 DEFAULT_NEWS_PARAMS = NewsRuleParams()

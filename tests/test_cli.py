@@ -239,6 +239,26 @@ class TestFit:
                      "--outdir", str(tmp_path / "out")]) == EXIT_IO
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, capsys, value):
+        csv_path = tmp_path / "nan.csv"
+        csv_path.write_text(
+            "step,white_frac,grey_frac,black_frac\n"
+            f"0,0.9,{value},0\n1,0.8,0.2,0\n2,0.7,0.3,0\n3,0.6,0.3,0.1\n4,0.5,0.3,0.2\n"
+        )
+        assert main(["fit", "--input", str(csv_path),
+                     "--outdir", str(tmp_path / "out")]) == EXIT_IO
+        assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [(0, 1, 1, 2, 3), (0, 2, 1, 3, 4)], ids=["repeated", "decreasing"])
+    def test_steps_not_increasing_names_line(self, tmp_path, capsys, steps):
+        csv_path = tmp_path / "steps.csv"
+        csv_path.write_text("step,white_frac,grey_frac,black_frac\n"
+                            + "".join(f"{t},0.8,0.1,0.1\n" for t in steps))
+        assert main(["fit", "--input", str(csv_path),
+                     "--outdir", str(tmp_path / "out")]) == EXIT_IO
+        assert "line 4" in capsys.readouterr().err
+
     def test_missing_column_rejected(self, tmp_path):
         csv_path = tmp_path / "cols.csv"
         csv_path.write_text("step,white_frac\n0,0.9\n")
@@ -273,6 +293,11 @@ class TestManifestRoundTrip:
         cfg = SimulationConfig(rule_params=InnovationRuleParams(threshold=0.5))
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
+    def test_int_accepted_for_float_entry(self):
+        d = config_to_dict(SimulationConfig(rule_params=InnovationRuleParams(threshold=2.0)))
+        d["rule_params"]["threshold"] = 2
+        assert config_from_dict(d) == SimulationConfig(rule_params=InnovationRuleParams(threshold=2.0))
+
     def test_default_center_survives(self):
         cfg = SimulationConfig()
         back = config_from_dict(config_to_dict(cfg))
@@ -295,8 +320,15 @@ class TestManifestRoundTrip:
         lambda m: m["config"].update(model="rumor"),
         lambda m: m.pop("runs"),
         None,
+        lambda m: m["config"].update(width=6.5),
+        lambda m: m["config"].update(max_steps=True),
+        lambda m: m["config"].update(seed_position=[1, 2.0]),
+        lambda m: m["config"].update(snapshot_every="5"),
+        lambda m: m["config"]["rule_params"].update(boost_below=2.0),
+        lambda m: m["config"].update(boundary="open"),
     ], ids=["missing-config-key", "extra-config-key", "missing-rule-key", "extra-rule-key",
-            "unknown-model", "missing-runs", "invalid-json"])
+            "unknown-model", "missing-runs", "invalid-json", "width-float", "max-steps-bool",
+            "seed-position-float", "snapshot-every-string", "boost-below-float", "unknown-boundary"])
     def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit):
         path = tmp_path / "manifest.json"
         assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",

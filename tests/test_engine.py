@@ -14,6 +14,8 @@ from newsca import (
     InnovationRuleParams,
     NewsRuleParams,
     SimulationConfig,
+    adopts_innovation,
+    adopts_news,
     count_states,
     derive_run_seeds,
     make_rng,
@@ -25,7 +27,7 @@ from newsca import (
     step_reference,
 )
 from newsca.cli import EXIT_OK, main
-from newsca.engine import _MODELS
+from newsca.engine import _count_row, _fixed
 
 news_cells = arrays(
     dtype=np.uint8,
@@ -40,22 +42,28 @@ adoption_cells = arrays(
 boundaries = st.sampled_from([Boundary.BOUNDED, Boundary.TOROIDAL])
 
 
+MAX_DRAW = float(np.nextafter(1.0, 0.0))  # the largest value rng.random() returns
+
+
 def _at_and_beside(products):
     """Each value and its two floating-point neighbors."""
     return st.sampled_from(sorted({float(np.nextafter(x, d)) for x in products for d in (0.0, x, np.inf)}))
 
 
-# Thresholds at, or one ulp beside, the products the adoption tests compare.
-news_thresholds = st.one_of(_at_and_beside(g * m for g in (1.0, 1.5) for m in range(1, 9)),
-                            st.floats(0.1, 12.0))
-innovation_thresholds = st.one_of(_at_and_beside(range(1, 9)), st.floats(0.1, 9.0))
+# Thresholds at, or one ulp beside, the products the adoption tests compare
+# at a draw of 1 and at the largest draw.
+news_thresholds = st.one_of(
+    _at_and_beside(p * g * m for p in (1.0, MAX_DRAW) for g in (1.0, 1.5) for m in range(1, 9)),
+    st.floats(0.1, 12.0))
+innovation_thresholds = st.one_of(_at_and_beside(p * m for p in (1.0, MAX_DRAW) for m in range(1, 9)),
+                                  st.floats(0.1, 9.0))
 
 
 class MaxDraws:
     """Generator stand-in whose every draw is the largest ``rng.random()`` returns."""
 
-    def random(self, size):
-        return np.full(size, np.nextafter(1.0, 0.0))
+    def random(self, size=None):
+        return MAX_DRAW if size is None else np.full(size, MAX_DRAW)
 
 
 class TestStep:
@@ -88,23 +96,52 @@ class TestStep:
             k += 1
         assert list(out.cells.ravel()) == flat_expect
 
-    @settings(max_examples=40, deadline=None)
-    @given(cells=news_cells, boundary=boundaries, seed=st.integers(0, 2**32))
-    def test_vectorized_matches_reference_news(self, cells, boundary, seed):
+    # The kernel's vectorized ``params.adopts`` is cross-checked against the
+    # scalar adopts_news / adopts_innovation that step_reference applies, at
+    # random draws and at the largest one, with thresholds at and one ulp
+    # beside the products they compare.
+    @settings(max_examples=60, deadline=None)
+    @given(cells=news_cells, boundary=boundaries, seed=st.integers(0, 2**32),
+           threshold=news_thresholds, boost_below=st.integers(0, 8), largest=st.booleans())
+    def test_vectorized_matches_reference_news(self, cells, boundary, seed, threshold, boost_below,
+                                               largest):
         grid = Grid(cells, boundary)
-        params = NewsRuleParams()
-        fast = step(grid, 0, make_rng(seed), params)
-        slow = step_reference(grid, 0, make_rng(seed), params)
+        params = NewsRuleParams(adoption_threshold=threshold, boost_below=boost_below)
+        rngs = (MaxDraws(), MaxDraws()) if largest else (make_rng(seed), make_rng(seed))
+        fast = step(grid, 0, rngs[0], params)
+        slow = step_reference(grid, 0, rngs[1], params)
         assert fast == slow
 
-    @settings(max_examples=40, deadline=None)
-    @given(cells=adoption_cells, boundary=boundaries, seed=st.integers(0, 2**32))
-    def test_vectorized_matches_reference_innovation(self, cells, boundary, seed):
+    @settings(max_examples=60, deadline=None)
+    @given(cells=adoption_cells, boundary=boundaries, seed=st.integers(0, 2**32),
+           threshold=innovation_thresholds, largest=st.booleans())
+    def test_vectorized_matches_reference_innovation(self, cells, boundary, seed, threshold, largest):
         grid = Grid(cells, boundary)
-        params = InnovationRuleParams()
-        fast = step(grid, 0, make_rng(seed), params)
-        slow = step_reference(grid, 0, make_rng(seed), params)
+        params = InnovationRuleParams(threshold=threshold)
+        rngs = (MaxDraws(), MaxDraws()) if largest else (make_rng(seed), make_rng(seed))
+        fast = step(grid, 0, rngs[0], params)
+        slow = step_reference(grid, 0, rngs[1], params)
         assert fast == slow
+
+    @settings(max_examples=100, deadline=None)
+    @given(threshold=news_thresholds, boost_below=st.integers(0, 8),
+           boost_factor=st.sampled_from([1.0, 1.5, 2.0]),
+           draws=st.lists(st.floats(0.0, MAX_DRAW), max_size=4))
+    def test_news_adopts_matches_scalar_reference(self, threshold, boost_below, boost_factor, draws):
+        params = NewsRuleParams(threshold, boost_factor, boost_below)
+        p, m = np.meshgrid(np.array([*draws, MAX_DRAW]), np.arange(9))
+        expected = [[adopts_news(int(mi), float(pi), params) for pi, mi in zip(*row)]
+                    for row in zip(p, m)]
+        assert params.adopts(p, m).tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(threshold=innovation_thresholds, draws=st.lists(st.floats(0.0, MAX_DRAW), max_size=4))
+    def test_innovation_adopts_matches_scalar_reference(self, threshold, draws):
+        params = InnovationRuleParams(threshold=threshold)
+        p, m = np.meshgrid(np.array([*draws, MAX_DRAW]), np.arange(9))
+        expected = [[adopts_innovation(int(mi), float(pi), params) for pi, mi in zip(*row)]
+                    for row in zip(p, m)]
+        assert params.adopts(p, m).tolist() == expected
 
     @settings(max_examples=40, deadline=None)
     @given(cells=adoption_cells, boundary=boundaries, seed=st.integers(0, 2**32))
@@ -113,7 +150,7 @@ class TestStep:
         # deterministic, so the fixed-point test must agree with taking one.
         grid = Grid(cells, boundary)
         params = NewsRuleParams()
-        fixed = _MODELS[NewsRuleParams].fixed(grid, count_states(grid), params)
+        fixed = _fixed(grid, count_states(grid), params)
         assert fixed == (step(grid, 0, make_rng(seed), params) == grid)
 
     # Adoption is monotone in the draw, so a state is fixed exactly when a
@@ -124,7 +161,7 @@ class TestStep:
     def test_news_fixed_iff_the_largest_draws_change_nothing(self, cells, boundary, threshold, boost_below):
         grid = Grid(cells, boundary)
         params = NewsRuleParams(adoption_threshold=threshold, boost_below=boost_below)
-        fixed = _MODELS[NewsRuleParams].fixed(grid, count_states(grid), params)
+        fixed = _fixed(grid, count_states(grid), params)
         assert fixed == (step(grid, 0, MaxDraws(), params) == grid)
 
     @settings(max_examples=100, deadline=None)
@@ -132,7 +169,7 @@ class TestStep:
     def test_innovation_frozen_iff_the_largest_draws_change_nothing(self, cells, boundary, threshold):
         grid = Grid(cells, boundary)
         params = InnovationRuleParams(threshold=threshold)
-        frozen = _MODELS[InnovationRuleParams].fixed(grid, _MODELS[InnovationRuleParams].count_row(grid), params)
+        frozen = _fixed(grid, _count_row(grid, params), params)
         assert frozen == (step(grid, 0, MaxDraws(), params) == grid)
 
     @settings(max_examples=30, deadline=None)

@@ -142,6 +142,12 @@ class TestCounting:
         grid = Grid(cells)
         assert sum(count_states(grid)) == grid.field_size
 
+    def test_code_outside_the_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="cell code 3"):
+            count_states(Grid(np.full((2, 2), 3, dtype=np.uint8)))
+        with pytest.raises(ValueError, match="cell code 2"):
+            count_adoption(Grid(np.array([[0, 1], [2, 1]], dtype=np.uint8)))
+
 
 class TestAsciiSerialization:
     def test_header_and_chars(self):
