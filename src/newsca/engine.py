@@ -6,25 +6,28 @@ numpy PCG64 generator per run; exactly one uniform draw is consumed per
 adoptable cell (white / not-adopted) per step, in row-major cell order,
 so seeded runs are bit-reproducible regardless of how ensembles are
 scheduled.
+
+One kernel steps every run. The live runs of an ensemble are stacked as
+one (runs, height, width) uint8 array, a single run being a stack of one.
+Each state's census (count rows, the white mask and the neighbor counts)
+is taken once and read by both the fixed-point test and :func:`step`.
+Run ``r`` draws ``rngs[r].random(n_r)`` for its ``n_r`` code-0 cells; the
+draws are concatenated in run order and applied to the code-0 cells of the
+flattened stack, which come run by run and row-major within each run, so
+every run consumes and produces exactly what it would stepped alone. A run
+leaves the stack at its first fixed point or at ``max_steps``.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (
-    Boundary,
-    CellState,
-    Grid,
-    count_adoption,
-    count_states,
-    neighbor_counts,
-    neighborhood,
-    new_grid,
-)
+from .grid import Boundary, Grid, neighbor_counts, neighborhood, new_grid
 from .rules import (
     InnovationRuleParams,
     NewsRuleParams,
@@ -61,6 +64,8 @@ class SimulationConfig:
             raise ValueError("grid dimensions must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         if self.seed_position is not None:
@@ -162,31 +167,65 @@ _MAX_DRAW = np.nextafter(1.0, 0.0)
 _CELL_RULES = {NewsRuleParams: next_news_state, InnovationRuleParams: next_innovation_state}
 
 
-def step(grid: Grid, step_index: int, rng: np.random.Generator, params: RuleParams) -> Grid:
-    """One synchronous update of the whole grid, computed from the old grid.
+class _Census(NamedTuple):
+    """What the fixed-point test and the step both read of one state of a
+    (runs, height, width) stack, computed once per state by :func:`_census`."""
 
-    Cells with no code-0 (white) neighbor first take their ``params.stale``
-    code, if the model has one. Then every code-0 cell consumes one uniform
-    draw, in row-major order, and takes ``params.seed_state`` where
-    ``params.adopts`` fires for its count of seed-state neighbors.
-    ``step_index`` is threaded through for rules that depend on time; the
-    built-in rules ignore it beyond the RNG stream position.
+    rows: np.ndarray  # (runs, 3) trajectory rows
+    white: np.ndarray  # code-0 (white / not adopted) cells
+    white_nb: np.ndarray | None  # count of code-0 neighbors; None if no state goes stale
+    seed_nb: np.ndarray  # count of seed-state (black / adopted) neighbors
+
+
+def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams) -> _Census:
+    """The census of the (runs, height, width) stack ``cells``.
+
+    Rows are (white, grey, black) for news and (not adopted, 0, adopted) for
+    innovation: the code-0 and seed-state cells counted from their masks,
+    the rest of the field in between. One neighbor_counts call covers both
+    masks.
+    """
+    masks = cells == np.array([0, params.seed_state], dtype=np.uint8).reshape(2, 1, 1, 1)
+    white, seed = np.add.reduce(masks.view(np.uint8).reshape(2, len(cells), -1), axis=2, dtype=np.intp)
+    rows = np.stack([white, cells[0].size - white - seed, seed], axis=1)
+    counts = neighbor_counts(masks if params.stale else masks[1:], boundary)
+    return _Census(rows, masks[0], counts[0] if params.stale else None, counts[-1])
+
+
+def step(
+    grid: Grid,
+    step_index: int,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    params: RuleParams,
+    census: _Census | None = None,
+) -> Grid:
+    """One synchronous update of a grid, or of a stack of grids, computed from the old cells.
+
+    ``grid.cells`` is one (height, width) grid stepped with the generator
+    ``rng``, or a (runs, height, width) stack with a sequence of one
+    generator per grid. Every non-code-0 cell with no code-0 (white)
+    neighbor goes one state staler if the model has stale states (black to
+    grey, grey to white). Then every code-0 cell consumes one uniform draw
+    from its grid's generator, in row-major order, and takes
+    ``params.seed_state`` where ``params.adopts`` fires for its count of
+    seed-state neighbors; so each grid of a stack consumes and changes
+    exactly as if it were stepped alone. The run loop passes the stack's
+    ``census``, which it has already taken. ``step_index`` is threaded
+    through for rules that depend on time; the built-in rules ignore it
+    beyond the RNG stream position.
     """
     del step_index
     cells = grid.cells
-    adoptable = cells == 0
-    if params.stale is None:
-        new = cells.copy()
-    else:
-        lonely = neighbor_counts(adoptable, grid.boundary) == 0
-        new = np.where(lonely, np.array(params.stale, dtype=np.uint8)[cells], cells)
-    rows, cols = np.nonzero(adoptable)
-    if rows.size:
-        draws = rng.random(rows.size)
-        m = neighbor_counts(cells == params.seed_state, grid.boundary)[rows, cols]
-        fires = params.adopts(draws, m)
-        new[rows[fires], cols[fires]] = params.seed_state
-    return Grid(new, grid.boundary)
+    stack, rngs = (cells, rng) if cells.ndim == 3 else (cells[None], (rng,))
+    rows, white, white_nb, seed_nb = _census(stack, grid.boundary, params) if census is None else census
+    # One state staler is one code lower: black (2) to grey (1), grey to white (0).
+    new = stack - ((white_nb == 0) & ~white) if params.stale else stack.copy()
+    where = np.flatnonzero(white)  # grid by grid, each in row-major order
+    if where.size:
+        draws = np.concatenate([g.random(n) for g, n in zip(rngs, rows[:, 0].tolist()) if n])
+        fires = params.adopts(draws, seed_nb.reshape(-1)[where])
+        new.reshape(-1)[where[fires]] = params.seed_state
+    return Grid(new.reshape(cells.shape), grid.boundary)
 
 
 @lru_cache(maxsize=16)
@@ -198,36 +237,22 @@ def _can_adopt(params: RuleParams) -> tuple[np.ndarray, bool]:
     return table, bool(table[1:].all())
 
 
-def _fixed(grid: Grid, row: tuple[int, int, int], params: RuleParams) -> bool:
-    """Whether no step can change ``grid``, whose count row is ``row``.
+def _fixed(census: _Census, params: RuleParams) -> np.ndarray:
+    """Which grids of a stack no step can change, from their census.
 
     No cell can change when every cell that would go stale has a code-0
     neighbor and no code-0 cell can adopt from its seed-state neighbors,
     even at the largest draw.
     """
     table, always = _can_adopt(params)
-    if params.stale is not None and row[2] and always:
-        return False  # a black cell's white neighbor can adopt, or the cell goes stale
-    cells = grid.cells
-    white = cells == 0
-    if params.stale is not None and np.any(~white & (neighbor_counts(white, grid.boundary) == 0)):
-        return False  # some cell goes stale
-    if not row[2]:
-        return True  # no cell has a seed-state neighbor
-    m = neighbor_counts(cells == params.seed_state, grid.boundary)
-    return not bool(np.any(white & table[m]))
-
-
-def _count_row(grid: Grid, params: RuleParams) -> tuple[int, int, int]:
-    """(white, grey, black) row of the trajectory; (not adopted, 0, adopted) for innovation.
-
-    count_states is looked up at call time, so a wrapper installed on
-    newsca.engine.count_states (as the benchmark's tracer does) sees each call.
-    """
-    if isinstance(params.seed_state, CellState):  # the three-state news alphabet
-        return count_states(grid)
-    not_adopted, adopted = count_adoption(grid)
-    return not_adopted, 0, adopted
+    rows, white, white_nb, seed_nb = census
+    if params.stale and always and rows[:, 2].all():
+        # In every grid a black cell's white neighbor can adopt, or the cell goes stale.
+        return np.zeros(len(rows), dtype=bool)
+    change = white & table.take(seed_nb)
+    if params.stale:
+        change |= (white_nb == 0) & ~white
+    return ~change.reshape(len(rows), -1).any(axis=1)
 
 
 def step_reference(
@@ -251,6 +276,59 @@ def step_reference(
     return Grid(new, grid.boundary)
 
 
+def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:
+    """One run of ``config`` per seed, all stepped together as one stack.
+
+    Every recorded state of every run, the initial one and the one at
+    ``max_steps`` included, is tested for being a fixed point: a state no
+    further step can change. A run leaves the stack at its first fixed
+    point or at ``max_steps``, whichever comes first.
+    """
+    params, boundary, every = config.rule_params, config.boundary, config.snapshot_every
+    rngs = [make_rng(seed) for seed in seeds]
+    cells = np.repeat(config.initial_grid().cells[None], len(seeds), axis=0)
+    live = np.arange(len(seeds))  # the run of each grid in the stack
+    counts: list[list[list[int]]] = [[] for _ in seeds]
+    snapshots: list[list[tuple[int, Grid]]] = [[] for _ in seeds]
+    final_grids: list[Grid | None] = [None] * len(seeds)
+    converged_at: list[int | None] = [None] * len(seeds)
+
+    t = 0
+    while True:
+        census = _census(cells, boundary, params)
+        for r, row in zip(live, census.rows.tolist()):
+            counts[r].append(row)
+        if every is not None and t % every == 0:
+            for k, r in enumerate(live):
+                snapshots[r].append((t, Grid(cells[k].copy(), boundary)))
+        fixed = _fixed(census, params)
+        done = fixed | (t == config.max_steps)
+        for k in np.flatnonzero(done):
+            final_grids[live[k]] = Grid(cells[k].copy(), boundary)
+            if fixed[k]:
+                converged_at[live[k]] = t
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            cells, live = cells[keep], live[keep]
+            census = _Census(*(None if a is None else a[keep] for a in census))
+            rngs = [g for g, d in zip(rngs, done) if not d]
+        cells = step(Grid(cells, boundary), t, rngs, params, census).cells
+        t += 1
+
+    return [
+        Trajectory(
+            counts=np.array(rows, dtype=np.int64),
+            converged_at=converged_at[r],
+            black_extinct_at=next((t for t, row in enumerate(rows) if row[2] == 0), None),
+            snapshots=snapshots[r],
+            final_grid=final_grids[r],
+        )
+        for r, rows in enumerate(counts)
+    ]
+
+
 def run(config: SimulationConfig) -> Trajectory:
     """Run one simulation until it reaches a fixed point or ``max_steps``.
 
@@ -261,54 +339,28 @@ def run(config: SimulationConfig) -> Trajectory:
     largest draw. A run still live at ``max_steps`` is reported distinctly
     via ``converged_at=None``.
     """
-    params = config.rule_params
-    rng = make_rng(config.rng_seed)
-    grid = config.initial_grid()
-    row = _count_row(grid, params)
-    counts = [row]
-    snapshots: list[tuple[int, Grid]] = []
-    every = config.snapshot_every
-    black_extinct_at: int | None = None
-
-    t = 0
-    while True:
-        if black_extinct_at is None and row[2] == 0:
-            black_extinct_at = t
-        if every is not None and t % every == 0:
-            snapshots.append((t, grid.copy()))
-        fixed = _fixed(grid, row, params)
-        if fixed or t == config.max_steps:
-            break
-        grid = step(grid, t, rng, params)
-        t += 1
-        row = _count_row(grid, params)
-        counts.append(row)
-
-    return Trajectory(
-        counts=np.array(counts, dtype=np.int64),
-        converged_at=t if fixed else None,
-        black_extinct_at=black_extinct_at,
-        snapshots=snapshots,
-        final_grid=grid,
-    )
+    return _run_stack(config, [config.rng_seed])[0]
 
 
 def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1) -> EnsembleResult:
     """Execute ``runs`` independent simulations and average their fractions.
 
     Per-run seeds come from :func:`derive_run_seeds` on ``config.rng_seed``;
-    each run owns a private generator, and aggregation sums in run-index
-    order, so the result is identical for any ``jobs`` (thread count).
+    each run owns a private generator. The runs are stepped as one stack, or
+    with ``jobs > 1`` as that many contiguous blocks of runs, each block a
+    stack on its own thread; aggregation sums in run-index order, so the
+    result is identical for any ``jobs``.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     seeds = derive_run_seeds(config.rng_seed, runs)
-    configs = [replace(config, rng_seed=s) for s in seeds]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trajectories = list(pool.map(run, configs))
+    blocks = min(jobs, runs)
+    if blocks > 1:
+        parts = [seeds[i * runs // blocks:(i + 1) * runs // blocks] for i in range(blocks)]
+        with ThreadPoolExecutor(max_workers=blocks) as pool:
+            trajectories = [tr for part in pool.map(lambda p: _run_stack(config, p), parts) for tr in part]
     else:
-        trajectories = [run(c) for c in configs]
+        trajectories = _run_stack(config, seeds)
 
     field_size = float(config.field_size)
     horizon = max(len(tr.counts) for tr in trajectories)

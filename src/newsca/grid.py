@@ -55,7 +55,10 @@ class Grid:
     """Rectangular lattice of cell-state codes with a boundary mode.
 
     ``cells`` is a (height, width) uint8 array; row-major iteration order is
-    the canonical cell order everywhere in this package.
+    the canonical cell order everywhere in this package. A (runs, height,
+    width) array is a stack of equally shaped grids that
+    :func:`newsca.engine.step` advances together; the other functions of
+    this module take single grids.
     """
 
     cells: np.ndarray
@@ -63,18 +66,18 @@ class Grid:
 
     def __post_init__(self) -> None:
         self.cells = np.ascontiguousarray(self.cells, dtype=np.uint8)
-        if self.cells.ndim != 2:
-            raise ValueError("cells must be a 2-D array")
-        if self.cells.shape[0] < 1 or self.cells.shape[1] < 1:
+        if self.cells.ndim not in (2, 3):
+            raise ValueError("cells must be a 2-D array or a 3-D stack of them")
+        if 0 in self.cells.shape:
             raise ValueError("grid dimensions must be at least 1x1")
 
     @property
     def height(self) -> int:
-        return self.cells.shape[0]
+        return self.cells.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.cells.shape[1]
+        return self.cells.shape[-1]
 
     @property
     def field_size(self) -> int:
@@ -138,22 +141,28 @@ def neighborhood(grid: Grid, position: tuple[int, int]) -> np.ndarray:
 
 
 def neighbor_counts(mask: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """Per-cell count of True Moore neighbors of a boolean (height, width) mask.
+    """Per-cell count of True Moore neighbors of a boolean (..., height, width) mask.
 
-    Vectorized companion of :func:`neighborhood`: the mask is copied into a
-    one-cell halo that holds zeros on bounded grids and the opposite edges
-    on toroidal ones, then the eight offset slices of the halo are summed.
+    Vectorized companion of :func:`neighborhood` over the last two axes, so
+    a stack of masks is counted in one call. The mask is copied into one
+    uint8 buffer with a one-cell halo that holds zeros on bounded grids and
+    the opposite edges on toroidal ones; each cell's count is the sum of the
+    3x3 block of the halo around it (rows, then columns) minus the cell
+    itself. Counts are uint8 (at most 8).
     """
-    h, w = mask.shape
-    padded = np.zeros((h + 2, w + 2), dtype=np.int64)
-    padded[1:-1, 1:-1] = mask
+    *lead, h, w = mask.shape
+    halo = np.zeros((*lead, h + 2, w + 2), dtype=np.uint8)
+    inner = halo[..., 1:-1, 1:-1]
+    inner[...] = mask
     if boundary is Boundary.TOROIDAL:
         # Rows first, then whole columns, so the corners wrap too.
-        padded[0], padded[-1] = padded[-2], padded[1]
-        padded[:, 0], padded[:, -1] = padded[:, -2], padded[:, 1]
-    out = np.zeros((h, w), dtype=np.int64)
-    for dr, dc in MOORE_OFFSETS:
-        out += padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
+        halo[..., 0, :], halo[..., -1, :] = halo[..., -2, :], halo[..., 1, :]
+        halo[..., 0], halo[..., -1] = halo[..., -2], halo[..., 1]
+    across = halo[..., :-2] + halo[..., 1:-1]
+    across += halo[..., 2:]
+    out = across[..., :-2, :] + across[..., 1:-1, :]
+    out += across[..., 2:, :]
+    out -= inner
     return out
 
 

@@ -27,14 +27,14 @@ class NewsRuleParams:
 
     The type of a config's rule parameters selects its model; the class
     variables name the model, its seed cell's state and its ASCII alphabet,
-    and ``stale[code]`` is the next state of a cell with no white neighbor:
-    black news goes stale and grey news is forgotten.
+    and ``stale`` says that a cell with no white neighbor goes one state
+    staler: black news goes stale (grey) and grey news is forgotten (white).
     """
 
     name: ClassVar[str] = "news"
     seed_state: ClassVar[CellState] = CellState.BLACK
     chars: ClassVar[dict] = NEWS_CHARS
-    stale: ClassVar[tuple | None] = (CellState.WHITE, CellState.WHITE, CellState.GREY)
+    stale: ClassVar[bool] = True
 
     adoption_threshold: float = 1.0
     boost_factor: float = 1.5
@@ -57,13 +57,13 @@ class NewsRuleParams:
 class InnovationRuleParams:
     """Parameters of the two-state innovation rule: adopt when ``p * m > threshold``.
 
-    Adoption is permanent, so no state goes stale (``stale`` is None).
+    Adoption is permanent, so no state goes stale (``stale`` is False).
     """
 
     name: ClassVar[str] = "innovation"
     seed_state: ClassVar[AdoptionState] = AdoptionState.ADOPTED
     chars: ClassVar[dict] = ADOPTION_CHARS
-    stale: ClassVar[tuple | None] = None
+    stale: ClassVar[bool] = False
 
     threshold: float = 1.0
 

@@ -70,6 +70,24 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "series.csv").exists()
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert main(["simulate", "--seed", "-1", "--outdir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rng_seed" in err and err.count("\n") == 1
+        assert not (tmp_path / "series.csv").exists()
+
+    def test_negative_seed_in_manifest_is_io_error(self, tmp_path, capsys):
+        assert main(["simulate", "--width", "6", "--height", "6", "--outdir", str(tmp_path)]) == EXIT_OK
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["rng_seed"] = -1
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["simulate", "--from-manifest", str(path), "--outdir", str(tmp_path / "b")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rng_seed" in err and err.count("\n") == 1
+
     def test_unknown_snapshot_format_in_manifest_is_io_error(self, tmp_path, capsys):
         assert main(["simulate", "--width", "6", "--height", "6", "--outdir", str(tmp_path)]) == EXIT_OK
         path = tmp_path / "manifest.json"

@@ -27,7 +27,7 @@ from newsca import (
     step_reference,
 )
 from newsca.cli import EXIT_OK, main
-from newsca.engine import _count_row, _fixed
+from newsca.engine import _census, _fixed
 
 news_cells = arrays(
     dtype=np.uint8,
@@ -57,6 +57,11 @@ news_thresholds = st.one_of(
     st.floats(0.1, 12.0))
 innovation_thresholds = st.one_of(_at_and_beside(p * m for p in (1.0, MAX_DRAW) for m in range(1, 9)),
                                   st.floats(0.1, 9.0))
+
+
+def is_fixed(grid, params):
+    """The run loop's fixed-point test, applied to one grid."""
+    return bool(_fixed(_census(grid.cells[None], grid.boundary, params), params)[0])
 
 
 class MaxDraws:
@@ -123,6 +128,35 @@ class TestStep:
         slow = step_reference(grid, 0, rngs[1], params)
         assert fast == slow
 
+    # One batched step of a stack must equal stepping each grid alone through
+    # the per-cell reference with its own generator: the draws of grid r
+    # come from generator r only, and grids without a code-0 cell draw nothing.
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), model=st.sampled_from(["news", "innovation"]), boundary=boundaries,
+           shape=st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                           st.sampled_from([(1, 7), (7, 1), (2, 2)])),
+           runs=st.integers(1, 5), largest=st.booleans())
+    def test_batched_step_matches_reference_per_grid(self, data, model, boundary, shape, runs, largest):
+        if model == "news":
+            params = NewsRuleParams(adoption_threshold=data.draw(news_thresholds),
+                                    boost_below=data.draw(st.integers(0, 8)))
+        else:
+            params = InnovationRuleParams(threshold=data.draw(innovation_thresholds))
+        codes = st.integers(0, int(params.seed_state))
+        grids = data.draw(st.lists(st.one_of(
+            arrays(np.uint8, shape, elements=codes),
+            arrays(np.uint8, shape, elements=st.integers(1, int(params.seed_state))),  # no code 0
+        ), min_size=runs, max_size=runs))
+        seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=runs, max_size=runs))
+        rngs = [MaxDraws() if largest else make_rng(s) for s in seeds]
+        batched = step(Grid(np.stack(grids), boundary), 0, rngs, params)
+        for k, cells in enumerate(grids):
+            rng = MaxDraws() if largest else make_rng(seeds[k])
+            alone = step_reference(Grid(cells, boundary), 0, rng, params)
+            assert Grid(batched.cells[k], boundary) == alone
+            if not largest:  # both consumed the same number of draws
+                assert rngs[k].random() == rng.random()
+
     @settings(max_examples=100, deadline=None)
     @given(threshold=news_thresholds, boost_below=st.integers(0, 8),
            boost_factor=st.sampled_from([1.0, 1.5, 2.0]),
@@ -150,7 +184,7 @@ class TestStep:
         # deterministic, so the fixed-point test must agree with taking one.
         grid = Grid(cells, boundary)
         params = NewsRuleParams()
-        fixed = _fixed(grid, count_states(grid), params)
+        fixed = is_fixed(grid, params)
         assert fixed == (step(grid, 0, make_rng(seed), params) == grid)
 
     # Adoption is monotone in the draw, so a state is fixed exactly when a
@@ -161,7 +195,7 @@ class TestStep:
     def test_news_fixed_iff_the_largest_draws_change_nothing(self, cells, boundary, threshold, boost_below):
         grid = Grid(cells, boundary)
         params = NewsRuleParams(adoption_threshold=threshold, boost_below=boost_below)
-        fixed = _fixed(grid, count_states(grid), params)
+        fixed = is_fixed(grid, params)
         assert fixed == (step(grid, 0, MaxDraws(), params) == grid)
 
     @settings(max_examples=100, deadline=None)
@@ -169,7 +203,7 @@ class TestStep:
     def test_innovation_frozen_iff_the_largest_draws_change_nothing(self, cells, boundary, threshold):
         grid = Grid(cells, boundary)
         params = InnovationRuleParams(threshold=threshold)
-        frozen = _fixed(grid, _count_row(grid, params), params)
+        frozen = is_fixed(grid, params)
         assert frozen == (step(grid, 0, MaxDraws(), params) == grid)
 
     @settings(max_examples=30, deadline=None)
@@ -299,6 +333,8 @@ class TestRun:
             SimulationConfig(seed_position=(40, 0))
         with pytest.raises(ValueError):
             SimulationConfig(snapshot_every=0)
+        with pytest.raises(ValueError, match="rng_seed"):
+            SimulationConfig(rng_seed=-1)
 
 
 class TestEnsemble:
@@ -319,6 +355,47 @@ class TestEnsemble:
         horizon = len(ens.mean_fractions)
         shortest = min(ens.trajectories, key=lambda tr: len(tr.counts))
         assert len(shortest.counts) <= horizon
+
+    # A batched ensemble must report each run exactly as a single run of its
+    # seed does, also when max_steps cuts some runs but not others and when
+    # every run is fixed at step 0 (p * m can never exceed 8).
+    @pytest.mark.parametrize("cfg", [
+        SimulationConfig(width=12, height=12, rng_seed=3, max_steps=70),
+        SimulationConfig(width=9, height=7, rng_seed=8, boundary=Boundary.TOROIDAL, max_steps=50,
+                         snapshot_every=10),
+        SimulationConfig(width=8, height=8, rng_seed=4, max_steps=11,
+                         rule_params=InnovationRuleParams(threshold=0.9)),
+        SimulationConfig(width=6, height=6, rng_seed=5, rule_params=NewsRuleParams(adoption_threshold=8)),
+    ], ids=["news-cut", "news-torus-snapshots", "innovation-cut", "fixed-at-step-0"])
+    def test_batched_runs_match_single_runs(self, cfg):
+        runs = 10
+        ens = run_ensemble(cfg, runs)
+        seeds = derive_run_seeds(cfg.rng_seed, runs)
+        for tr, seed in zip(ens.trajectories, seeds):
+            alone = run(replace(cfg, rng_seed=seed))
+            np.testing.assert_array_equal(tr.counts, alone.counts)
+            assert tr.converged_at == alone.converged_at
+            assert tr.black_extinct_at == alone.black_extinct_at
+            assert tr.final_grid == alone.final_grid
+            assert [t for t, _ in tr.snapshots] == [t for t, _ in alone.snapshots]
+            assert all(a == b for (_, a), (_, b) in zip(tr.snapshots, alone.snapshots))
+        if cfg.rule_params == NewsRuleParams(adoption_threshold=8):
+            assert ens.converged_steps == [0] * runs
+        else:  # max_steps cut some runs, not all
+            assert 0 < len(ens.unconverged) < runs
+
+    @pytest.mark.parametrize("runs,jobs", [(7, 3), (2, 4)], ids=["runs-not-divisible", "jobs-above-runs"])
+    def test_jobs_split_does_not_change_results(self, runs, jobs):
+        cfg = SimulationConfig(width=12, height=12, rng_seed=17, max_steps=60)
+        a = run_ensemble(cfg, runs, jobs=1)
+        b = run_ensemble(cfg, runs, jobs=jobs)
+        np.testing.assert_array_equal(a.mean_fractions, b.mean_fractions)
+        assert a.converged_steps == b.converged_steps
+        assert a.black_extinct_steps == b.black_extinct_steps
+        assert a.run_seeds == b.run_seeds
+        for ta, tb in zip(a.trajectories, b.trajectories):
+            np.testing.assert_array_equal(ta.counts, tb.counts)
+            assert ta.final_grid == tb.final_grid
 
     def test_parallelism_does_not_change_results(self):
         cfg = SimulationConfig(width=20, height=20, rng_seed=13)
