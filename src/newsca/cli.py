@@ -27,6 +27,7 @@ from .engine import (
     EnsembleResult,
     SimulationConfig,
     Trajectory,
+    check_runs,
     run,
     run_ensemble,
 )
@@ -244,8 +245,9 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
     Columns are located by header name, so the simulate, ensemble and
     eval-model layouts all work. A missing black column is reconstructed
-    from normalization. Every value must be finite and the steps strictly
-    increasing; a CsvFormatError names the first line that is not.
+    from normalization. Every value must be finite, the white and grey
+    fractions within [0, 1] and the steps strictly increasing; a
+    CsvFormatError names the first line that is not.
     """
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -270,6 +272,8 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
                 raise CsvFormatError(lineno, f"unparseable row: {exc}") from None
             if not all(map(math.isfinite, values)):
                 raise CsvFormatError(lineno, f"non-finite value in row {row}")
+            if not (0 <= values[1] <= 1 and 0 <= values[2] <= 1):
+                raise CsvFormatError(lineno, f"white or grey fraction outside [0, 1] in row {row}")
             if rows and values[0] <= rows[-1][0]:
                 raise CsvFormatError(lineno, f"step {values[0]:g} does not follow step {rows[-1][0]:g}")
             rows.append(values)
@@ -387,8 +391,12 @@ def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     if args.from_manifest is not None:
         config, manifest_in = load_manifest(args.from_manifest)
         runs = manifest_in.get("runs")
-        if type(runs) is not int or runs < 1:
+        if type(runs) is not int:
             raise ManifestError(f"{args.from_manifest}: runs must be a positive integer, got {runs!r}")
+        try:
+            check_runs(config, runs)
+        except ValueError as exc:
+            raise ManifestError(f"{args.from_manifest}: {exc}") from None
     else:
         config = _config_from_args(args, parser)
         runs = args.runs
@@ -476,7 +484,8 @@ def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "white": _fit_result_dict(fit.white),
         "black_rmse": fit.black_rmse,
     }
-    (outdir / "fit_params.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # allow_nan=False: a non-finite value raises rather than writing NaN.
+    (outdir / "fit_params.json").write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
     manifest = build_manifest("fit", input=str(args.input))
     save_manifest(outdir / "manifest.json", manifest)
 
@@ -491,7 +500,7 @@ def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         write_fit_series_csv(outdir / "fit_series.csv", steps, white, grey, black, fit.model)
         print(f"wrote {outdir / 'fit_params.json'} and {outdir / 'fit_series.csv'}")
         return EXIT_OK
-    print("fit failed; see fit_params.json", file=sys.stderr)
+    print("error: fit failed; see fit_params.json", file=sys.stderr)
     return EXIT_FIT_FAILURE
 
 
@@ -545,7 +554,7 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:  # parser.error inside a command
         return int(exc.code or 0)
-    except CsvFormatError as exc:
+    except (CsvFormatError, csv.Error) as exc:  # csv.Error: a field above the csv module's size limit
         print(f"error: {args.input if hasattr(args, 'input') else ''}: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ManifestError, OSError) as exc:

@@ -40,6 +40,10 @@ GENERATOR_NAME = "numpy-pcg64"
 
 RuleParams = NewsRuleParams | InnovationRuleParams
 
+# Most cells one run, or the stack of an ensemble's runs, may hold (8192^2);
+# checked before anything is allocated.
+MAX_CELLS = 2**26
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -62,6 +66,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("grid dimensions must be positive")
+        if self.width * self.height > MAX_CELLS:
+            raise ValueError(f"a {self.width}x{self.height} field exceeds MAX_CELLS = {MAX_CELLS} cells")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.rng_seed < 0:
@@ -342,6 +348,16 @@ def run(config: SimulationConfig) -> Trajectory:
     return _run_stack(config, [config.rng_seed])[0]
 
 
+def check_runs(config: SimulationConfig, runs: int) -> None:
+    """Raise ValueError unless ``runs`` is at least 1 and ``runs`` fields of
+    ``config`` hold at most MAX_CELLS cells together."""
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    if runs * config.field_size > MAX_CELLS:
+        raise ValueError(f"{runs} runs of a {config.width}x{config.height} field exceed "
+                         f"MAX_CELLS = {MAX_CELLS} cells")
+
+
 def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1) -> EnsembleResult:
     """Execute ``runs`` independent simulations and average their fractions.
 
@@ -351,8 +367,7 @@ def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1) -> Ensemble
     stack on its own thread; aggregation sums in run-index order, so the
     result is identical for any ``jobs``.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    check_runs(config, runs)
     seeds = derive_run_seeds(config.rng_seed, runs)
     blocks = min(jobs, runs)
     if blocks > 1:

@@ -3,8 +3,10 @@
 The grey fraction follows an increasing sigmoid C / (1 + e^(-gamma (t - tau))),
 the white fraction the complement of another, and the black fraction is
 their normalized difference, so the three curves sum to 1 identically.
-Fitting recovers (C, tau, gamma) per curve from sampled series via a
-data-derived initial guess refined by Nelder-Mead simplex search.
+Fitting recovers (C, tau, gamma) per curve from sampled series: a
+data-derived initial guess is refined by Levenberg-Marquardt least squares
+on the residuals, with the sigmoid's closed-form Jacobian, and the final
+Jacobian gives each parameter's standard error.
 """
 from __future__ import annotations
 
@@ -12,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
-FIT_MAX_ITERATIONS = 10_000
+# Relative tolerance on the step, the residual reduction and the gradient.
 FIT_TOLERANCE = 1e-12
 
 
@@ -51,13 +53,21 @@ class AnalyticModel:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one curve fit; ``params`` is None when the fit failed."""
+    """Outcome of one curve fit; ``params`` is None when the fit failed.
+
+    ``iterations`` counts Jacobian evaluations and ``nfev`` residual
+    evaluations. ``stderr`` holds the standard errors of (c, tau, gamma),
+    or None when they are undefined: no fit, a singular Jacobian, or a
+    non-finite value.
+    """
 
     params: LogisticParams | None
     rmse: float
     iterations: int
     converged: bool
     message: str = ""
+    nfev: int = 0
+    stderr: tuple[float, float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -71,10 +81,17 @@ class ModelFit:
 
 
 def _sigmoid(t: np.ndarray, c, tau, gamma) -> np.ndarray:
-    # Unvalidated parameters: the fit's simplex probes points LogisticParams rejects.
+    # Unvalidated parameters: the fit's search probes points LogisticParams rejects.
     z = gamma * (t - tau)
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, c / (1.0 + e), c * e / (1.0 + e))
+
+
+def _sigmoid_jacobian(t: np.ndarray, c, tau, gamma) -> np.ndarray:
+    """(len(t), 3) partial derivatives of ``_sigmoid`` by (c, tau, gamma)."""
+    s = _sigmoid(t, 1.0, tau, gamma)
+    slope = c * s * (1.0 - s)
+    return np.column_stack((s, -gamma * slope, (t - tau) * slope))
 
 
 def logistic(t, params: LogisticParams):
@@ -135,6 +152,8 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     """Least-squares fit of a sigmoid (``shape="rising"``) or its complement
     (``shape="falling"``) to samples ``values`` at steps ``t``.
 
+    Starts from a guess read off the data and refines it by
+    Levenberg-Marquardt (MINPACK's ``lmder``) with the closed-form Jacobian.
     Degenerate input (fewer than 4 points, or a constant series) yields a
     failure result rather than an exception; values outside [0, 1] are a
     caller error and raise.
@@ -153,39 +172,50 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
         return _failure("constant series carries no sigmoid information")
 
     target = y if shape == "rising" else 1.0 - y
-
-    def sse(p: np.ndarray) -> float:
-        return float(np.sum((_sigmoid(t, *p) - target) ** 2))
-
-    res = minimize(
-        sse,
+    res = least_squares(
+        lambda p: _sigmoid(t, *p) - target,
         _initial_guess(t, target),
-        method="Nelder-Mead",
-        options={
-            "maxiter": FIT_MAX_ITERATIONS,
-            "maxfev": 3 * FIT_MAX_ITERATIONS,
-            "fatol": FIT_TOLERANCE,
-            "xatol": 1e-10,
-        },
+        jac=lambda p: _sigmoid_jacobian(t, *p),
+        method="lm",
+        xtol=FIT_TOLERANCE,
+        ftol=FIT_TOLERANCE,
+        gtol=FIT_TOLERANCE,
     )
     c, tau, gamma = (float(v) for v in res.x)
-    rmse = math.sqrt(res.fun / len(y))
+    rmse = math.sqrt(2.0 * res.cost / len(y))
     if not 0 < c <= 1 + 1e-9 or not 0 < gamma < math.inf or not math.isfinite(tau):
         return FitResult(
             params=None,
             rmse=rmse,
-            iterations=int(res.nit),
+            iterations=int(res.njev),
             converged=False,
             message="search left the valid parameter domain",
+            nfev=int(res.nfev),
         )
     params = LogisticParams(c=min(c, 1.0), tau=tau, gamma=gamma)
     return FitResult(
         params=params,
         rmse=rmse,
-        iterations=int(res.nit),
+        iterations=int(res.njev),
         converged=bool(res.success),
         message=str(res.message),
+        nfev=int(res.nfev),
+        stderr=_standard_errors(res.jac, res.cost, len(y)),
     )
+
+
+def _standard_errors(jac: np.ndarray, cost: float, n: int) -> tuple[float, float, float] | None:
+    """sqrt(diag(s2 (J^T J)^-1)) with s2 = 2 cost / (n - 3), from the SVD of
+    ``jac``; None when J^T J is numerically singular or a value is not finite."""
+    if not np.all(np.isfinite(jac)):
+        return None
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    if sv[-1] <= np.finfo(float).eps * max(jac.shape) * sv[0]:
+        return None
+    variance = 2.0 * cost / (n - 3) * np.sum((vt / sv[:, None]) ** 2, axis=0)
+    if not np.all(np.isfinite(variance)):
+        return None
+    return tuple(float(v) for v in np.sqrt(variance))
 
 
 def fit_model(t, grey_values, white_values) -> ModelFit:

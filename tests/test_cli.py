@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from newsca import SimulationConfig, InnovationRuleParams
+from newsca import SimulationConfig, InnovationRuleParams, eval_grey, eval_white, reference_model
 from newsca.rules import MODELS
 from newsca.cli import (
     EXIT_FIT_FAILURE,
@@ -12,6 +19,7 @@ from newsca.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    build_manifest,
     config_from_dict,
     config_to_dict,
     main,
@@ -75,6 +83,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "rng_seed" in err and err.count("\n") == 1
         assert not (tmp_path / "series.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--width", "100000", "--height", "100000"],
+        ["ensemble", "--runs", "1000", "--width", "1000", "--height", "1000"],
+    ], ids=["field", "ensemble"])
+    def test_above_max_cells_is_usage_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MAX_CELLS" in err and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
     def test_negative_seed_in_manifest_is_io_error(self, tmp_path, capsys):
         assert main(["simulate", "--width", "6", "--height", "6", "--outdir", str(tmp_path)]) == EXIT_OK
@@ -234,6 +252,9 @@ class TestFit:
         assert params["grey"]["params"]["gamma"] == pytest.approx(0.15, rel=1e-3)
         assert params["white"]["params"]["tau"] == pytest.approx(20.0, rel=1e-3)
         assert params["black_rmse"] <= 1e-6
+        for curve in ("grey", "white"):
+            assert type(params[curve]["nfev"]) is int and params[curve]["nfev"] >= 1
+            assert len(params[curve]["stderr"]) == 3 and max(params[curve]["stderr"]) < 1e-6
         header, rows = read_csv_rows(fit_dir / "fit_series.csv")
         assert header[:4] == ["step", "white_sim", "grey_sim", "black_sim"]
         assert len(rows) == 121
@@ -276,6 +297,41 @@ class TestFit:
         assert main(["fit", "--input", str(csv_path),
                      "--outdir", str(tmp_path / "out")]) == EXIT_IO
         assert "line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1.5", "-0.5"])
+    def test_fraction_outside_unit_interval_names_line(self, tmp_path, capsys, value):
+        csv_path = tmp_path / "range.csv"
+        csv_path.write_text(
+            "step,white_frac,grey_frac,black_frac\n"
+            f"0,0.9,0.1,0\n1,0.8,{value},0\n2,0.7,0.3,0\n3,0.6,0.3,0.1\n4,0.5,0.3,0.2\n"
+        )
+        assert main(["fit", "--input", str(csv_path),
+                     "--outdir", str(tmp_path / "out")]) == EXIT_IO
+        assert "line 3" in capsys.readouterr().err
+
+    def test_field_above_csv_size_limit_is_io_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text("step,white_frac,grey_frac,black_frac\n0,0.9,0.1,0\n"
+                            f'1,"{"x" * 200_000}",0.2,0\n')
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path}: ") and err.count("\n") == 1
+
+    def test_singular_fit_writes_null_stderr(self, tmp_path):
+        # A step in grey is fitted exactly by an arbitrarily steep sigmoid,
+        # whose Jacobian is singular; the standard errors are then undefined.
+        t = np.arange(121)
+        white = eval_white(t, reference_model()).tolist()
+        grey = np.where(t >= 60, 0.7, 0.0).tolist()
+        csv_path = tmp_path / "step.csv"
+        csv_path.write_text("step,white_frac,grey_frac\n"
+                            + "".join(f"{k},{w!r},{g!r}\n" for k, w, g in zip(t, white, grey)))
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_OK
+        text = (tmp_path / "out" / "fit_params.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        params = json.loads(text)
+        assert params["grey"]["params"] is not None and params["grey"]["stderr"] is None
+        assert all(map(math.isfinite, params["white"]["stderr"]))
 
     def test_missing_column_rejected(self, tmp_path):
         csv_path = tmp_path / "cols.csv"
@@ -344,9 +400,12 @@ class TestManifestRoundTrip:
         lambda m: m["config"].update(snapshot_every="5"),
         lambda m: m["config"]["rule_params"].update(boost_below=2.0),
         lambda m: m["config"].update(boundary="open"),
+        lambda m: m["config"].update(width=100_000, height=100_000),
+        lambda m: (m["config"].update(width=1000, height=1000), m.update(runs=1000)),
     ], ids=["missing-config-key", "extra-config-key", "missing-rule-key", "extra-rule-key",
             "unknown-model", "missing-runs", "invalid-json", "width-float", "max-steps-bool",
-            "seed-position-float", "snapshot-every-string", "boost-below-float", "unknown-boundary"])
+            "seed-position-float", "snapshot-every-string", "boost-below-float", "unknown-boundary",
+            "field-above-max-cells", "runs-above-max-cells"])
     def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit):
         path = tmp_path / "manifest.json"
         assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",
@@ -362,6 +421,143 @@ class TestManifestRoundTrip:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def run_quietly(argv):
+    """(exit code, stderr) of ``main(argv)``, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _series_rows():
+    t = np.arange(12)
+    model = reference_model()
+    grey, white = eval_grey(t, model).tolist(), eval_white(t, model).tolist()
+    return [["step", "white_frac", "grey_frac", "black_frac"]] + [
+        [str(k), repr(w), repr(g), repr(1.0 - w - g)] for k, w, g in zip(t, white, grey)]
+
+
+SERIES_ROWS = _series_rows()
+N_ROWS = len(SERIES_ROWS) - 1  # data rows are SERIES_ROWS[1..N_ROWS], step k in row k + 1
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"])
+# Without a digit, no text parses as a finite float.
+NO_DIGITS = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+
+
+def series_text(rows):
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def mangled_series(draw):
+    """A series CSV that is malformed, or too short to fit."""
+    rows = [list(row) for row in SERIES_ROWS]
+    kind = draw(st.sampled_from(["truncated", "swapped", "non-numeric", "out-of-range"]))
+    if kind == "truncated":
+        # At most three whole data rows survive.
+        return series_text(rows)[:draw(st.integers(0, len(series_text(rows[:4]))))]
+    if kind == "swapped" and draw(st.booleans()):
+        i, k = draw(st.lists(st.integers(1, N_ROWS), min_size=2, max_size=2, unique=True))
+        rows[i][0], rows[k][0] = rows[k][0], rows[i][0]
+    elif kind == "swapped":
+        # A fraction as step 2 or later cannot follow the step before it.
+        i, j = draw(st.integers(3, N_ROWS)), draw(st.integers(1, 3))
+        rows[i][0], rows[i][j] = rows[i][j], rows[i][0]
+    elif kind == "non-numeric":
+        i, j = draw(st.integers(1, N_ROWS)), draw(st.integers(0, 3))
+        rows[i][j] = draw(NON_FINITE | NO_DIGITS)
+    else:
+        i, j = draw(st.integers(1, N_ROWS)), draw(st.integers(1, 2))
+        value = draw(st.floats(1.0, 1e6, exclude_min=True) | st.floats(-1e6, 0.0, exclude_max=True))
+        rows[i][j] = repr(value)
+    return series_text(rows)
+
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+JSON_CONTAINERS = (st.lists(st.integers(), max_size=3)
+                   | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+NOT_AN_OBJECT = JSON_LEAVES | st.lists(st.integers(), max_size=3)
+NOT_AN_INT = (st.none() | st.booleans() | st.floats() | st.text(max_size=5) | JSON_CONTAINERS)
+NOT_A_FLOAT = (st.none() | st.booleans() | st.sampled_from([math.nan, math.inf, -math.inf])
+               | st.text(max_size=5) | JSON_CONTAINERS)
+# Each manifest entry (a path of keys) with values it must reject.
+BAD_ENTRIES = {
+    (): NOT_AN_OBJECT,
+    ("config",): NOT_AN_OBJECT,
+    ("snapshot_format",): JSON_LEAVES.filter(lambda v: v not in ("ascii", "pgm")),
+    **{("config", name): NOT_AN_INT for name in ("width", "height", "rng_seed", "max_steps")},
+    ("config", "model"): JSON_LEAVES.filter(lambda v: v not in MODELS) | JSON_CONTAINERS,
+    ("config", "boundary"): JSON_LEAVES.filter(lambda v: v not in ("bounded", "toroidal")) | JSON_CONTAINERS,
+    ("config", "seed_position"): (
+        st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+        | st.lists(st.integers(0, 5), max_size=4).filter(lambda v: len(v) != 2)
+        | st.tuples(st.floats(), st.integers(0, 5)).map(list)),
+    ("config", "snapshot_every"): st.booleans() | st.floats() | st.text(max_size=5) | JSON_CONTAINERS,
+    ("config", "rule_params"): NOT_AN_OBJECT,
+    ("config", "rule_params", "adoption_threshold"): NOT_A_FLOAT,
+    ("config", "rule_params", "boost_factor"): NOT_A_FLOAT,
+    ("config", "rule_params", "boost_below"): NOT_AN_INT,
+}
+SIMULATE_MANIFEST = build_manifest("simulate", SimulationConfig(width=6, height=6, rng_seed=1),
+                                   snapshot_format="ascii")
+
+
+@st.composite
+def mangled_manifest(draw):
+    """The JSON text of a simulate manifest that must be refused."""
+    manifest = json.loads(json.dumps(SIMULATE_MANIFEST))
+    kind = draw(st.sampled_from(["truncated", "swapped", "bad-value"]))
+    if kind == "truncated":
+        text = json.dumps(manifest, indent=2)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    config = manifest["config"]
+    if kind == "swapped":
+        # No other entry holds a value these three accept.
+        a = draw(st.sampled_from(["model", "rule_params", "boundary"]))
+        b = draw(st.sampled_from(sorted(set(config) - {a})))
+        config[a], config[b] = config[b], config[a]
+        return json.dumps(manifest)
+    path = draw(st.sampled_from(sorted(BAD_ENTRIES)))
+    value = draw(BAD_ENTRIES[path])
+    if not path:
+        return json.dumps(value)
+    owner = manifest
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return json.dumps(manifest)
+
+
+class TestMangledInputs:
+    """Mangled input ends in one ``error:`` line and a documented exit code, never a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(err):
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=mangled_series())
+    def test_mangled_series_csv(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            path.write_text(text, encoding="utf-8")
+            code, err = run_quietly(["fit", "--input", str(path), "--outdir", str(Path(tmp) / "out")])
+        assert code in (EXIT_IO, EXIT_FIT_FAILURE)
+        self.assert_one_error_line(err)
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=mangled_manifest())
+    def test_mangled_simulate_manifest(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.json"
+            path.write_text(text, encoding="utf-8")
+            code, err = run_quietly(["simulate", "--from-manifest", str(path),
+                                     "--outdir", str(Path(tmp) / "out")])
+        assert code == EXIT_IO
+        self.assert_one_error_line(err)
 
 
 class TestTopLevel:

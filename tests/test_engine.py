@@ -335,6 +335,8 @@ class TestRun:
             SimulationConfig(snapshot_every=0)
         with pytest.raises(ValueError, match="rng_seed"):
             SimulationConfig(rng_seed=-1)
+        with pytest.raises(ValueError, match="MAX_CELLS"):
+            SimulationConfig(width=100_000, height=100_000)
 
 
 class TestEnsemble:
@@ -425,6 +427,11 @@ class TestEnsemble:
     def test_runs_must_be_positive(self):
         with pytest.raises(ValueError):
             run_ensemble(SimulationConfig(), 0)
+
+    def test_runs_above_max_cells_rejected(self):
+        # Refused before any run is allocated: 1000 stacked 1000^2 fields would take 1 GB.
+        with pytest.raises(ValueError, match="MAX_CELLS"):
+            run_ensemble(SimulationConfig(width=1000, height=1000), 1000)
 
     def test_default_field_median_convergence_window(self):
         # deterministic for the fixed base seed: median lands mid-window

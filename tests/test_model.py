@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newsca import (
@@ -18,6 +18,7 @@ from newsca import (
     logistic,
     reference_model,
 )
+from newsca.model import _sigmoid, _sigmoid_jacobian
 
 mp.mp.dps = 50
 
@@ -197,6 +198,57 @@ class TestFitLogistic:
         assert abs(second.params.c - first.params.c) / first.params.c <= 1e-6
         assert abs(second.params.tau - first.params.tau) / first.params.tau <= 1e-6
         assert abs(second.params.gamma - first.params.gamma) / first.params.gamma <= 1e-6
+
+
+class TestFitUncertainty:
+    @settings(max_examples=200, deadline=None)
+    @given(params=params_strategy, t=st.lists(st.floats(0, 200), min_size=1, max_size=30))
+    def test_jacobian_matches_central_difference(self, params, t):
+        t = np.array(t)
+        p = np.array([params.c, params.tau, params.gamma])
+        jac = _sigmoid_jacobian(t, *p)
+        assert jac.shape == (len(t), 3)
+        for k in range(3):
+            h = np.zeros(3)
+            h[k] = 1e-7 * max(1.0, abs(p[k]))
+            central = (_sigmoid(t, *(p + h)) - _sigmoid(t, *(p - h))) / (2 * h[k])
+            np.testing.assert_allclose(jac[:, k], central, rtol=1e-6, atol=1e-6)
+
+    def test_stderr_vanishes_on_noiseless_curves(self):
+        rng = np.random.default_rng(11)
+        t = np.arange(121, dtype=float)
+        model = reference_model()
+        curves = [(model.grey, "rising"), (model.white, "falling")]
+        curves += [(LogisticParams(rng.uniform(0.6, 0.9), rng.uniform(12.0, 40.0), rng.uniform(0.1, 0.35)),
+                    shape) for shape in ("rising", "falling") for _ in range(4)]
+        for true, shape in curves:
+            y = logistic(t, true)
+            fit = fit_logistic(t, y if shape == "rising" else 1.0 - y, shape=shape)
+            assert fit.converged and fit.nfev >= fit.iterations >= 1
+            assert fit.stderr is not None and max(fit.stderr) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_true_parameters_within_five_stderr_of_noisy_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.arange(121, dtype=float)
+        true = LogisticParams(rng.uniform(0.6, 0.9), rng.uniform(20.0, 40.0), rng.uniform(0.1, 0.2))
+        y = np.clip(logistic(t, true) + rng.normal(0.0, 0.01, t.size), 0.0, 1.0)
+        fit = fit_logistic(t, y)
+        assert fit.converged and fit.stderr is not None
+        for got, want, err in zip((fit.params.c, fit.params.tau, fit.params.gamma),
+                                  (true.c, true.tau, true.gamma), fit.stderr):
+            assert 0 < err and abs(got - want) <= 5 * err
+
+    def test_step_series_has_no_stderr(self):
+        # A step is fitted exactly by an arbitrarily steep sigmoid, whose
+        # tau and gamma columns vanish at every sample: J^T J is singular.
+        t = np.arange(121, dtype=float)
+        fit = fit_logistic(t, np.where(t >= 60, 0.7, 0.0))
+        assert fit.params is not None and fit.rmse < 1e-9
+        assert fit.stderr is None
+
+    def test_failed_fit_has_no_stderr(self):
+        assert fit_logistic(np.arange(20.0), np.full(20, 0.5)).stderr is None
 
 
 class TestFitModel:
