@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .engine import (
     run,
     run_ensemble,
 )
-from .grid import Boundary, Grid, grid_to_text
+from .grid import Boundary, Grid, grid_to_text, render_rows
 from .model import (
     AnalyticModel,
     FitResult,
@@ -219,11 +220,8 @@ def write_fit_series_csv(
 def write_pgm(path: Path, grid: Grid, chars: dict) -> None:
     """Plain-text portable graymap: white=255, grey=128, black=0, looked up
     through each cell code's snapshot character in ``chars``."""
-    values = np.array([PGM_LEVELS[chars[code]] for code in sorted(chars)])[grid.cells]
-    lines = ["P2", f"{grid.width} {grid.height}", "255"]
-    for row in values:
-        lines.append(" ".join(str(int(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    levels = {code: str(PGM_LEVELS[char]) for code, char in chars.items()}
+    path.write_text(f"P2\n{grid.width} {grid.height}\n255\n" + render_rows(grid.cells, levels, " "))
 
 
 def write_snapshots(outdir: Path, trajectory: Trajectory, fmt: str, chars: dict) -> list[Path]:
@@ -247,9 +245,15 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     eval-model layouts all work. A missing black column is reconstructed
     from normalization. Every value must be finite, the white and grey
     fractions within [0, 1] and the steps strictly increasing; a
-    CsvFormatError names the first line that is not.
+    CsvFormatError names the first line that is not, or that is not UTF-8.
     """
-    with path.open(newline="") as fh:
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(data.count(b"\n", 0, exc.start) + 1,
+                             f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

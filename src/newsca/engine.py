@@ -9,8 +9,14 @@ scheduled.
 
 One kernel steps every run. The live runs of an ensemble are stacked as
 one (runs, height, width) uint8 array, a single run being a stack of one.
-Each state's census (count rows, the white mask and the neighbor counts)
-is taken once and read by both the fixed-point test and :func:`step`.
+Each state's census is taken once and read by both the fixed-point test
+and :func:`step`: the count rows, the white mask and one 3x3 block sum,
+the cell itself included, of a packed uint8 plane, ``16 * white + black``
+for news and the adopted mask for innovation. At a code-0 cell the low
+four bits of the sum count its seed-state neighbors; for news a sum below
+16 marks a black or grey cell with no white neighbor, which goes stale.
+News adoption compares each draw with an exact cutoff table,
+:func:`newsca.rules.news_cutoffs`, instead of evaluating the rule's formula.
 Run ``r`` draws ``rngs[r].random(n_r)`` for its ``n_r`` code-0 cells; the
 draws are concatenated in run order and applied to the code-0 cells of the
 flattened stack, which come run by run and row-major within each run, so
@@ -27,8 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Boundary, Grid, neighbor_counts, neighborhood, new_grid
+from .grid import Boundary, Grid, _block_sums, neighborhood, new_grid
 from .rules import (
+    MAX_DRAW,
     InnovationRuleParams,
     NewsRuleParams,
     next_innovation_state,
@@ -165,12 +172,13 @@ def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
     return [int(s) for s in state]
 
 
-# The largest value ``rng.random()`` returns. Adoption tests are monotone in
-# the draw, so a cell that does not adopt at this draw can never adopt.
-_MAX_DRAW = np.nextafter(1.0, 0.0)
-
 # The per-cell rule of each model, applied by step_reference.
 _CELL_RULES = {NewsRuleParams: next_news_state, InnovationRuleParams: next_innovation_state}
+
+# Weight of a code-0 cell in a news census plane. It exceeds the most
+# seed-state cells a 3x3 block can hold (9), so a block sum carries both
+# counts, and a sum is at most 9 * 16, which fits in uint8.
+_WHITE = 16
 
 
 class _Census(NamedTuple):
@@ -179,23 +187,28 @@ class _Census(NamedTuple):
 
     rows: np.ndarray  # (runs, 3) trajectory rows
     white: np.ndarray  # code-0 (white / not adopted) cells
-    white_nb: np.ndarray | None  # count of code-0 neighbors; None if no state goes stale
-    seed_nb: np.ndarray  # count of seed-state (black / adopted) neighbors
+    block: np.ndarray  # 3x3 block sums of the packed plane (see the module docstring)
 
 
 def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams) -> _Census:
     """The census of the (runs, height, width) stack ``cells``.
 
     Rows are (white, grey, black) for news and (not adopted, 0, adopted) for
-    innovation: the code-0 and seed-state cells counted from their masks,
-    the rest of the field in between. One neighbor_counts call covers both
-    masks.
+    innovation: the code-0 cells counted from their mask, the seed-state
+    cells from the sum of the census plane, the rest of the field in
+    between. Both sums are exact in uint32, as MAX_CELLS * (_WHITE + 1) < 2**32.
     """
-    masks = cells == np.array([0, params.seed_state], dtype=np.uint8).reshape(2, 1, 1, 1)
-    white, seed = np.add.reduce(masks.view(np.uint8).reshape(2, len(cells), -1), axis=2, dtype=np.intp)
-    rows = np.stack([white, cells[0].size - white - seed, seed], axis=1)
-    counts = neighbor_counts(masks if params.stale else masks[1:], boundary)
-    return _Census(rows, masks[0], counts[0] if params.stale else None, counts[-1])
+    white = cells == 0
+    plane = (cells == params.seed_state).view(np.uint8)
+    if params.stale:
+        plane += white.view(np.uint8) * np.uint8(_WHITE)
+    per_run = (len(cells), -1)
+    n_white = np.add.reduce(white.view(np.uint8).reshape(per_run), axis=1, dtype=np.uint32)
+    n_seed = np.add.reduce(plane.reshape(per_run), axis=1, dtype=np.uint32)
+    if params.stale:
+        n_seed -= n_white * np.uint32(_WHITE)
+    rows = np.stack([n_white, cells[0].size - n_white - n_seed, n_seed], axis=1)
+    return _Census(rows, white, _block_sums(plane, boundary))
 
 
 def step(
@@ -223,13 +236,15 @@ def step(
     del step_index
     cells = grid.cells
     stack, rngs = (cells, rng) if cells.ndim == 3 else (cells[None], (rng,))
-    rows, white, white_nb, seed_nb = _census(stack, grid.boundary, params) if census is None else census
+    rows, white, block = _census(stack, grid.boundary, params) if census is None else census
     # One state staler is one code lower: black (2) to grey (1), grey to white (0).
-    new = stack - ((white_nb == 0) & ~white) if params.stale else stack.copy()
+    new = stack - (block < _WHITE) if params.stale else stack.copy()
     where = np.flatnonzero(white)  # grid by grid, each in row-major order
     if where.size:
         draws = np.concatenate([g.random(n) for g, n in zip(rngs, rows[:, 0].tolist()) if n])
-        fires = params.adopts(draws, seed_nb.reshape(-1)[where])
+        seed_nb = block.reshape(-1)[where]
+        seed_nb &= _WHITE - 1
+        fires = params.adopts(draws, seed_nb)
         new.reshape(-1)[where[fires]] = params.seed_state
     return Grid(new.reshape(cells.shape), grid.boundary)
 
@@ -239,7 +254,7 @@ def _can_adopt(params: RuleParams) -> tuple[np.ndarray, bool]:
     """(``table``, ``always``): ``table[m]`` tells whether a code-0 cell with
     ``m`` seed-state neighbors (black / adopted) can ever adopt, and
     ``always`` whether every ``m`` from 1 to 8 can."""
-    table = params.adopts(_MAX_DRAW, np.arange(9))
+    table = params.adopts(MAX_DRAW, np.arange(9))
     return table, bool(table[1:].all())
 
 
@@ -251,13 +266,16 @@ def _fixed(census: _Census, params: RuleParams) -> np.ndarray:
     even at the largest draw.
     """
     table, always = _can_adopt(params)
-    rows, white, white_nb, seed_nb = census
+    rows, white, block = census
     if params.stale and always and rows[:, 2].all():
         # In every grid a black cell's white neighbor can adopt, or the cell goes stale.
         return np.zeros(len(rows), dtype=bool)
-    change = white & table.take(seed_nb)
+    seed_nb = block & (_WHITE - 1)  # count of seed-state neighbors at code-0 cells
+    # Only code-0 cells read the table; clipping the other cells' counts, which
+    # reach 9 where a whole block is seed-state, keeps their lookups in range.
+    change = white & (seed_nb != 0 if always else table.take(seed_nb, mode="clip"))
     if params.stale:
-        change |= (white_nb == 0) & ~white
+        change |= block < _WHITE
     return ~change.reshape(len(rows), -1).any(axis=1)
 
 
@@ -318,7 +336,7 @@ def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:
         if done.any():
             keep = ~done
             cells, live = cells[keep], live[keep]
-            census = _Census(*(None if a is None else a[keep] for a in census))
+            census = _Census(*(a[keep] for a in census))
             rngs = [g for g, d in zip(rngs, done) if not d]
         cells = step(Grid(cells, boundary), t, rngs, params, census).cells
         t += 1

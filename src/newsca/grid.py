@@ -140,20 +140,18 @@ def neighborhood(grid: Grid, position: tuple[int, int]) -> np.ndarray:
     return np.array(states, dtype=np.uint8)
 
 
-def neighbor_counts(mask: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """Per-cell count of True Moore neighbors of a boolean (..., height, width) mask.
+def _block_sums(plane: np.ndarray, boundary: Boundary) -> np.ndarray:
+    """Per-cell sum of the 3x3 block of a uint8 (..., height, width) ``plane``
+    centred on the cell, the cell itself included.
 
-    Vectorized companion of :func:`neighborhood` over the last two axes, so
-    a stack of masks is counted in one call. The mask is copied into one
-    uint8 buffer with a one-cell halo that holds zeros on bounded grids and
-    the opposite edges on toroidal ones; each cell's count is the sum of the
-    3x3 block of the halo around it (rows, then columns) minus the cell
-    itself. Counts are uint8 (at most 8).
+    The plane is copied into one uint8 buffer with a one-cell halo that
+    holds zeros on bounded grids and the opposite edges on toroidal ones;
+    the blocks are summed along rows, then along columns, in uint8, so each
+    sum must stay below 256.
     """
-    *lead, h, w = mask.shape
+    *lead, h, w = plane.shape
     halo = np.zeros((*lead, h + 2, w + 2), dtype=np.uint8)
-    inner = halo[..., 1:-1, 1:-1]
-    inner[...] = mask
+    halo[..., 1:-1, 1:-1] = plane
     if boundary is Boundary.TOROIDAL:
         # Rows first, then whole columns, so the corners wrap too.
         halo[..., 0, :], halo[..., -1, :] = halo[..., -2, :], halo[..., 1, :]
@@ -162,8 +160,19 @@ def neighbor_counts(mask: np.ndarray, boundary: Boundary) -> np.ndarray:
     across += halo[..., 2:]
     out = across[..., :-2, :] + across[..., 1:-1, :]
     out += across[..., 2:, :]
-    out -= inner
     return out
+
+
+def neighbor_counts(mask: np.ndarray, boundary: Boundary) -> np.ndarray:
+    """Per-cell count of True Moore neighbors of a boolean (..., height, width) mask.
+
+    Vectorized companion of :func:`neighborhood` over the last two axes, so
+    a stack of masks is counted in one call: each cell's 3x3 block sum
+    minus the cell itself. Counts are uint8 (at most 8).
+    """
+    counts = _block_sums(mask, boundary)
+    counts -= mask
+    return counts
 
 
 def _count_codes(grid: Grid, states: type[IntEnum]) -> list[int]:
@@ -187,15 +196,38 @@ def count_adoption(grid: Grid) -> tuple[int, int]:
     return not_adopted, adopted
 
 
+def render_rows(cells: np.ndarray, tokens: dict, sep: str = "") -> str:
+    """The rows of a (height, width) code array as ASCII text.
+
+    Each cell is written as ``tokens[code]``, the cells of a row are joined
+    by ``sep`` and every row ends with a newline. The whole array goes
+    through one byte lookup table at once; a code without a token raises
+    ValueError naming it.
+    """
+    lead = len(sep)
+    size = lead + max(len(token) for token in tokens.values())
+    # Row ``code`` holds sep + token, padded with zero bytes that are dropped at the end.
+    table = np.zeros((256, size), dtype=np.uint8)
+    for code, token in tokens.items():
+        raw = (sep + token).encode("ascii")
+        table[int(code), :len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    h, w = cells.shape
+    out = np.full((h, w * size + 1), ord("\n"), dtype=np.uint8)
+    body = out[:, :-1].reshape(h, w, size)
+    body[...] = np.take(table, cells, axis=0)
+    missing = body[..., lead] == 0
+    if missing.any():
+        raise ValueError(f"cell code {cells[missing][0]} is not one of {sorted(map(int, tokens))}")
+    body[:, 0, :lead] = 0  # no separator before the first cell of a row
+    data = out.ravel()
+    return (data[data != 0] if size > 1 else data).tobytes().decode("ascii")
+
+
 def grid_to_text(grid: Grid, chars: dict | None = None) -> str:
     """Serialize a grid as ASCII: a "<width> <height> <boundary>" header line,
     then one row per line ('.'=white, 'o'=grey, '#'=black for news grids)."""
     chars = NEWS_CHARS if chars is None else chars
-    lut = {int(k): v for k, v in chars.items()}
-    lines = [f"{grid.width} {grid.height} {grid.boundary.value}"]
-    for row in grid.cells:
-        lines.append("".join(lut[int(v)] for v in row))
-    return "\n".join(lines) + "\n"
+    return f"{grid.width} {grid.height} {grid.boundary.value}\n" + render_rows(grid.cells, chars)
 
 
 def grid_from_text(text: str, chars: dict | None = None) -> Grid:

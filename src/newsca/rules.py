@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
 from .grid import ADOPTION_CHARS, NEWS_CHARS, AdoptionState, CellState
+
+# The largest value ``rng.random()`` returns. Adoption tests are monotone in
+# the draw, so a cell that does not adopt at this draw can never adopt.
+MAX_DRAW = float(np.nextafter(1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -49,8 +54,9 @@ class NewsRuleParams:
             raise ValueError("boost_below must be in [0, 8]")
 
     def adopts(self, p, m):
-        """Vectorized :func:`adopts_news` over draws ``p`` and black-neighbor counts ``m``."""
-        return np.where(m < self.boost_below, p * self.boost_factor, p) * m > self.adoption_threshold
+        """Vectorized :func:`adopts_news` over draws ``p`` in [0, MAX_DRAW]
+        and black-neighbor counts ``m``, by the cutoff table :func:`news_cutoffs`."""
+        return p >= news_cutoffs(self).take(m)
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,37 @@ def adopts_news(m: int, p: float, params: NewsRuleParams = DEFAULT_NEWS_PARAMS) 
     """
     p_eff = p * params.boost_factor if m < params.boost_below else p
     return p_eff * m > params.adoption_threshold
+
+
+@lru_cache(maxsize=16)
+def news_cutoffs(params: NewsRuleParams) -> np.ndarray:
+    """``q[m]``, m = 0..8: the smallest draw at which :func:`adopts_news`
+    fires for a white cell with ``m`` black neighbors, or ``inf`` if it
+    fires at no draw up to MAX_DRAW.
+
+    The test is monotone in the draw and the threshold is positive, so
+    ``adopts_news(m, p)`` equals ``p >= q[m]`` for every draw ``p`` in
+    [0, MAX_DRAW]. Each cutoff is found by bisecting the bit patterns of
+    the doubles in that range, which ascend with their values.
+    """
+    def double(bits: int) -> float:
+        return float(np.int64(bits).view(np.float64))
+
+    q = np.full(9, math.inf)
+    top = int(np.float64(MAX_DRAW).view(np.int64))
+    for m in range(9):
+        if not adopts_news(m, MAX_DRAW, params):
+            continue
+        lo, hi = 0, top  # 0.0 never adopts, MAX_DRAW does
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if adopts_news(m, double(mid), params):
+                hi = mid
+            else:
+                lo = mid
+        q[m] = double(hi)
+    q.flags.writeable = False
+    return q
 
 
 def adopts_innovation(

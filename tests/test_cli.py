@@ -10,8 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from newsca import SimulationConfig, InnovationRuleParams, eval_grey, eval_white, reference_model
+from newsca import (
+    Boundary,
+    Grid,
+    InnovationRuleParams,
+    SimulationConfig,
+    eval_grey,
+    eval_white,
+    grid_to_text,
+    reference_model,
+)
 from newsca.rules import MODELS
 from newsca.cli import (
     EXIT_FIT_FAILURE,
@@ -19,11 +29,13 @@ from newsca.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    PGM_LEVELS,
     build_manifest,
     config_from_dict,
     config_to_dict,
     main,
     read_series_csv,
+    write_pgm,
 )
 
 
@@ -317,6 +329,13 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {csv_path}: ") and err.count("\n") == 1
 
+    def test_input_not_utf8_is_io_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "bin.csv"
+        csv_path.write_bytes(b"step,white_frac,grey_frac,black_frac\n0,0.9,0.1,0\n1,\xff\xfe,0.2,0\n")
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path}: line 3: ") and err.count("\n") == 1
+
     def test_singular_fit_writes_null_stderr(self, tmp_path):
         # A step in grey is fitted exactly by an arbitrarily steep sigmoid,
         # whose Jacobian is singular; the standard errors are then undefined.
@@ -558,6 +577,43 @@ class TestMangledInputs:
                                      "--outdir", str(Path(tmp) / "out")])
         assert code == EXIT_IO
         self.assert_one_error_line(err)
+
+
+def per_cell_text(grid, chars):
+    """grid_to_text written one cell at a time."""
+    rows = ["".join(chars[int(v)] for v in row) for row in grid.cells]
+    return "\n".join([f"{grid.width} {grid.height} {grid.boundary.value}", *rows]) + "\n"
+
+
+def per_cell_pgm(grid, chars):
+    """write_pgm's file written one cell at a time."""
+    rows = [" ".join(str(PGM_LEVELS[chars[int(v)]]) for v in row) for row in grid.cells]
+    return "\n".join(["P2", f"{grid.width} {grid.height}", "255", *rows]) + "\n"
+
+
+class TestSnapshotWriters:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), cls=st.sampled_from(list(MODELS.values())),
+           boundary=st.sampled_from(list(Boundary)),
+           shape=st.one_of(st.tuples(st.integers(1, 7), st.integers(1, 7)),
+                           st.sampled_from([(1, 1), (1, 9), (9, 1)])))
+    def test_writers_match_per_cell_rendering(self, data, cls, boundary, shape):
+        cells = data.draw(arrays(np.uint8, shape, elements=st.integers(0, int(cls.seed_state))))
+        grid = Grid(cells, boundary)
+        assert grid_to_text(grid, cls.chars) == per_cell_text(grid, cls.chars)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "snapshot.pgm"
+            write_pgm(path, grid, cls.chars)
+            assert path.read_text() == per_cell_pgm(grid, cls.chars)
+
+    @pytest.mark.parametrize("cls", list(MODELS.values()), ids=list(MODELS))
+    def test_code_outside_the_alphabet_rejected(self, tmp_path, cls):
+        code = len(cls.chars)
+        grid = Grid(np.array([[0, code], [1, 0]], dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"cell code {code} "):
+            grid_to_text(grid, cls.chars)
+        with pytest.raises(ValueError, match=f"cell code {code} "):
+            write_pgm(tmp_path / "snapshot.pgm", grid, cls.chars)
 
 
 class TestTopLevel:

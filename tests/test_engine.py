@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from newsca import (
 )
 from newsca.cli import EXIT_OK, main
 from newsca.engine import _census, _fixed
+from newsca.rules import news_cutoffs
 
 news_cells = arrays(
     dtype=np.uint8,
@@ -167,6 +169,42 @@ class TestStep:
         expected = [[adopts_news(int(mi), float(pi), params) for pi, mi in zip(*row)]
                     for row in zip(p, m)]
         assert params.adopts(p, m).tolist() == expected
+
+    # news_cutoffs()[m] is the least draw at which the scalar rule adopts:
+    # it adopts there and not one ulp below, and the cutoff is inf exactly
+    # when even the largest draw does not adopt.
+    @settings(max_examples=150, deadline=None)
+    @given(threshold=news_thresholds, boost_below=st.integers(0, 8),
+           boost_factor=st.one_of(st.sampled_from([1.0, 1.5, 2.0]), st.floats(1.0, 4.0)))
+    def test_news_cutoffs_are_the_least_adopting_draws(self, threshold, boost_below, boost_factor):
+        params = NewsRuleParams(threshold, boost_factor, boost_below)
+        q = news_cutoffs(params)
+        for m in range(9):
+            cutoff = float(q[m])
+            assert math.isinf(cutoff) == (not adopts_news(m, MAX_DRAW, params))
+            if not math.isinf(cutoff):
+                assert adopts_news(m, cutoff, params)
+                assert not adopts_news(m, float(np.nextafter(cutoff, 0.0)), params)
+
+    # At a code-0 cell the low four bits of the census block sum count its
+    # seed-state neighbors; for news a sum below 16 marks exactly the cells
+    # that go stale. The rows count each grid's states.
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), params=st.sampled_from([NewsRuleParams(), InnovationRuleParams()]),
+           boundary=boundaries, runs=st.integers(1, 4),
+           shape=st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                           st.sampled_from([(1, 1), (1, 7), (7, 1), (2, 2)])))
+    def test_packed_census_matches_neighbor_counts(self, data, params, boundary, runs, shape):
+        cells = data.draw(arrays(np.uint8, (runs, *shape), elements=st.integers(0, int(params.seed_state))))
+        white, seed = cells == 0, cells == params.seed_state
+        rows, census_white, block = _census(cells, boundary, params)
+        assert np.array_equal(census_white, white)
+        assert np.array_equal((block & 15)[white], neighbor_counts(seed, boundary)[white])
+        if params.stale:
+            assert np.array_equal(block < 16, (neighbor_counts(white, boundary) == 0) & ~white)
+        per_grid = [[int(white[k].sum()), int((cells[k] == 1).sum()) if params.stale else 0,
+                     int(seed[k].sum())] for k in range(runs)]
+        assert rows.tolist() == per_grid
 
     @settings(max_examples=100, deadline=None)
     @given(threshold=innovation_thresholds, draws=st.lists(st.floats(0.0, MAX_DRAW), max_size=4))
