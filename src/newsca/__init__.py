@@ -28,22 +28,17 @@ from .engine import (
     run,
     run_ensemble,
     step,
-    step_reference,
 )
 from .grid import (
     ADOPTION_CHARS,
-    MOORE_OFFSETS,
     NEWS_CHARS,
     AdoptionState,
     Boundary,
     CellState,
     Grid,
-    count_adoption,
-    count_states,
     grid_from_text,
     grid_to_text,
     neighbor_counts,
-    neighborhood,
     new_grid,
 )
 from .model import (
@@ -60,14 +55,9 @@ from .model import (
     reference_model,
 )
 from .rules import (
-    DEFAULT_INNOVATION_PARAMS,
-    DEFAULT_NEWS_PARAMS,
     InnovationRuleParams,
     NewsRuleParams,
-    adopts_innovation,
     adopts_news,
-    next_innovation_state,
-    next_news_state,
 )
 
 __all__ = [
@@ -78,8 +68,6 @@ __all__ = [
     "Boundary",
     "CellState",
     "CrossPoint",
-    "DEFAULT_INNOVATION_PARAMS",
-    "DEFAULT_NEWS_PARAMS",
     "EnsembleResult",
     "FitResult",
     "GENERATOR_NAME",
@@ -88,15 +76,11 @@ __all__ = [
     "LogisticParams",
     "MAX_CELLS",
     "ModelFit",
-    "MOORE_OFFSETS",
     "NEWS_CHARS",
     "NewsRuleParams",
     "SimulationConfig",
     "Trajectory",
-    "adopts_innovation",
     "adopts_news",
-    "count_adoption",
-    "count_states",
     "cross_point",
     "derive_run_seeds",
     "eval_black",
@@ -111,15 +95,11 @@ __all__ = [
     "make_rng",
     "moving_average",
     "neighbor_counts",
-    "neighborhood",
     "new_grid",
-    "next_innovation_state",
-    "next_news_state",
     "normalize",
     "reference_model",
     "run",
     "run_ensemble",
     "stabilization_ratio",
     "step",
-    "step_reference",
 ]

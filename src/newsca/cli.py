@@ -209,9 +209,10 @@ def write_fit_series_csv(
     """Side-by-side simulated and modeled triples."""
     mg, mw, mb = _model_curves(steps, model)
     lines = ["step,white_sim,grey_sim,black_sim,white_model,grey_model,black_model"]
-    for i, t in enumerate(steps):
+    for i, t in enumerate(map(float, steps)):
+        # Whole steps as integers, others as the shortest text that parses back to them.
         lines.append(
-            f"{int(t)},{white[i]:.17g},{grey[i]:.17g},{black[i]:.17g},"
+            f"{int(t) if t.is_integer() else t!r},{white[i]:.17g},{grey[i]:.17g},{black[i]:.17g},"
             f"{mw[i]:.17g},{mg[i]:.17g},{mb[i]:.17g}"
         )
     path.write_text("\n".join(lines) + "\n")

@@ -21,7 +21,8 @@ Run ``r`` draws ``rngs[r].random(n_r)`` for its ``n_r`` code-0 cells; the
 draws are concatenated in run order and applied to the code-0 cells of the
 flattened stack, which come run by run and row-major within each run, so
 every run consumes and produces exactly what it would stepped alone. A run
-leaves the stack at its first fixed point or at ``max_steps``.
+leaves the stack at its first fixed point or at ``max_steps``. The kernel is
+checked against the per-cell oracle in :mod:`newsca.reference`.
 """
 from __future__ import annotations
 
@@ -33,14 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Boundary, Grid, _block_sums, neighborhood, new_grid
-from .rules import (
-    MAX_DRAW,
-    InnovationRuleParams,
-    NewsRuleParams,
-    next_innovation_state,
-    next_news_state,
-)
+from .grid import Boundary, Grid, _block_sums, new_grid
+# Re-exported because benchmarks/workloads.py imports step_reference from here.
+from .reference import step_reference  # noqa: F401
+from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams
 
 # Recorded in output manifests; changing the generator breaks reproducibility.
 GENERATOR_NAME = "numpy-pcg64"
@@ -172,9 +169,6 @@ def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
     return [int(s) for s in state]
 
 
-# The per-cell rule of each model, applied by step_reference.
-_CELL_RULES = {NewsRuleParams: next_news_state, InnovationRuleParams: next_innovation_state}
-
 # Weight of a code-0 cell in a news census plane. It exceeds the most
 # seed-state cells a 3x3 block can hold (9), so a block sum carries both
 # counts, and a sum is at most 9 * 16, which fits in uint8.
@@ -277,27 +271,6 @@ def _fixed(census: _Census, params: RuleParams) -> np.ndarray:
     if params.stale:
         change |= block < _WHITE
     return ~change.reshape(len(rows), -1).any(axis=1)
-
-
-def step_reference(
-    grid: Grid, step_index: int, rng: np.random.Generator, params: RuleParams
-) -> Grid:
-    """Per-cell slow path: applies the pure rule functions cell by cell.
-
-    Kept for cross-checking the vectorized stepper; both consume the RNG
-    stream identically, so results are bit-identical for equal seeds.
-    """
-    del step_index
-    rule = _CELL_RULES[type(params)]
-    states = type(params.seed_state)  # the model's state enum
-    new = grid.cells.copy()
-    for r in range(grid.height):
-        for c in range(grid.width):
-            state = states(int(grid.cells[r, c]))
-            # Code 0 (white / not adopted) is the one adoptable state.
-            p = rng.random() if state == 0 else 0.0
-            new[r, c] = rule(state, neighborhood(grid, (r, c)), p, params)
-    return Grid(new, grid.boundary)
 
 
 def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:

@@ -1,12 +1,14 @@
-"""Lattice data model: cell states, grid storage, Moore neighborhoods, counting.
+"""Lattice data model: cell states, grid storage, neighbor counts, ASCII text.
 
 Cells live on a rectangular lattice stored row-major as small integer codes.
 Two state alphabets share the same storage: the three-state news model
 (white / grey / black) and the two-state innovation model (not adopted /
 adopted). Both start as a field of code 0 (white / not adopted) with one
-seed cell, made by :func:`new_grid`. Neighborhoods are the eight Moore
+seed cell, made by :func:`new_grid`. A cell's neighbors are its eight Moore
 neighbors, truncated at the edges of a bounded grid or wrapped on a
-toroidal one.
+toroidal one; :func:`neighbor_counts` counts them for whole arrays at once.
+Grids are written and read as ASCII text by :func:`grid_to_text` and
+:func:`grid_from_text`.
 """
 from __future__ import annotations
 
@@ -37,13 +39,6 @@ class Boundary(Enum):
     BOUNDED = "bounded"
     TOROIDAL = "toroidal"
 
-
-# Row-major offset order; fixed so seeded runs are bit-reproducible.
-MOORE_OFFSETS: tuple[tuple[int, int], ...] = (
-    (-1, -1), (-1, 0), (-1, 1),
-    (0, -1), (0, 1),
-    (1, -1), (1, 0), (1, 1),
-)
 
 # ASCII serialization alphabets (one character per cell).
 NEWS_CHARS = {CellState.WHITE: ".", CellState.GREY: "o", CellState.BLACK: "#"}
@@ -118,28 +113,6 @@ def new_grid(
     return Grid(cells, boundary)
 
 
-def neighborhood(grid: Grid, position: tuple[int, int]) -> np.ndarray:
-    """States of the Moore neighbors of ``position``, in MOORE_OFFSETS order.
-
-    The cell's own state is never sampled (the (0, 0) offset is excluded).
-    Bounded grids return only in-bounds neighbors, so corners yield 3 states
-    and edges 5. Toroidal grids always yield 8 by wrapping; on degenerate
-    grids narrower than 3 cells the wrapped positions may coincide with each
-    other or with the center cell.
-    """
-    r, c = position
-    if not (0 <= r < grid.height and 0 <= c < grid.width):
-        raise IndexError(f"position {position} out of bounds for {grid.width}x{grid.height}")
-    states = []
-    for dr, dc in MOORE_OFFSETS:
-        rr, cc = r + dr, c + dc
-        if grid.boundary is Boundary.TOROIDAL:
-            states.append(grid.cells[rr % grid.height, cc % grid.width])
-        elif 0 <= rr < grid.height and 0 <= cc < grid.width:
-            states.append(grid.cells[rr, cc])
-    return np.array(states, dtype=np.uint8)
-
-
 def _block_sums(plane: np.ndarray, boundary: Boundary) -> np.ndarray:
     """Per-cell sum of the 3x3 block of a uint8 (..., height, width) ``plane``
     centred on the cell, the cell itself included.
@@ -166,34 +139,13 @@ def _block_sums(plane: np.ndarray, boundary: Boundary) -> np.ndarray:
 def neighbor_counts(mask: np.ndarray, boundary: Boundary) -> np.ndarray:
     """Per-cell count of True Moore neighbors of a boolean (..., height, width) mask.
 
-    Vectorized companion of :func:`neighborhood` over the last two axes, so
-    a stack of masks is counted in one call: each cell's 3x3 block sum
-    minus the cell itself. Counts are uint8 (at most 8).
+    Counted over the last two axes, so a stack of masks is counted in one
+    call: each cell's 3x3 block sum minus the cell itself. Counts are uint8
+    (at most 8).
     """
     counts = _block_sums(mask, boundary)
     counts -= mask
     return counts
-
-
-def _count_codes(grid: Grid, states: type[IntEnum]) -> list[int]:
-    """Count of each code of the ``states`` alphabet; ValueError on any other code."""
-    size = len(states)
-    counts = np.bincount(grid.cells.ravel(), minlength=size)
-    if len(counts) > size:
-        raise ValueError(f"cell code {len(counts) - 1} is not a {states.__name__}")
-    return counts.tolist()
-
-
-def count_states(grid: Grid) -> tuple[int, int, int]:
-    """(white, grey, black) cell counts of a news grid; always sums to width*height."""
-    white, grey, black = _count_codes(grid, CellState)
-    return white, grey, black
-
-
-def count_adoption(grid: Grid) -> tuple[int, int]:
-    """(not adopted, adopted) cell counts of an innovation grid."""
-    not_adopted, adopted = _count_codes(grid, AdoptionState)
-    return not_adopted, adopted
 
 
 def render_rows(cells: np.ndarray, tokens: dict, sep: str = "") -> str:

@@ -1,9 +1,11 @@
-"""Pure per-cell transition rules for the news and innovation diffusion models.
+"""The two models' rule parameters and the news adoption test.
 
-All functions here are referentially transparent: randomness enters only
-through an explicit uniform draw ``p`` in [0, 1), supplied by the caller.
-Only cells that can adopt (white / not-adopted) consume a draw; the other
-transitions are deterministic functions of the neighborhood.
+Each model is described by its rule parameter class: its name, seed state,
+ASCII alphabet, whether its states go stale, and a vectorized adoption
+test ``adopts(p, m)`` over draws ``p`` and seed-state neighbor counts ``m``
+that :func:`newsca.engine.step` applies. The news test is written once, as
+the scalar :func:`adopts_news`; :func:`news_cutoffs` turns it into the exact
+cutoff table the vectorized test compares draws with.
 """
 from __future__ import annotations
 
@@ -78,18 +80,15 @@ class InnovationRuleParams:
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
 
     def adopts(self, p, m):
-        """Vectorized :func:`adopts_innovation` over draws ``p`` and adopted-neighbor counts ``m``."""
+        """Whether a not-adopted cell with draw ``p`` and ``m`` adopted neighbors adopts."""
         return p * m > self.threshold
 
-
-DEFAULT_NEWS_PARAMS = NewsRuleParams()
-DEFAULT_INNOVATION_PARAMS = InnovationRuleParams()
 
 # Manifest and ``--model`` name -> rule parameter class.
 MODELS = {cls.name: cls for cls in (NewsRuleParams, InnovationRuleParams)}
 
 
-def adopts_news(m: int, p: float, params: NewsRuleParams = DEFAULT_NEWS_PARAMS) -> bool:
+def adopts_news(m: int, p: float, params: NewsRuleParams = NewsRuleParams()) -> bool:
     """Whether a white cell with ``m`` black neighbors and draw ``p`` turns black.
 
     Strict inequality: the boosted product must exceed the threshold. The
@@ -128,50 +127,3 @@ def news_cutoffs(params: NewsRuleParams) -> np.ndarray:
         q[m] = double(hi)
     q.flags.writeable = False
     return q
-
-
-def adopts_innovation(
-    m: int, p: float, params: InnovationRuleParams = DEFAULT_INNOVATION_PARAMS
-) -> bool:
-    """Whether a not-adopted cell with ``m`` adopted neighbors and draw ``p`` adopts."""
-    return p * m > params.threshold
-
-
-def next_news_state(
-    current: CellState,
-    neighbors: np.ndarray,
-    p: float,
-    params: NewsRuleParams = DEFAULT_NEWS_PARAMS,
-) -> CellState:
-    """One synchronous-update transition of a single news-model cell.
-
-    - white turns black iff :func:`adopts_news` fires for its black-neighbor
-      count (``p`` must be a fresh draw for this cell at this step);
-    - black turns grey iff no neighbor is white (the news has saturated its
-      vicinity and goes stale);
-    - grey turns white iff no neighbor is white (well-known information is
-      forgotten).
-
-    An empty neighborhood satisfies the no-white condition vacuously.
-    """
-    nb = np.asarray(neighbors)
-    if current == CellState.WHITE:
-        m = int(np.count_nonzero(nb == CellState.BLACK))
-        return CellState.BLACK if adopts_news(m, p, params) else CellState.WHITE
-    has_white = bool(np.any(nb == CellState.WHITE))
-    if current == CellState.BLACK:
-        return CellState.BLACK if has_white else CellState.GREY
-    return CellState.GREY if has_white else CellState.WHITE
-
-
-def next_innovation_state(
-    current: AdoptionState,
-    neighbors: np.ndarray,
-    p: float,
-    params: InnovationRuleParams = DEFAULT_INNOVATION_PARAMS,
-) -> AdoptionState:
-    """One transition of a single innovation-model cell; adoption is permanent."""
-    if current == AdoptionState.ADOPTED:
-        return AdoptionState.ADOPTED
-    m = int(np.count_nonzero(np.asarray(neighbors) == AdoptionState.ADOPTED))
-    return AdoptionState.ADOPTED if adopts_innovation(m, p, params) else AdoptionState.NOT_ADOPTED

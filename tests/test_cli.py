@@ -272,6 +272,19 @@ class TestFit:
         assert len(rows) == 121
         assert (fit_dir / "manifest.json").exists()
 
+    def test_fractional_steps_kept_in_fit_series(self, tmp_path):
+        t = np.arange(0, 120.5, 0.5)
+        model = reference_model()
+        grey, white = eval_grey(t, model), eval_white(t, model)
+        csv_path = tmp_path / "half.csv"
+        csv_path.write_text("step,white_frac,grey_frac\n" + "".join(
+            f"{s!r},{w!r},{g!r}\n" for s, w, g in zip(t.tolist(), white.tolist(), grey.tolist())))
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_OK
+        _, given = read_csv_rows(csv_path)
+        _, written = read_csv_rows(tmp_path / "out" / "fit_series.csv")
+        assert [float(row[0]) for row in written] == [float(row[0]) for row in given]
+        assert [row[0] for row in written[:3]] == ["0", "0.5", "1"]
+
     def test_too_few_rows_is_fit_failure(self, tmp_path):
         csv_path = tmp_path / "tiny.csv"
         csv_path.write_text(

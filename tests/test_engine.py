@@ -15,9 +15,7 @@ from newsca import (
     InnovationRuleParams,
     NewsRuleParams,
     SimulationConfig,
-    adopts_innovation,
     adopts_news,
-    count_states,
     derive_run_seeds,
     make_rng,
     neighbor_counts,
@@ -25,8 +23,8 @@ from newsca import (
     run,
     run_ensemble,
     step,
-    step_reference,
 )
+from newsca.reference import adopts_innovation, count_states, step_reference
 from newsca.cli import EXIT_OK, main
 from newsca.engine import _census, _fixed
 from newsca.rules import news_cutoffs

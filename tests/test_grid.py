@@ -6,19 +6,16 @@ from hypothesis.extra.numpy import arrays
 
 from newsca import (
     ADOPTION_CHARS,
-    MOORE_OFFSETS,
     AdoptionState,
     Boundary,
     CellState,
     Grid,
-    count_adoption,
-    count_states,
     grid_from_text,
     grid_to_text,
     neighbor_counts,
-    neighborhood,
     new_grid,
 )
+from newsca.reference import MOORE_OFFSETS, count_adoption, count_states, neighborhood
 
 news_grids = arrays(
     dtype=np.uint8,

@@ -8,11 +8,9 @@ from newsca import (
     CellState,
     InnovationRuleParams,
     NewsRuleParams,
-    adopts_innovation,
     adopts_news,
-    next_innovation_state,
-    next_news_state,
 )
+from newsca.reference import adopts_innovation, next_innovation_state, next_news_state
 
 W, G, B = CellState.WHITE, CellState.GREY, CellState.BLACK
 
