@@ -25,6 +25,7 @@ from . import __version__
 from .analytics import cross_point, normalize, stabilization_ratio
 from .engine import (
     GENERATOR_NAME,
+    MAX_CELLS,
     EnsembleResult,
     SimulationConfig,
     Trajectory,
@@ -457,6 +458,9 @@ def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 def cmd_eval_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.t_max < args.t_min:
         parser.error("--t-max must be >= --t-min")
+    if args.t_max - args.t_min >= MAX_CELLS:
+        raise ValueError(f"--t-min {args.t_min} to --t-max {args.t_max} is more than "
+                         f"MAX_CELLS = {MAX_CELLS} steps")
     model = AnalyticModel(**{
         curve: LogisticParams(**{name: getattr(args, f"{curve}_{name}") for name in params})
         for curve, params in asdict(reference_model()).items()

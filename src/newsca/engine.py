@@ -16,13 +16,17 @@ for news and the adopted mask for innovation. At a code-0 cell the low
 four bits of the sum count its seed-state neighbors; for news a sum below
 16 marks a black or grey cell with no white neighbor, which goes stale.
 News adoption compares each draw with an exact cutoff table,
-:func:`newsca.rules.news_cutoffs`, instead of evaluating the rule's formula.
-Run ``r`` draws ``rngs[r].random(n_r)`` for its ``n_r`` code-0 cells; the
-draws are concatenated in run order and applied to the code-0 cells of the
-flattened stack, which come run by run and row-major within each run, so
-every run consumes and produces exactly what it would stepped alone. A run
-leaves the stack at its first fixed point or at ``max_steps``. The kernel is
-checked against the per-cell oracle in :mod:`newsca.reference`.
+:func:`newsca.rules.news_cutoffs`, instead of evaluating the rule's formula,
+and only at code-0 cells with a seed-state neighbor, as no other can adopt.
+Run ``r`` draws ``rngs[r].random(n_r)`` for its ``n_r`` code-0 cells; they
+are drawn in run order into one buffer and applied to the code-0 cells of
+the flattened stack, which come run by run and row-major within each run,
+so every run consumes and produces exactly what it would stepped alone.
+The census, the draws and the next cells are written into one set of
+buffers made once per stack (:class:`_Buffers`), so a step allocates little
+beyond the index of its code-0 cells. A run leaves the stack at its first
+fixed point or at ``max_steps``. The kernel is checked against the per-cell
+oracle in :mod:`newsca.reference`.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Boundary, Grid, _block_sums, new_grid
+from .grid import Boundary, Grid, _block_buffers, _block_sums, new_grid
 # Re-exported because benchmarks/workloads.py imports step_reference from here.
 from .reference import step_reference  # noqa: F401
 from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams
@@ -184,25 +188,65 @@ class _Census(NamedTuple):
     block: np.ndarray  # 3x3 block sums of the packed plane (see the module docstring)
 
 
-def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams) -> _Census:
-    """The census of the (runs, height, width) stack ``cells``.
+@dataclass(slots=True)
+class _Buffers:
+    """The arrays :func:`_census` and :func:`step` write one state of a
+    (runs, height, width) stack into, made once per stack and reused every
+    step, so a step need not allocate and free arrays the size of the field.
+
+    ``white``, ``halo``, ``across`` and ``block`` hold the census: its
+    code-0 mask and the :func:`newsca.grid._block_sums` buffers. ``plane``
+    holds the census plane. Once the block sums are taken, the step reuses
+    ``plane`` for the stale mask and then for the gathered sums of the
+    code-0 cells, and ``across`` for the mask of those with a seed-state
+    neighbor. The step writes the draws into ``draws``, which has room for
+    one per cell, and the new cells into ``spare``, which the run loop then
+    swaps with the old cells.
+    """
+
+    white: np.ndarray
+    plane: np.ndarray
+    halo: np.ndarray
+    across: np.ndarray
+    block: np.ndarray
+    spare: np.ndarray
+    draws: np.ndarray
+
+    @classmethod
+    def new(cls, shape: tuple[int, int, int]) -> "_Buffers":
+        halo, across, block = _block_buffers(shape)
+        return cls(np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint8), halo, across, block,
+                   np.empty(shape, dtype=np.uint8), np.empty((shape[0], shape[1] * shape[2])))
+
+    def first(self, k: int) -> "_Buffers":
+        """Views of the buffers of the stack's first ``k`` grids."""
+        return _Buffers(*(getattr(self, name)[:k] for name in self.__slots__))
+
+
+def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams,
+            buffers: _Buffers | None = None) -> _Census:
+    """The census of the (runs, height, width) stack ``cells``, written into
+    ``buffers`` (a new set without them).
 
     Rows are (white, grey, black) for news and (not adopted, 0, adopted) for
-    innovation: the code-0 cells counted from their mask, the seed-state
-    cells from the sum of the census plane, the rest of the field in
-    between. Both sums are exact in uint32, as MAX_CELLS * (_WHITE + 1) < 2**32.
+    innovation: the code-0 and seed-state cells counted from their masks,
+    the rest of the field in between. Both sums are exact in uint32, as
+    MAX_CELLS < 2**32.
     """
-    white = cells == 0
-    plane = (cells == params.seed_state).view(np.uint8)
-    if params.stale:
-        plane += white.view(np.uint8) * np.uint8(_WHITE)
+    if buffers is None:
+        buffers = _Buffers.new(cells.shape)
+    white = np.equal(cells, 0, out=buffers.white)
+    plane = buffers.plane
+    np.equal(cells, params.seed_state, out=plane.view(bool))
     per_run = (len(cells), -1)
     n_white = np.add.reduce(white.view(np.uint8).reshape(per_run), axis=1, dtype=np.uint32)
     n_seed = np.add.reduce(plane.reshape(per_run), axis=1, dtype=np.uint32)
     if params.stale:
-        n_seed -= n_white * np.uint32(_WHITE)
+        # The block sums' buffer is free until they are written into it.
+        plane += np.multiply(white.view(np.uint8), _WHITE, out=buffers.block)
     rows = np.stack([n_white, cells[0].size - n_white - n_seed, n_seed], axis=1)
-    return _Census(rows, white, _block_sums(plane, boundary))
+    block = _block_sums(plane, boundary, (buffers.halo, buffers.across, buffers.block))
+    return _Census(rows, white, block)
 
 
 def step(
@@ -211,6 +255,7 @@ def step(
     rng: np.random.Generator | Sequence[np.random.Generator],
     params: RuleParams,
     census: _Census | None = None,
+    buffers: _Buffers | None = None,
 ) -> Grid:
     """One synchronous update of a grid, or of a stack of grids, computed from the old cells.
 
@@ -223,22 +268,40 @@ def step(
     ``params.seed_state`` where ``params.adopts`` fires for its count of
     seed-state neighbors; so each grid of a stack consumes and changes
     exactly as if it were stepped alone. The run loop passes the stack's
-    ``census``, which it has already taken. ``step_index`` is threaded
-    through for rules that depend on time; the built-in rules ignore it
-    beyond the RNG stream position.
+    ``census``, which it has already taken, and its ``buffers``, whose
+    ``spare`` cells the new grid is written into; without them the step
+    takes the census into a new set, so the new grid never shares memory
+    with ``grid``. ``step_index`` is threaded through for rules that depend
+    on time; the built-in rules ignore it beyond the RNG stream position.
     """
     del step_index
     cells = grid.cells
     stack, rngs = (cells, rng) if cells.ndim == 3 else (cells[None], (rng,))
-    rows, white, block = _census(stack, grid.boundary, params) if census is None else census
-    # One state staler is one code lower: black (2) to grey (1), grey to white (0).
-    new = stack - (block < _WHITE) if params.stale else stack.copy()
+    if buffers is None:
+        buffers = _Buffers.new(stack.shape)
+    rows, white, block = _census(stack, grid.boundary, params, buffers) if census is None else census
+    new, scratch = buffers.spare, buffers.plane
+    if params.stale:
+        # One state staler is one code lower: black (2) to grey (1), grey to white (0).
+        np.subtract(stack, np.less(block, _WHITE, out=scratch.view(bool)), out=new)
+    else:
+        np.copyto(new, stack)
     where = np.flatnonzero(white)  # grid by grid, each in row-major order
     if where.size:
-        draws = np.concatenate([g.random(n) for g, n in zip(rngs, rows[:, 0].tolist()) if n])
-        seed_nb = block.reshape(-1)[where]
+        draws = buffers.draws.reshape(-1)
+        a = 0
+        for g, n in zip(rngs, rows[:, 0].tolist()):
+            if n:
+                g.random(n, out=draws[a:a + n])
+                a += n
+        # mode="clip" lets take write into ``out`` directly; every index is in range.
+        seed_nb = np.take(block.reshape(-1), where, out=scratch.reshape(-1)[:a], mode="clip")
         seed_nb &= _WHITE - 1
-        fires = params.adopts(draws, seed_nb)
+        # Only cells with a seed-state neighbor can adopt. Rebinding ``where``
+        # frees the index of every code-0 cell before the adoption test.
+        near = np.flatnonzero(np.not_equal(seed_nb, 0, out=buffers.across.reshape(-1)[:a].view(bool)))
+        where = where[near]
+        fires = params.adopts(draws[near], seed_nb[near])
         new.reshape(-1)[where[fires]] = params.seed_state
     return Grid(new.reshape(cells.shape), grid.boundary)
 
@@ -284,6 +347,7 @@ def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:
     params, boundary, every = config.rule_params, config.boundary, config.snapshot_every
     rngs = [make_rng(seed) for seed in seeds]
     cells = np.repeat(config.initial_grid().cells[None], len(seeds), axis=0)
+    buffers = _Buffers.new(cells.shape)
     live = np.arange(len(seeds))  # the run of each grid in the stack
     counts: list[list[list[int]]] = [[] for _ in seeds]
     snapshots: list[list[tuple[int, Grid]]] = [[] for _ in seeds]
@@ -292,7 +356,7 @@ def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:
 
     t = 0
     while True:
-        census = _census(cells, boundary, params)
+        census = _census(cells, boundary, params, buffers)
         for r, row in zip(live, census.rows.tolist()):
             counts[r].append(row)
         if every is not None and t % every == 0:
@@ -311,7 +375,9 @@ def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:
             cells, live = cells[keep], live[keep]
             census = _Census(*(a[keep] for a in census))
             rngs = [g for g, d in zip(rngs, done) if not d]
-        cells = step(Grid(cells, boundary), t, rngs, params, census).cells
+            buffers = buffers.first(len(live))
+        new = step(Grid(cells, boundary), t, rngs, params, census, buffers).cells
+        cells, buffers.spare = new, cells
         t += 1
 
     return [

@@ -113,25 +113,37 @@ def new_grid(
     return Grid(cells, boundary)
 
 
-def _block_sums(plane: np.ndarray, boundary: Boundary) -> np.ndarray:
+def _block_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (halo, row sums, block sums) uint8 buffers :func:`_block_sums`
+    writes for a plane of ``shape``; the halo starts all zero."""
+    *lead, h, w = shape
+    return (np.zeros((*lead, h + 2, w + 2), dtype=np.uint8),
+            np.empty((*lead, h + 2, w), dtype=np.uint8),
+            np.empty(shape, dtype=np.uint8))
+
+
+def _block_sums(plane: np.ndarray, boundary: Boundary,
+                buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Per-cell sum of the 3x3 block of a uint8 (..., height, width) ``plane``
     centred on the cell, the cell itself included.
 
-    The plane is copied into one uint8 buffer with a one-cell halo that
-    holds zeros on bounded grids and the opposite edges on toroidal ones;
-    the blocks are summed along rows, then along columns, in uint8, so each
-    sum must stay below 256.
+    The plane is copied into a uint8 buffer with a one-cell halo that holds
+    zeros on bounded grids and the opposite edges on toroidal ones; the
+    blocks are summed along rows, then along columns, in uint8, so each sum
+    must stay below 256. ``buffers`` are the :func:`_block_buffers` of the
+    plane's shape (a new set without them); the sums are written into the
+    last and returned. A set may serve call after call on one boundary: a
+    bounded halo's edges stay zero, a toroidal one's are rewritten.
     """
-    *lead, h, w = plane.shape
-    halo = np.zeros((*lead, h + 2, w + 2), dtype=np.uint8)
+    halo, across, out = _block_buffers(plane.shape) if buffers is None else buffers
     halo[..., 1:-1, 1:-1] = plane
     if boundary is Boundary.TOROIDAL:
         # Rows first, then whole columns, so the corners wrap too.
         halo[..., 0, :], halo[..., -1, :] = halo[..., -2, :], halo[..., 1, :]
         halo[..., 0], halo[..., -1] = halo[..., -2], halo[..., 1]
-    across = halo[..., :-2] + halo[..., 1:-1]
+    np.add(halo[..., :-2], halo[..., 1:-1], out=across)
     across += halo[..., 2:]
-    out = across[..., :-2, :] + across[..., 1:-1, :]
+    np.add(across[..., :-2, :], across[..., 1:-1, :], out=out)
     out += across[..., 2:, :]
     return out
 

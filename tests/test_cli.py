@@ -250,6 +250,15 @@ class TestEvalModel:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "model_series.csv").exists()
 
+    def test_step_range_above_max_cells_is_usage_error(self, tmp_path, capsys):
+        # Refused before anything is allocated or written: np.arange over
+        # 10**15 steps would need 8 PB.
+        outdir = tmp_path / "out"
+        assert main(["eval-model", "--t-max", "1000000000000000", "--outdir", str(outdir)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "MAX_CELLS" in err
+        assert not outdir.exists()
+
 
 class TestFit:
     def test_recovers_model_from_its_own_curves(self, tmp_path):

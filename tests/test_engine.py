@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +28,7 @@ from newsca import (
 )
 from newsca.reference import adopts_innovation, count_states, step_reference
 from newsca.cli import EXIT_OK, main
-from newsca.engine import _census, _fixed
+from newsca.engine import _Buffers, _census, _fixed
 from newsca.rules import news_cutoffs
 
 news_cells = arrays(
@@ -67,7 +69,10 @@ def is_fixed(grid, params):
 class MaxDraws:
     """Generator stand-in whose every draw is the largest ``rng.random()`` returns."""
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:  # like Generator.random: fill ``out`` and return it
+            out.fill(MAX_DRAW)
+            return out
         return MAX_DRAW if size is None else np.full(size, MAX_DRAW)
 
 
@@ -474,3 +479,53 @@ class TestEnsemble:
         ens = run_ensemble(SimulationConfig(rng_seed=42), 100)
         _, median, _ = ens.convergence_stats()
         assert 80 <= median <= 150
+
+
+class TestMemory:
+    # A step that writes into its stack's buffers allocates at most the
+    # index of the stack's code-0 cells (8 bytes each) and a little more:
+    # small arrays, the near cells' adoption test and numpy's cast buffers.
+    @pytest.mark.parametrize("runs,size,steps", [(1, 300, 120), (20, 40, 40)],
+                             ids=["300x300-field", "20-run-40x40-stack"])
+    def test_census_and_step_allocate_little(self, runs, size, steps):
+        config = SimulationConfig(width=size, height=size, rng_seed=1, max_steps=steps)
+        cells = np.stack([tr.final_grid.cells for tr in run_ensemble(config, runs).trajectories])
+        params, boundary = config.rule_params, config.boundary
+        rngs = [make_rng(seed) for seed in range(runs)]
+        buffers = _Buffers.new(cells.shape)
+        step(Grid(cells, boundary), 0, rngs, params, None, buffers)  # fills lazy caches
+        tracemalloc.start()
+        try:
+            census = _census(cells, boundary, params, buffers)
+            step(Grid(cells, boundary), 1, rngs, params, census, buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_white = int(census.rows[:, 0].sum())
+        assert n_white > 10_000 // runs  # a state mid-spread, not an empty field
+        assert peak <= 8 * n_white + 64 * 1024
+
+    # The run loop swaps two cell buffers, so every grid it hands out must be
+    # a copy of its own.
+    def test_outputs_share_no_memory(self):
+        config = SimulationConfig(width=11, height=9, rng_seed=6, max_steps=30, snapshot_every=4)
+        single = run(config)
+        outputs = {"run": [single.final_grid.cells, *(g.cells for _, g in single.snapshots)]}
+        for jobs in (1, 2):
+            ens = run_ensemble(config, 5, jobs=jobs)
+            outputs[f"jobs={jobs}"] = [a for tr in ens.trajectories
+                                       for a in (tr.final_grid.cells, *(g.cells for _, g in tr.snapshots))]
+        for name, arrays in outputs.items():
+            assert len(arrays) > 5
+            for a, b in itertools.combinations(arrays, 2):
+                assert not np.shares_memory(a, b), name
+
+    @pytest.mark.parametrize("shape", [(6, 7), (3, 6, 7)], ids=["grid", "stack"])
+    def test_step_without_buffers_returns_new_cells(self, shape):
+        cells = np.zeros(shape, dtype=np.uint8)
+        cells[..., 3, 3] = CellState.BLACK
+        grid = Grid(cells)
+        rng = make_rng(0) if len(shape) == 2 else [make_rng(s) for s in range(shape[0])]
+        out = step(grid, 0, rng, NewsRuleParams())
+        assert not np.shares_memory(out.cells, grid.cells)
+        assert out.cells.shape == shape
