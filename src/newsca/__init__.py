@@ -38,7 +38,6 @@ from .grid import (
     Grid,
     grid_from_text,
     grid_to_text,
-    neighbor_counts,
     new_grid,
 )
 from .model import (
@@ -94,7 +93,6 @@ __all__ = [
     "logistic",
     "make_rng",
     "moving_average",
-    "neighbor_counts",
     "new_grid",
     "normalize",
     "reference_model",

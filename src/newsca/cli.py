@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -195,13 +196,18 @@ def _model_curves(steps: np.ndarray, model: AnalyticModel) -> tuple[np.ndarray, 
     return eval_grey(steps, model), eval_white(steps, model), eval_black(steps, model)
 
 
-def write_model_csv(path: Path, steps: np.ndarray, model: AnalyticModel) -> None:
+# Rows of model_series.csv formatted per write, so a long step range never sits in memory.
+MODEL_CSV_CHUNK = 8192
+
+
+def write_model_csv(path: Path, steps: Sequence[int], model: AnalyticModel) -> None:
     """(t, grey, white, black) at full precision so rows sum to 1 within 1e-12."""
-    grey, white, black = _model_curves(steps, model)
-    lines = ["step,grey_frac,white_frac,black_frac"]
-    for t, g, w, b in zip(steps, grey, white, black):
-        lines.append(f"{int(t)},{g:.17g},{w:.17g},{b:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write("step,grey_frac,white_frac,black_frac\n")
+        for a in range(0, len(steps), MODEL_CSV_CHUNK):
+            part = steps[a:a + MODEL_CSV_CHUNK]
+            out.writelines(f"{int(t)},{g:.17g},{w:.17g},{b:.17g}\n"
+                           for t, g, w, b in zip(part, *_model_curves(part, model)))
 
 
 def write_fit_series_csv(
@@ -466,8 +472,7 @@ def cmd_eval_model(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         for curve, params in asdict(reference_model()).items()
     })
     outdir = _resolve_outdir(args)
-    steps = np.arange(args.t_min, args.t_max + 1)
-    write_model_csv(outdir / "model_series.csv", steps, model)
+    write_model_csv(outdir / "model_series.csv", range(args.t_min, args.t_max + 1), model)
     manifest = build_manifest(
         "eval-model",
         model_params=asdict(model),

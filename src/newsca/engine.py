@@ -10,7 +10,8 @@ scheduled.
 One kernel steps every run. The live runs of an ensemble are stacked as
 one (runs, height, width) uint8 array, a single run being a stack of one.
 Each state's census is taken once and read by both the fixed-point test
-and :func:`step`: the count rows, the white mask and one 3x3 block sum,
+and :func:`step`: the count rows, the white mask and one 3x3 block sum
+(:func:`_block_sums`, over a one-cell halo that wraps on toroidal grids),
 the cell itself included, of a packed uint8 plane, ``16 * white + black``
 for news and the adopted mask for innovation. At a code-0 cell the low
 four bits of the sum count its seed-state neighbors; for news a sum below
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Boundary, Grid, _block_buffers, _block_sums, new_grid
+from .grid import Boundary, Grid, new_grid
 # Re-exported because benchmarks/workloads.py imports step_reference from here.
 from .reference import step_reference  # noqa: F401
 from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams
@@ -194,14 +195,15 @@ class _Buffers:
     (runs, height, width) stack into, made once per stack and reused every
     step, so a step need not allocate and free arrays the size of the field.
 
-    ``white``, ``halo``, ``across`` and ``block`` hold the census: its
-    code-0 mask and the :func:`newsca.grid._block_sums` buffers. ``plane``
-    holds the census plane. Once the block sums are taken, the step reuses
-    ``plane`` for the stale mask and then for the gathered sums of the
-    code-0 cells, and ``across`` for the mask of those with a seed-state
-    neighbor. The step writes the draws into ``draws``, which has room for
-    one per cell, and the new cells into ``spare``, which the run loop then
-    swaps with the old cells.
+    ``white`` and ``plane`` hold the census's code-0 mask and packed plane;
+    ``halo``, ``across`` and ``block`` are the one-cell halo, row sums and
+    block sums of :func:`_block_sums`. Before the block sums are taken,
+    ``block`` holds the news plane's white term. Once they are, the step
+    reuses ``plane`` for the stale mask and then for the gathered sums of
+    the code-0 cells, and ``across`` for the mask of those with a
+    seed-state neighbor. The step writes the draws into ``draws``, which has
+    room for one per cell, and the new cells into ``spare``, which the run
+    loop then swaps with the old cells.
     """
 
     white: np.ndarray
@@ -214,27 +216,49 @@ class _Buffers:
 
     @classmethod
     def new(cls, shape: tuple[int, int, int]) -> "_Buffers":
-        halo, across, block = _block_buffers(shape)
-        return cls(np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint8), halo, across, block,
-                   np.empty(shape, dtype=np.uint8), np.empty((shape[0], shape[1] * shape[2])))
+        runs, h, w = shape
+        return cls(np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint8),
+                   np.zeros((runs, h + 2, w + 2), dtype=np.uint8), np.empty((runs, h + 2, w), dtype=np.uint8),
+                   np.empty(shape, dtype=np.uint8), np.empty(shape, dtype=np.uint8), np.empty((runs, h * w)))
 
     def first(self, k: int) -> "_Buffers":
         """Views of the buffers of the stack's first ``k`` grids."""
         return _Buffers(*(getattr(self, name)[:k] for name in self.__slots__))
 
 
-def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams,
-            buffers: _Buffers | None = None) -> _Census:
-    """The census of the (runs, height, width) stack ``cells``, written into
-    ``buffers`` (a new set without them).
+def _block_sums(plane: np.ndarray, boundary: Boundary, buffers: _Buffers) -> np.ndarray:
+    """Per-cell sum of the 3x3 block of a uint8 (runs, height, width)
+    ``plane`` centred on the cell, the cell itself included, written into
+    ``buffers.block`` and returned.
+
+    The plane is copied into ``buffers.halo``, whose one-cell rim holds
+    zeros on bounded grids and the opposite edges on toroidal ones; the
+    blocks are summed along rows into ``buffers.across``, then along
+    columns, in uint8, so each sum must stay below 256. A set may serve call
+    after call on one boundary: a bounded halo's rim stays zero, a toroidal
+    one's is rewritten.
+    """
+    halo, across, out = buffers.halo, buffers.across, buffers.block
+    halo[..., 1:-1, 1:-1] = plane
+    if boundary is Boundary.TOROIDAL:
+        # Rows first, then whole columns, so the corners wrap too.
+        halo[..., 0, :], halo[..., -1, :] = halo[..., -2, :], halo[..., 1, :]
+        halo[..., 0], halo[..., -1] = halo[..., -2], halo[..., 1]
+    np.add(halo[..., :-2], halo[..., 1:-1], out=across)
+    across += halo[..., 2:]
+    np.add(across[..., :-2, :], across[..., 1:-1, :], out=out)
+    out += across[..., 2:, :]
+    return out
+
+
+def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: _Buffers) -> _Census:
+    """The census of the (runs, height, width) stack ``cells``, written into ``buffers``.
 
     Rows are (white, grey, black) for news and (not adopted, 0, adopted) for
     innovation: the code-0 and seed-state cells counted from their masks,
     the rest of the field in between. Both sums are exact in uint32, as
     MAX_CELLS < 2**32.
     """
-    if buffers is None:
-        buffers = _Buffers.new(cells.shape)
     white = np.equal(cells, 0, out=buffers.white)
     plane = buffers.plane
     np.equal(cells, params.seed_state, out=plane.view(bool))
@@ -242,10 +266,9 @@ def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams,
     n_white = np.add.reduce(white.view(np.uint8).reshape(per_run), axis=1, dtype=np.uint32)
     n_seed = np.add.reduce(plane.reshape(per_run), axis=1, dtype=np.uint32)
     if params.stale:
-        # The block sums' buffer is free until they are written into it.
         plane += np.multiply(white.view(np.uint8), _WHITE, out=buffers.block)
     rows = np.stack([n_white, cells[0].size - n_white - n_seed, n_seed], axis=1)
-    block = _block_sums(plane, boundary, (buffers.halo, buffers.across, buffers.block))
+    block = _block_sums(plane, boundary, buffers)
     return _Census(rows, white, block)
 
 

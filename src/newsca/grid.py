@@ -1,14 +1,13 @@
-"""Lattice data model: cell states, grid storage, neighbor counts, ASCII text.
+"""Lattice data model: cell states, grid storage, ASCII text.
 
 Cells live on a rectangular lattice stored row-major as small integer codes.
 Two state alphabets share the same storage: the three-state news model
 (white / grey / black) and the two-state innovation model (not adopted /
 adopted). Both start as a field of code 0 (white / not adopted) with one
-seed cell, made by :func:`new_grid`. A cell's neighbors are its eight Moore
-neighbors, truncated at the edges of a bounded grid or wrapped on a
-toroidal one; :func:`neighbor_counts` counts them for whole arrays at once.
-Grids are written and read as ASCII text by :func:`grid_to_text` and
-:func:`grid_from_text`.
+seed cell, made by :func:`new_grid`. A grid's boundary mode tells whether
+cell neighborhoods are truncated at its edges or wrap around them; the
+stepper in :mod:`newsca.engine` reads them. Grids are written and read as
+ASCII text by :func:`grid_to_text` and :func:`grid_from_text`.
 """
 from __future__ import annotations
 
@@ -111,53 +110,6 @@ def new_grid(
     cells = np.zeros((height, width), dtype=np.uint8)
     cells[r, c] = seed_state
     return Grid(cells, boundary)
-
-
-def _block_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (halo, row sums, block sums) uint8 buffers :func:`_block_sums`
-    writes for a plane of ``shape``; the halo starts all zero."""
-    *lead, h, w = shape
-    return (np.zeros((*lead, h + 2, w + 2), dtype=np.uint8),
-            np.empty((*lead, h + 2, w), dtype=np.uint8),
-            np.empty(shape, dtype=np.uint8))
-
-
-def _block_sums(plane: np.ndarray, boundary: Boundary,
-                buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Per-cell sum of the 3x3 block of a uint8 (..., height, width) ``plane``
-    centred on the cell, the cell itself included.
-
-    The plane is copied into a uint8 buffer with a one-cell halo that holds
-    zeros on bounded grids and the opposite edges on toroidal ones; the
-    blocks are summed along rows, then along columns, in uint8, so each sum
-    must stay below 256. ``buffers`` are the :func:`_block_buffers` of the
-    plane's shape (a new set without them); the sums are written into the
-    last and returned. A set may serve call after call on one boundary: a
-    bounded halo's edges stay zero, a toroidal one's are rewritten.
-    """
-    halo, across, out = _block_buffers(plane.shape) if buffers is None else buffers
-    halo[..., 1:-1, 1:-1] = plane
-    if boundary is Boundary.TOROIDAL:
-        # Rows first, then whole columns, so the corners wrap too.
-        halo[..., 0, :], halo[..., -1, :] = halo[..., -2, :], halo[..., 1, :]
-        halo[..., 0], halo[..., -1] = halo[..., -2], halo[..., 1]
-    np.add(halo[..., :-2], halo[..., 1:-1], out=across)
-    across += halo[..., 2:]
-    np.add(across[..., :-2, :], across[..., 1:-1, :], out=out)
-    out += across[..., 2:, :]
-    return out
-
-
-def neighbor_counts(mask: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """Per-cell count of True Moore neighbors of a boolean (..., height, width) mask.
-
-    Counted over the last two axes, so a stack of masks is counted in one
-    call: each cell's 3x3 block sum minus the cell itself. Counts are uint8
-    (at most 8).
-    """
-    counts = _block_sums(mask, boundary)
-    counts -= mask
-    return counts
 
 
 def render_rows(cells: np.ndarray, tokens: dict, sep: str = "") -> str:

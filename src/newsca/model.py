@@ -143,7 +143,9 @@ def _initial_guess(t: np.ndarray, y: np.ndarray) -> list[float]:
     c0 = min(max(float(y.max()), 1e-6), 1.0)
     crossing = np.nonzero(y >= c0 / 2.0)[0]
     tau0 = float(t[crossing[0]]) if crossing.size else float(t[len(t) // 2])
-    slope = float(np.max(np.gradient(y, t)))
+    # Steps near the float limits under- or overflow the differences; a non-finite guess is refused.
+    with np.errstate(all="ignore"):
+        slope = float(np.max(np.gradient(y, t)))
     gamma0 = max(4.0 * slope / c0, 1e-3)
     return [c0, tau0, gamma0]
 
@@ -172,9 +174,12 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
         return _failure("constant series carries no sigmoid information")
 
     target = y if shape == "rising" else 1.0 - y
+    guess = _initial_guess(t, target)
+    if not all(map(math.isfinite, guess)):
+        return _failure("step spacing too extreme for a finite initial guess")
     res = least_squares(
         lambda p: _sigmoid(t, *p) - target,
-        _initial_guess(t, target),
+        guess,
         jac=lambda p: _sigmoid_jacobian(t, *p),
         method="lm",
         xtol=FIT_TOLERANCE,

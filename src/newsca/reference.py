@@ -1,13 +1,14 @@
 """Per-cell oracle: the slow model the vectorized stepper is checked against.
 
 Everything here works one cell at a time, straight from the rules: Moore
-neighborhoods, per-state counts, the scalar transition of each model and
-:func:`step_reference`, which applies them cell by cell. None of it shares
-code with the kernel in :mod:`newsca.engine` (its census, block sums and
-cutoff table), so the two agreeing is a real check. Randomness enters only
-through an explicit uniform draw ``p`` in [0, 1), supplied by the caller;
-only code-0 (white / not adopted) cells consume a draw, and the other
-transitions are deterministic functions of the neighborhood.
+neighborhoods and the neighbor counts read from them, per-state counts, the
+scalar transition of each model and :func:`step_reference`, which applies
+them cell by cell. None of it shares code with the kernel in
+:mod:`newsca.engine` (its census, block sums and cutoff table), so the two
+agreeing is a real check. Randomness enters only through an explicit
+uniform draw ``p`` in [0, 1), supplied by the caller; only code-0 (white /
+not adopted) cells consume a draw, and the other transitions are
+deterministic functions of the neighborhood.
 """
 from __future__ import annotations
 
@@ -46,6 +47,17 @@ def neighborhood(grid: Grid, position: tuple[int, int]) -> np.ndarray:
         elif 0 <= rr < grid.height and 0 <= cc < grid.width:
             states.append(grid.cells[rr, cc])
     return np.array(states, dtype=np.uint8)
+
+
+def neighbor_counts(mask: np.ndarray, boundary: Boundary) -> np.ndarray:
+    """Per-cell count of True Moore neighbors of a boolean (height, width)
+    mask, or of each mask of a (runs, height, width) stack, read cell by
+    cell from :func:`neighborhood`. Counts are uint8 (at most 8)."""
+    if mask.ndim == 3:
+        return np.stack([neighbor_counts(m, boundary) for m in mask])
+    grid = Grid(mask, boundary)
+    return np.array([[np.count_nonzero(neighborhood(grid, (r, c))) for c in range(grid.width)]
+                     for r in range(grid.height)], dtype=np.uint8)
 
 
 def _count_codes(grid: Grid, states: type[IntEnum]) -> list[int]:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from newsca import (
+    AnalyticModel,
     Boundary,
     Grid,
     InnovationRuleParams,
+    LogisticParams,
     SimulationConfig,
     eval_grey,
     eval_white,
@@ -35,6 +38,7 @@ from newsca.cli import (
     config_to_dict,
     main,
     read_series_csv,
+    write_model_csv,
     write_pgm,
 )
 
@@ -238,6 +242,21 @@ class TestEvalModel:
         _, _, grey, _ = read_series_csv(tmp_path / "model_series.csv")
         assert grey[50] == 0.375
 
+    def test_rows_are_written_as_they_are_formatted(self, tmp_path):
+        # The largest range eval-model accepts has 2**26 rows, several GB of
+        # text; writing it must not hold all of it in memory at once.
+        path = tmp_path / "model_series.csv"
+        slow = AnalyticModel(grey=LogisticParams(0.75, 1e5, 1e-5), white=LogisticParams(0.75, 5e4, 2e-5))
+        tracemalloc.start()
+        try:
+            write_model_csv(path, range(200_000), slow)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 10_000_000
+        assert peak < size / 10, (peak, size)
+
     def test_invalid_parameters_rejected(self, tmp_path):
         assert main(["eval-model", "--grey-c", "1.5", "--outdir", str(tmp_path)]) == EXIT_USAGE
         assert main(["eval-model", "--t-max", "-5", "--outdir", str(tmp_path)]) == EXIT_USAGE
@@ -373,6 +392,26 @@ class TestFit:
         params = json.loads(text)
         assert params["grey"]["params"] is not None and params["grey"]["stderr"] is None
         assert all(map(math.isfinite, params["white"]["stderr"]))
+
+    # Finite differences over steps 1e-300 apart underflow, and over steps
+    # spanning +-1.7e308 overflow; neither may warn. The first leaves no
+    # finite initial guess, so its fit fails; the second still fits.
+    @pytest.mark.parametrize("steps,code", [
+        (("0", "1e-300", "2e-300", "3e-300", "4e-300"), EXIT_FIT_FAILURE),
+        (("-1.7e308", "-1e308", "0", "1e308", "1.7e308"), EXIT_OK),
+    ], ids=["underflow", "overflow"])
+    def test_extreme_step_spacing(self, tmp_path, capsys, steps, code):
+        csv_path = tmp_path / "extreme.csv"
+        csv_path.write_text("step,white_frac,grey_frac\n" + "".join(
+            f"{t},{w},{g}\n" for t, w, g in zip(steps, (0.9, 0.7, 0.5, 0.3, 0.1), (0, 0.15, 0.3, 0.45, 0.6))))
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            params = json.loads((tmp_path / "out" / "fit_params.json").read_text())
+            assert params["grey"]["params"] is None and "initial guess" in params["grey"]["message"]
 
     def test_missing_column_rejected(self, tmp_path):
         csv_path = tmp_path / "cols.csv"

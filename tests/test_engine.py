@@ -20,13 +20,12 @@ from newsca import (
     adopts_news,
     derive_run_seeds,
     make_rng,
-    neighbor_counts,
     new_grid,
     run,
     run_ensemble,
     step,
 )
-from newsca.reference import adopts_innovation, count_states, step_reference
+from newsca.reference import adopts_innovation, count_states, neighbor_counts, step_reference
 from newsca.cli import EXIT_OK, main
 from newsca.engine import _Buffers, _census, _fixed
 from newsca.rules import news_cutoffs
@@ -63,7 +62,8 @@ innovation_thresholds = st.one_of(_at_and_beside(p * m for p in (1.0, MAX_DRAW) 
 
 def is_fixed(grid, params):
     """The run loop's fixed-point test, applied to one grid."""
-    return bool(_fixed(_census(grid.cells[None], grid.boundary, params), params)[0])
+    stack = grid.cells[None]
+    return bool(_fixed(_census(stack, grid.boundary, params, _Buffers.new(stack.shape)), params)[0])
 
 
 class MaxDraws:
@@ -189,9 +189,10 @@ class TestStep:
                 assert adopts_news(m, cutoff, params)
                 assert not adopts_news(m, float(np.nextafter(cutoff, 0.0)), params)
 
-    # At a code-0 cell the low four bits of the census block sum count its
-    # seed-state neighbors; for news a sum below 16 marks exactly the cells
-    # that go stale. The rows count each grid's states.
+    # The census block sum is the 3x3 sum of the packed plane, 16 * white +
+    # seed for news and the seed-state mask for innovation, checked at every
+    # cell against the per-cell oracle's neighbor counts. The rows count each
+    # grid's states.
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), params=st.sampled_from([NewsRuleParams(), InnovationRuleParams()]),
            boundary=boundaries, runs=st.integers(1, 4),
@@ -200,11 +201,12 @@ class TestStep:
     def test_packed_census_matches_neighbor_counts(self, data, params, boundary, runs, shape):
         cells = data.draw(arrays(np.uint8, (runs, *shape), elements=st.integers(0, int(params.seed_state))))
         white, seed = cells == 0, cells == params.seed_state
-        rows, census_white, block = _census(cells, boundary, params)
+        rows, census_white, block = _census(cells, boundary, params, _Buffers.new(cells.shape))
         assert np.array_equal(census_white, white)
-        assert np.array_equal((block & 15)[white], neighbor_counts(seed, boundary)[white])
+        expected = seed + neighbor_counts(seed, boundary).astype(int)
         if params.stale:
-            assert np.array_equal(block < 16, (neighbor_counts(white, boundary) == 0) & ~white)
+            expected += 16 * (white + neighbor_counts(white, boundary).astype(int))
+        assert np.array_equal(block, expected)
         per_grid = [[int(white[k].sum()), int((cells[k] == 1).sum()) if params.stale else 0,
                      int(seed[k].sum())] for k in range(runs)]
         assert rows.tolist() == per_grid

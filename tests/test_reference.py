@@ -33,18 +33,43 @@ def imported_from(tree: ast.Module, module: str) -> list[str]:
     return names
 
 
+def named_in(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name that appears in ``tree``."""
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    return named
+
+
 class TestOracleIndependence:
     def test_reference_shares_no_kernel_code(self):
         tree = parse("reference")
         assert imported_from(tree, "engine") == []
-        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                  for alias in node.names}
-        assert named.isdisjoint({"_block_sums", "_census", "news_cutoffs"})
+        assert named_in(tree).isdisjoint({"_block_sums", "_census", "news_cutoffs"})
         calls = [node.func.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
         assert "adopts" not in calls
+
+    def test_neighbor_counts_reads_neighborhoods(self):
+        func = next(node for node in ast.walk(parse("reference"))
+                    if isinstance(node, ast.FunctionDef) and node.name == "neighbor_counts")
+        named = named_in(func)
+        assert "neighborhood" in named
+        assert "_block_sums" not in named
+
+    # A private name is a module's own business; sharing one across modules
+    # splits one decision between two homes.
+    def test_no_module_imports_a_private_name(self):
+        private = {}
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "newsca"):
+                    names = [alias.name for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.endswith("__")]
+                    if names:
+                        private[path.stem] = private.get(path.stem, []) + names
+        assert private == {}
 
     def test_only_engine_imports_the_oracle(self):
         users = {module: imported_from(parse(module), "reference") for module in PRODUCT_MODULES}
