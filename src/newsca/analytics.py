@@ -67,25 +67,3 @@ def cross_point(series: np.ndarray) -> CrossPoint:
     spread = np.maximum(np.abs(w - g), np.maximum(np.abs(w - b), np.abs(g - b)))
     k = int(np.argmin(spread))
     return CrossPoint(step=k, level=float(series[k].mean()), spread=float(spread[k]))
-
-
-def moving_average(values, window: int) -> np.ndarray:
-    """Centered moving average ('valid' mode: output is len - window + 1)."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    values = np.asarray(values, dtype=float)
-    return np.convolve(values, np.ones(window) / window, mode="valid")
-
-
-def is_unimodal(values, tol: float = 0.0) -> bool:
-    """Whether a series rises (non-strictly) to a single peak then falls.
-
-    ``tol`` sets the largest counter-movement still treated as a tie, e.g.
-    the one-cell resolution of a count-derived series.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size <= 2:
-        return True
-    peak = int(np.argmax(values))
-    d = np.diff(values)
-    return bool(np.all(d[:peak] >= -tol) and np.all(d[peak:] <= tol))

@@ -16,8 +16,8 @@ the cell itself included, of a packed uint8 plane, ``16 * white + black``
 for news and the adopted mask for innovation. At a code-0 cell the low
 four bits of the sum count its seed-state neighbors; for news a sum below
 16 marks a black or grey cell with no white neighbor, which goes stale.
-News adoption compares each draw with an exact cutoff table,
-:func:`newsca.rules.news_cutoffs`, instead of evaluating the rule's formula,
+Adoption, for either model, compares each draw with the model's exact
+cutoff table, :func:`newsca.rules.cutoffs`, instead of evaluating its rule,
 and only at code-0 cells with a seed-state neighbor, as no other can adopt.
 Run ``r`` draws ``rngs[r].random(n_r)`` for its ``n_r`` code-0 cells; they
 are drawn in run order into one buffer and applied to the code-0 cells of
@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from .grid import Boundary, Grid, new_grid
 # Re-exported because benchmarks/workloads.py imports step_reference from here.
 from .reference import step_reference  # noqa: F401
-from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams
+from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams, cutoffs
 
 # Recorded in output manifests; changing the generator breaks reproducibility.
 GENERATOR_NAME = "numpy-pcg64"
@@ -288,13 +287,14 @@ def step(
     neighbor goes one state staler if the model has stale states (black to
     grey, grey to white). Then every code-0 cell consumes one uniform draw
     from its grid's generator, in row-major order, and takes
-    ``params.seed_state`` where ``params.adopts`` fires for its count of
-    seed-state neighbors; so each grid of a stack consumes and changes
-    exactly as if it were stepped alone. The run loop passes the stack's
-    ``census``, which it has already taken, and its ``buffers``, whose
-    ``spare`` cells the new grid is written into; without them the step
-    takes the census into a new set, so the new grid never shares memory
-    with ``grid``. ``step_index`` is threaded through for rules that depend
+    ``params.seed_state`` where the draw reaches the cutoff that
+    :func:`newsca.rules.cutoffs` gives for its count of seed-state
+    neighbors, which is exactly where ``params.adopts`` fires; so each grid
+    of a stack consumes and changes exactly as if it were stepped alone.
+    The run loop passes the stack's ``census``, which it has already taken,
+    and its ``buffers``, whose ``spare`` cells the new grid is written into;
+    without them the step takes the census into a new set, so the new grid
+    never shares memory with ``grid``. ``step_index`` is threaded through for rules that depend
     on time; the built-in rules ignore it beyond the RNG stream position.
     """
     del step_index
@@ -324,18 +324,9 @@ def step(
         # frees the index of every code-0 cell before the adoption test.
         near = np.flatnonzero(np.not_equal(seed_nb, 0, out=buffers.across.reshape(-1)[:a].view(bool)))
         where = where[near]
-        fires = params.adopts(draws[near], seed_nb[near])
+        fires = draws[near] >= cutoffs(params).take(seed_nb[near])
         new.reshape(-1)[where[fires]] = params.seed_state
     return Grid(new.reshape(cells.shape), grid.boundary)
-
-
-@lru_cache(maxsize=16)
-def _can_adopt(params: RuleParams) -> tuple[np.ndarray, bool]:
-    """(``table``, ``always``): ``table[m]`` tells whether a code-0 cell with
-    ``m`` seed-state neighbors (black / adopted) can ever adopt, and
-    ``always`` whether every ``m`` from 1 to 8 can."""
-    table = params.adopts(MAX_DRAW, np.arange(9))
-    return table, bool(table[1:].all())
 
 
 def _fixed(census: _Census, params: RuleParams) -> np.ndarray:
@@ -345,7 +336,8 @@ def _fixed(census: _Census, params: RuleParams) -> np.ndarray:
     neighbor and no code-0 cell can adopt from its seed-state neighbors,
     even at the largest draw.
     """
-    table, always = _can_adopt(params)
+    q = cutoffs(params)  # a cell with m seed-state neighbors can adopt iff q[m] <= MAX_DRAW
+    always = max(q.tolist()[1:]) <= MAX_DRAW  # every m from 1 to 8 can; Python is cheaper on 9 values
     rows, white, block = census
     if params.stale and always and rows[:, 2].all():
         # In every grid a black cell's white neighbor can adopt, or the cell goes stale.
@@ -353,7 +345,7 @@ def _fixed(census: _Census, params: RuleParams) -> np.ndarray:
     seed_nb = block & (_WHITE - 1)  # count of seed-state neighbors at code-0 cells
     # Only code-0 cells read the table; clipping the other cells' counts, which
     # reach 9 where a whole block is seed-state, keeps their lookups in range.
-    change = white & (seed_nb != 0 if always else table.take(seed_nb, mode="clip"))
+    change = white & (seed_nb != 0 if always else (q <= MAX_DRAW).take(seed_nb, mode="clip"))
     if params.stale:
         change |= block < _WHITE
     return ~change.reshape(len(rows), -1).any(axis=1)

@@ -3,12 +3,14 @@
 Everything here works one cell at a time, straight from the rules: Moore
 neighborhoods and the neighbor counts read from them, per-state counts, the
 scalar transition of each model and :func:`step_reference`, which applies
-them cell by cell. None of it shares code with the kernel in
-:mod:`newsca.engine` (its census, block sums and cutoff table), so the two
-agreeing is a real check. Randomness enters only through an explicit
-uniform draw ``p`` in [0, 1), supplied by the caller; only code-0 (white /
-not adopted) cells consume a draw, and the other transitions are
-deterministic functions of the neighborhood.
+them cell by cell. The transitions call each model's scalar rule
+``params.adopts``, the one definition of adoption. None of the kernel's
+own code in :mod:`newsca.engine` (its census, block sums and the cutoff
+table it reads the rule through) is used here, so the two agreeing is a
+real check. Randomness enters only through an explicit uniform draw ``p``
+in [0, 1), supplied by the caller; only code-0 (white / not adopted) cells
+consume a draw, and the other transitions are deterministic functions of
+the neighborhood.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from enum import IntEnum
 import numpy as np
 
 from .grid import AdoptionState, Boundary, CellState, Grid
-from .rules import InnovationRuleParams, NewsRuleParams, adopts_news
+from .rules import InnovationRuleParams, NewsRuleParams
 
 # Row-major offset order; fixed so seeded runs are bit-reproducible.
 MOORE_OFFSETS: tuple[tuple[int, int], ...] = (
@@ -81,11 +83,6 @@ def count_adoption(grid: Grid) -> tuple[int, int]:
     return not_adopted, adopted
 
 
-def adopts_innovation(m: int, p: float, params: InnovationRuleParams = InnovationRuleParams()) -> bool:
-    """Whether a not-adopted cell with ``m`` adopted neighbors and draw ``p`` adopts."""
-    return p * m > params.threshold
-
-
 def next_news_state(
     current: CellState,
     neighbors: np.ndarray,
@@ -94,9 +91,8 @@ def next_news_state(
 ) -> CellState:
     """One synchronous-update transition of a single news-model cell.
 
-    - white turns black iff :func:`newsca.rules.adopts_news` fires for its
-      black-neighbor count (``p`` must be a fresh draw for this cell at
-      this step);
+    - white turns black iff ``params.adopts`` fires for its black-neighbor
+      count (``p`` must be a fresh draw for this cell at this step);
     - black turns grey iff no neighbor is white (the news has saturated its
       vicinity and goes stale);
     - grey turns white iff no neighbor is white (well-known information is
@@ -107,7 +103,7 @@ def next_news_state(
     nb = np.asarray(neighbors)
     if current == CellState.WHITE:
         m = int(np.count_nonzero(nb == CellState.BLACK))
-        return CellState.BLACK if adopts_news(m, p, params) else CellState.WHITE
+        return CellState.BLACK if params.adopts(m, p) else CellState.WHITE
     has_white = bool(np.any(nb == CellState.WHITE))
     if current == CellState.BLACK:
         return CellState.BLACK if has_white else CellState.GREY
@@ -124,7 +120,7 @@ def next_innovation_state(
     if current == AdoptionState.ADOPTED:
         return AdoptionState.ADOPTED
     m = int(np.count_nonzero(np.asarray(neighbors) == AdoptionState.ADOPTED))
-    return AdoptionState.ADOPTED if adopts_innovation(m, p, params) else AdoptionState.NOT_ADOPTED
+    return AdoptionState.ADOPTED if params.adopts(m, p) else AdoptionState.NOT_ADOPTED
 
 
 # The per-cell rule of each model, applied by step_reference.

@@ -1,11 +1,11 @@
-"""The two models' rule parameters and the news adoption test.
+"""The two models' rule parameters and their adoption tests.
 
 Each model is described by its rule parameter class: its name, seed state,
-ASCII alphabet, whether its states go stale, and a vectorized adoption
-test ``adopts(p, m)`` over draws ``p`` and seed-state neighbor counts ``m``
-that :func:`newsca.engine.step` applies. The news test is written once, as
-the scalar :func:`adopts_news`; :func:`news_cutoffs` turns it into the exact
-cutoff table the vectorized test compares draws with.
+ASCII alphabet, whether its states go stale, and its adoption test, written
+once as the scalar ``adopts(m, p)`` over a seed-state neighbor count ``m``
+and a draw ``p``. The per-cell oracle applies that test directly;
+:func:`cutoffs` turns it into the exact cutoff table that
+:func:`newsca.engine.step` compares draws with, for either model.
 """
 from __future__ import annotations
 
@@ -27,10 +27,10 @@ MAX_DRAW = float(np.nextafter(1.0, 0.0))
 class NewsRuleParams:
     """Parameters of the three-state news rule.
 
-    A white cell with ``m`` black neighbors adopts the news when
-    ``p * m > adoption_threshold``, where the draw ``p`` is scaled by
+    A white cell with ``m`` black neighbors adopts the news when its draw
+    times ``m`` exceeds ``adoption_threshold``, the draw being scaled by
     ``boost_factor`` whenever ``m < boost_below`` (weakly connected cells
-    are more receptive).
+    are more receptive); :meth:`adopts` is that rule.
 
     The type of a config's rule parameters selects its model; the class
     variables name the model, its seed cell's state and its ASCII alphabet,
@@ -55,15 +55,20 @@ class NewsRuleParams:
         if not 0 <= self.boost_below <= 8:
             raise ValueError("boost_below must be in [0, 8]")
 
-    def adopts(self, p, m):
-        """Vectorized :func:`adopts_news` over draws ``p`` in [0, MAX_DRAW]
-        and black-neighbor counts ``m``, by the cutoff table :func:`news_cutoffs`."""
-        return p >= news_cutoffs(self).take(m)
+    def adopts(self, m: int, p: float) -> bool:
+        """Whether a white cell with ``m`` black neighbors and draw ``p`` turns black.
+
+        Strict inequality: the boosted product must exceed the threshold. The
+        boost scales the comparison only; ``p`` itself is never stored anywhere.
+        """
+        p_eff = p * self.boost_factor if m < self.boost_below else p
+        return p_eff * m > self.adoption_threshold
 
 
 @dataclass(frozen=True)
 class InnovationRuleParams:
-    """Parameters of the two-state innovation rule: adopt when ``p * m > threshold``.
+    """Parameters of the two-state innovation rule: a cell adopts when its
+    draw times its count of adopted neighbors exceeds ``threshold`` (:meth:`adopts`).
 
     Adoption is permanent, so no state goes stale (``stale`` is False).
     """
@@ -79,8 +84,8 @@ class InnovationRuleParams:
         if not 0 < self.threshold < math.inf:
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
 
-    def adopts(self, p, m):
-        """Whether a not-adopted cell with draw ``p`` and ``m`` adopted neighbors adopts."""
+    def adopts(self, m: int, p: float) -> bool:
+        """Whether a not-adopted cell with ``m`` adopted neighbors and draw ``p`` adopts."""
         return p * m > self.threshold
 
 
@@ -88,24 +93,14 @@ class InnovationRuleParams:
 MODELS = {cls.name: cls for cls in (NewsRuleParams, InnovationRuleParams)}
 
 
-def adopts_news(m: int, p: float, params: NewsRuleParams = NewsRuleParams()) -> bool:
-    """Whether a white cell with ``m`` black neighbors and draw ``p`` turns black.
-
-    Strict inequality: the boosted product must exceed the threshold. The
-    boost scales the comparison only; ``p`` itself is never stored anywhere.
-    """
-    p_eff = p * params.boost_factor if m < params.boost_below else p
-    return p_eff * m > params.adoption_threshold
-
-
 @lru_cache(maxsize=16)
-def news_cutoffs(params: NewsRuleParams) -> np.ndarray:
-    """``q[m]``, m = 0..8: the smallest draw at which :func:`adopts_news`
-    fires for a white cell with ``m`` black neighbors, or ``inf`` if it
+def cutoffs(params: NewsRuleParams | InnovationRuleParams) -> np.ndarray:
+    """``q[m]``, m = 0..8: the smallest draw at which ``params.adopts`` fires
+    for a code-0 cell with ``m`` seed-state neighbors, or ``inf`` if it
     fires at no draw up to MAX_DRAW.
 
-    The test is monotone in the draw and the threshold is positive, so
-    ``adopts_news(m, p)`` equals ``p >= q[m]`` for every draw ``p`` in
+    Both tests are monotone in the draw and their thresholds are positive,
+    so ``params.adopts(m, p)`` equals ``p >= q[m]`` for every draw ``p`` in
     [0, MAX_DRAW]. Each cutoff is found by bisecting the bit patterns of
     the doubles in that range, which ascend with their values.
     """
@@ -115,12 +110,12 @@ def news_cutoffs(params: NewsRuleParams) -> np.ndarray:
     q = np.full(9, math.inf)
     top = int(np.float64(MAX_DRAW).view(np.int64))
     for m in range(9):
-        if not adopts_news(m, MAX_DRAW, params):
+        if not params.adopts(m, MAX_DRAW):
             continue
         lo, hi = 0, top  # 0.0 never adopts, MAX_DRAW does
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if adopts_news(m, double(mid), params):
+            if params.adopts(m, double(mid)):
                 hi = mid
             else:
                 lo = mid

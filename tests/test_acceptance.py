@@ -21,15 +21,14 @@ from newsca import (
     eval_white,
     fit_logistic,
     fit_model,
-    is_unimodal,
     make_rng,
-    moving_average,
     reference_model,
     run_ensemble,
     step,
 )
 from newsca.cli import main
 from newsca.model import AnalyticModel, LogisticParams
+from shapes import is_unimodal, moving_average
 
 mp.mp.dps = 50
 

@@ -8,12 +8,11 @@ from newsca import (
     eval_black,
     eval_grey,
     eval_white,
-    is_unimodal,
-    moving_average,
     normalize,
     reference_model,
     stabilization_ratio,
 )
+from shapes import is_unimodal, moving_average
 
 
 class TestNormalize:

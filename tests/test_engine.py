@@ -17,7 +17,6 @@ from newsca import (
     InnovationRuleParams,
     NewsRuleParams,
     SimulationConfig,
-    adopts_news,
     derive_run_seeds,
     make_rng,
     new_grid,
@@ -25,10 +24,10 @@ from newsca import (
     run_ensemble,
     step,
 )
-from newsca.reference import adopts_innovation, count_states, neighbor_counts, step_reference
+from newsca.reference import count_states, neighbor_counts, step_reference
 from newsca.cli import EXIT_OK, main
 from newsca.engine import _Buffers, _census, _fixed
-from newsca.rules import news_cutoffs
+from newsca.rules import MAX_DRAW, cutoffs
 
 news_cells = arrays(
     dtype=np.uint8,
@@ -41,9 +40,6 @@ adoption_cells = arrays(
     elements=st.integers(0, 1),
 )
 boundaries = st.sampled_from([Boundary.BOUNDED, Boundary.TOROIDAL])
-
-
-MAX_DRAW = float(np.nextafter(1.0, 0.0))  # the largest value rng.random() returns
 
 
 def _at_and_beside(products):
@@ -106,10 +102,10 @@ class TestStep:
             k += 1
         assert list(out.cells.ravel()) == flat_expect
 
-    # The kernel's vectorized ``params.adopts`` is cross-checked against the
-    # scalar adopts_news / adopts_innovation that step_reference applies, at
-    # random draws and at the largest one, with thresholds at and one ulp
-    # beside the products they compare.
+    # The kernel's cutoff-table adoption is cross-checked against the scalar
+    # ``params.adopts`` that step_reference applies, at random draws and at
+    # the largest one, with thresholds at and one ulp beside the products
+    # they compare.
     @settings(max_examples=60, deadline=None)
     @given(cells=news_cells, boundary=boundaries, seed=st.integers(0, 2**32),
            threshold=news_thresholds, boost_below=st.integers(0, 8), largest=st.booleans())
@@ -162,32 +158,30 @@ class TestStep:
             if not largest:  # both consumed the same number of draws
                 assert rngs[k].random() == rng.random()
 
-    @settings(max_examples=100, deadline=None)
-    @given(threshold=news_thresholds, boost_below=st.integers(0, 8),
-           boost_factor=st.sampled_from([1.0, 1.5, 2.0]),
+    # cutoffs(params)[m] is the least draw at which the scalar rule
+    # ``params.adopts`` fires: it fires there and not one ulp below, the
+    # cutoff is inf exactly when even the largest draw does not fire, and
+    # ``p >= q[m]``, the kernel's test, agrees with the rule at random draws
+    # and at the largest one.
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data(), model=st.sampled_from(["news", "innovation"]),
            draws=st.lists(st.floats(0.0, MAX_DRAW), max_size=4))
-    def test_news_adopts_matches_scalar_reference(self, threshold, boost_below, boost_factor, draws):
-        params = NewsRuleParams(threshold, boost_factor, boost_below)
-        p, m = np.meshgrid(np.array([*draws, MAX_DRAW]), np.arange(9))
-        expected = [[adopts_news(int(mi), float(pi), params) for pi, mi in zip(*row)]
-                    for row in zip(p, m)]
-        assert params.adopts(p, m).tolist() == expected
-
-    # news_cutoffs()[m] is the least draw at which the scalar rule adopts:
-    # it adopts there and not one ulp below, and the cutoff is inf exactly
-    # when even the largest draw does not adopt.
-    @settings(max_examples=150, deadline=None)
-    @given(threshold=news_thresholds, boost_below=st.integers(0, 8),
-           boost_factor=st.one_of(st.sampled_from([1.0, 1.5, 2.0]), st.floats(1.0, 4.0)))
-    def test_news_cutoffs_are_the_least_adopting_draws(self, threshold, boost_below, boost_factor):
-        params = NewsRuleParams(threshold, boost_factor, boost_below)
-        q = news_cutoffs(params)
+    def test_cutoffs_are_the_least_adopting_draws(self, data, model, draws):
+        if model == "news":
+            params = NewsRuleParams(data.draw(news_thresholds),
+                                    data.draw(st.one_of(st.sampled_from([1.0, 1.5, 2.0]), st.floats(1.0, 4.0))),
+                                    data.draw(st.integers(0, 8)))
+        else:
+            params = InnovationRuleParams(data.draw(innovation_thresholds))
+        q = cutoffs(params)
         for m in range(9):
             cutoff = float(q[m])
-            assert math.isinf(cutoff) == (not adopts_news(m, MAX_DRAW, params))
+            assert math.isinf(cutoff) == (not params.adopts(m, MAX_DRAW))
             if not math.isinf(cutoff):
-                assert adopts_news(m, cutoff, params)
-                assert not adopts_news(m, float(np.nextafter(cutoff, 0.0)), params)
+                assert params.adopts(m, cutoff)
+                assert not params.adopts(m, float(np.nextafter(cutoff, 0.0)))
+            for p in (*draws, MAX_DRAW):
+                assert (p >= q[m]) == params.adopts(m, p)
 
     # The census block sum is the 3x3 sum of the packed plane, 16 * white +
     # seed for news and the seed-state mask for innovation, checked at every
@@ -210,15 +204,6 @@ class TestStep:
         per_grid = [[int(white[k].sum()), int((cells[k] == 1).sum()) if params.stale else 0,
                      int(seed[k].sum())] for k in range(runs)]
         assert rows.tolist() == per_grid
-
-    @settings(max_examples=100, deadline=None)
-    @given(threshold=innovation_thresholds, draws=st.lists(st.floats(0.0, MAX_DRAW), max_size=4))
-    def test_innovation_adopts_matches_scalar_reference(self, threshold, draws):
-        params = InnovationRuleParams(threshold=threshold)
-        p, m = np.meshgrid(np.array([*draws, MAX_DRAW]), np.arange(9))
-        expected = [[adopts_innovation(int(mi), float(pi), params) for pi, mi in zip(*row)]
-                    for row in zip(p, m)]
-        assert params.adopts(p, m).tolist() == expected
 
     @settings(max_examples=40, deadline=None)
     @given(cells=adoption_cells, boundary=boundaries, seed=st.integers(0, 2**32))

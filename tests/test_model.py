@@ -14,11 +14,11 @@ from newsca import (
     eval_white,
     fit_logistic,
     fit_model,
-    is_unimodal,
     logistic,
     reference_model,
 )
 from newsca.model import _sigmoid, _sigmoid_jacobian
+from shapes import is_unimodal
 
 mp.mp.dps = 50
 

@@ -8,11 +8,12 @@ from newsca import (
     CellState,
     InnovationRuleParams,
     NewsRuleParams,
-    adopts_news,
 )
-from newsca.reference import adopts_innovation, next_innovation_state, next_news_state
+from newsca.reference import next_innovation_state, next_news_state
 
 W, G, B = CellState.WHITE, CellState.GREY, CellState.BLACK
+adopts_news = NewsRuleParams().adopts
+adopts_innovation = InnovationRuleParams().adopts
 
 
 def nb(*states):
@@ -86,7 +87,7 @@ class TestAdoptsInnovation:
 
     def test_custom_threshold(self):
         params = InnovationRuleParams(threshold=0.5)
-        assert adopts_innovation(1, 0.6, params) is True
+        assert params.adopts(1, 0.6) is True
         for value in (0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 InnovationRuleParams(threshold=value)
