@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 # Relative tolerance on the step, the residual reduction and the gradient.
 FIT_TOLERANCE = 1e-12
+# A fit this close to the data (fractions) reproduces it, even one flat at every sample.
+EXACT_RMSE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,9 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     Starts from a guess read off the data and refines it by
     Levenberg-Marquardt (MINPACK's ``lmder``) with the closed-form Jacobian.
     Degenerate input (fewer than 4 points, or a constant series) yields a
-    failure result rather than an exception; values outside [0, 1] are a
-    caller error and raise.
+    failure result rather than an exception, and so does a saturated fit:
+    one that misses the data while fewer than 3 samples lie off its
+    plateaus. Values outside [0, 1] are a caller error and raise.
     """
     if shape not in ("rising", "falling"):
         raise ValueError(f"shape must be 'rising' or 'falling', got {shape!r}")
@@ -177,6 +179,10 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     guess = _initial_guess(t, target)
     if not all(map(math.isfinite, guess)):
         return _failure("step spacing too extreme for a finite initial guess")
+    # Imported here, not at module level: scipy.optimize takes most of the
+    # package's import time, and only a fit needs it.
+    from scipy.optimize import least_squares
+
     res = least_squares(
         lambda p: _sigmoid(t, *p) - target,
         guess,
@@ -188,13 +194,19 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     )
     c, tau, gamma = (float(v) for v in res.x)
     rmse = math.sqrt(2.0 * res.cost / len(y))
+    problem = None
     if not 0 < c <= 1 + 1e-9 or not 0 < gamma < math.inf or not math.isfinite(tau):
+        problem = "search left the valid parameter domain"
+    elif rmse > EXACT_RMSE and (off := _samples_off_plateaus(t, tau, gamma)) < 3:
+        problem = (f"fitted curve saturated: {off} of {len(y)} samples lie off its plateaus, "
+                   f"too few for its 3 parameters, and it misses the data (rmse {rmse:.3g})")
+    if problem is not None:
         return FitResult(
             params=None,
             rmse=rmse,
             iterations=int(res.njev),
             converged=False,
-            message="search left the valid parameter domain",
+            message=problem,
             nfev=int(res.nfev),
         )
     params = LogisticParams(c=min(c, 1.0), tau=tau, gamma=gamma)
@@ -207,6 +219,13 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
         nfev=int(res.nfev),
         stderr=_standard_errors(res.jac, res.cost, len(y)),
     )
+
+
+def _samples_off_plateaus(t: np.ndarray, tau: float, gamma: float) -> int:
+    """How many samples tau and gamma act on: those at which the unit-plateau
+    sigmoid is not within rounding of 0 or 1."""
+    s = _sigmoid(t, 1.0, tau, gamma)
+    return int(np.count_nonzero(s * (1.0 - s) > np.finfo(float).eps))
 
 
 def _standard_errors(jac: np.ndarray, cost: float, n: int) -> tuple[float, float, float] | None:

@@ -395,23 +395,22 @@ class TestFit:
 
     # Finite differences over steps 1e-300 apart underflow, and over steps
     # spanning +-1.7e308 overflow; neither may warn. The first leaves no
-    # finite initial guess, so its fit fails; the second still fits.
-    @pytest.mark.parametrize("steps,code", [
-        (("0", "1e-300", "2e-300", "3e-300", "4e-300"), EXIT_FIT_FAILURE),
-        (("-1.7e308", "-1e308", "0", "1e308", "1.7e308"), EXIT_OK),
+    # finite initial guess. The second fits a curve that is flat at every
+    # sample but t = 0 and misses the data, so it is refused as saturated.
+    @pytest.mark.parametrize("steps,reason", [
+        (("0", "1e-300", "2e-300", "3e-300", "4e-300"), "initial guess"),
+        (("-1.7e308", "-1e308", "0", "1e308", "1.7e308"), "saturated"),
     ], ids=["underflow", "overflow"])
-    def test_extreme_step_spacing(self, tmp_path, capsys, steps, code):
+    def test_extreme_step_spacing(self, tmp_path, capsys, steps, reason):
         csv_path = tmp_path / "extreme.csv"
         csv_path.write_text("step,white_frac,grey_frac\n" + "".join(
             f"{t},{w},{g}\n" for t, w, g in zip(steps, (0.9, 0.7, 0.5, 0.3, 0.1), (0, 0.15, 0.3, 0.45, 0.6))))
-        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == code
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_FIT_FAILURE
         err = capsys.readouterr().err
-        if code == EXIT_OK:
-            assert err == ""
-        else:
-            assert err.startswith("error: ") and err.count("\n") == 1
-            params = json.loads((tmp_path / "out" / "fit_params.json").read_text())
-            assert params["grey"]["params"] is None and "initial guess" in params["grey"]["message"]
+        assert err.startswith("error: ") and err.count("\n") == 1
+        params = json.loads((tmp_path / "out" / "fit_params.json").read_text())
+        for curve in ("grey", "white"):
+            assert params[curve]["params"] is None and reason in params[curve]["message"]
 
     def test_missing_column_rejected(self, tmp_path):
         csv_path = tmp_path / "cols.csv"

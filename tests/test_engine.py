@@ -62,14 +62,25 @@ def is_fixed(grid, params):
     return bool(_fixed(_census(stack, grid.boundary, params, _Buffers.new(stack.shape)), params)[0])
 
 
-class MaxDraws:
-    """Generator stand-in whose every draw is the largest ``rng.random()`` returns."""
+class ScriptedDraws:
+    """Generator stand-in whose draws are the given values, in order."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
 
     def random(self, size=None, out=None):
-        if out is not None:  # like Generator.random: fill ``out`` and return it
-            out.fill(MAX_DRAW)
-            return out
-        return MAX_DRAW if size is None else np.full(size, MAX_DRAW)
+        if size is None and out is None:
+            return next(self._draws)
+        values = np.fromiter(self._draws, float, size if out is None else out.size)
+        if out is None:
+            return values
+        out[...] = values  # like Generator.random: fill ``out`` and return it
+        return out
+
+
+def max_draws():
+    """Generator stand-in whose every draw is the largest ``rng.random()`` returns."""
+    return ScriptedDraws(itertools.repeat(MAX_DRAW))
 
 
 class TestStep:
@@ -113,7 +124,7 @@ class TestStep:
                                                largest):
         grid = Grid(cells, boundary)
         params = NewsRuleParams(adoption_threshold=threshold, boost_below=boost_below)
-        rngs = (MaxDraws(), MaxDraws()) if largest else (make_rng(seed), make_rng(seed))
+        rngs = (max_draws(), max_draws()) if largest else (make_rng(seed), make_rng(seed))
         fast = step(grid, 0, rngs[0], params)
         slow = step_reference(grid, 0, rngs[1], params)
         assert fast == slow
@@ -124,7 +135,7 @@ class TestStep:
     def test_vectorized_matches_reference_innovation(self, cells, boundary, seed, threshold, largest):
         grid = Grid(cells, boundary)
         params = InnovationRuleParams(threshold=threshold)
-        rngs = (MaxDraws(), MaxDraws()) if largest else (make_rng(seed), make_rng(seed))
+        rngs = (max_draws(), max_draws()) if largest else (make_rng(seed), make_rng(seed))
         fast = step(grid, 0, rngs[0], params)
         slow = step_reference(grid, 0, rngs[1], params)
         assert fast == slow
@@ -149,10 +160,10 @@ class TestStep:
             arrays(np.uint8, shape, elements=st.integers(1, int(params.seed_state))),  # no code 0
         ), min_size=runs, max_size=runs))
         seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=runs, max_size=runs))
-        rngs = [MaxDraws() if largest else make_rng(s) for s in seeds]
+        rngs = [max_draws() if largest else make_rng(s) for s in seeds]
         batched = step(Grid(np.stack(grids), boundary), 0, rngs, params)
         for k, cells in enumerate(grids):
-            rng = MaxDraws() if largest else make_rng(seeds[k])
+            rng = max_draws() if largest else make_rng(seeds[k])
             alone = step_reference(Grid(cells, boundary), 0, rng, params)
             assert Grid(batched.cells[k], boundary) == alone
             if not largest:  # both consumed the same number of draws
@@ -182,6 +193,33 @@ class TestStep:
                 assert not params.adopts(m, float(np.nextafter(cutoff, 0.0)))
             for p in (*draws, MAX_DRAW):
                 assert (p >= q[m]) == params.adopts(m, p)
+
+    # End to end through both steppers: each code-0 cell draws the cutoff
+    # for its count of seed-state neighbors (from the oracle) or one ulp
+    # below it, and the largest draw where no draw adopts. A table entry one
+    # ulp off flips such a cell in engine.step but not in the oracle, which
+    # applies params.adopts itself.
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("model", ["news", "innovation"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_draws_at_and_below_each_cutoff_match_reference(self, data, model, boundary):
+        if model == "news":
+            params = NewsRuleParams(data.draw(news_thresholds), data.draw(st.sampled_from([1.0, 1.5, 2.0])),
+                                    data.draw(st.integers(0, 8)))
+            grid = Grid(data.draw(news_cells), boundary)
+        else:
+            params = InnovationRuleParams(data.draw(innovation_thresholds))
+            grid = Grid(data.draw(adoption_cells), boundary)
+        q = cutoffs(params)
+        for t in range(3):
+            counts = neighbor_counts(grid.cells == params.seed_state, boundary)[grid.cells == 0]
+            below = data.draw(st.lists(st.booleans(), min_size=counts.size, max_size=counts.size))
+            draws = [MAX_DRAW if math.isinf(q[m]) else float(np.nextafter(q[m], 0.0) if b else q[m])
+                     for m, b in zip(counts.tolist(), below)]
+            fast = step(grid, t, ScriptedDraws(draws), params)
+            assert fast == step_reference(grid, t, ScriptedDraws(draws), params)
+            grid = fast
 
     # The census block sum is the 3x3 sum of the packed plane, 16 * white +
     # seed for news and the seed-state mask for innovation, checked at every
@@ -224,7 +262,7 @@ class TestStep:
         grid = Grid(cells, boundary)
         params = NewsRuleParams(adoption_threshold=threshold, boost_below=boost_below)
         fixed = is_fixed(grid, params)
-        assert fixed == (step(grid, 0, MaxDraws(), params) == grid)
+        assert fixed == (step(grid, 0, max_draws(), params) == grid)
 
     @settings(max_examples=100, deadline=None)
     @given(cells=adoption_cells, boundary=boundaries, threshold=innovation_thresholds)
@@ -232,7 +270,7 @@ class TestStep:
         grid = Grid(cells, boundary)
         params = InnovationRuleParams(threshold=threshold)
         frozen = is_fixed(grid, params)
-        assert frozen == (step(grid, 0, MaxDraws(), params) == grid)
+        assert frozen == (step(grid, 0, max_draws(), params) == grid)
 
     @settings(max_examples=30, deadline=None)
     @given(cells=news_cells, boundary=boundaries, seed=st.integers(0, 2**32))

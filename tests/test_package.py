@@ -1,5 +1,12 @@
-"""The package's public surface: exactly the names listed here, each one real."""
+"""The package's public surface: exactly the names listed here, each one real;
+and its import cost: scipy loads only when a fit runs."""
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import newsca
 
@@ -15,9 +22,31 @@ PUBLIC = {
 }
 
 
-
 def test_all_is_the_public_set():
     assert sorted(newsca.__all__) == sorted(PUBLIC)  # no name missing, extra or listed twice
     for name in newsca.__all__:
         # getattr raises on a name that does not resolve; no submodule is exported.
         assert not isinstance(getattr(newsca, name), types.ModuleType), name
+
+
+def _cli(*args):
+    return f"from newsca.cli import main; main({list(args)!r} + ['--outdir', OUT])"
+
+
+# Each snippet runs in a fresh interpreter with OUT set to a temporary directory.
+@pytest.mark.parametrize("snippet,loads_scipy", [
+    ("import newsca", False),
+    ("import newsca.cli", False),
+    (_cli("simulate", "--width", "8", "--height", "6", "--max-steps", "4"), False),
+    (_cli("ensemble", "--width", "8", "--height", "6", "--runs", "3"), False),
+    (_cli("eval-model", "--t-max", "20"), False),
+    (_cli("eval-model", "--t-max", "60") + "; main(['fit', '--input', OUT + '/model_series.csv', '--outdir', OUT])",
+     True),
+], ids=["import", "import-cli", "simulate", "ensemble", "eval-model", "fit"])
+def test_scipy_loads_only_for_a_fit(tmp_path, snippet, loads_scipy):
+    check = "import sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = str(Path(newsca.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", f"OUT = {str(tmp_path)!r}\n{snippet}\n{check}"],
+                          capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == str(loads_scipy)
