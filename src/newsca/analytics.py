@@ -23,16 +23,17 @@ class CrossPoint:
     spread: float
 
 
-def normalize(trajectory, field_size: int) -> np.ndarray:
-    """Divide per-step (white, grey, black) counts by the field size.
+def normalize(counts: np.ndarray, field_size: int) -> np.ndarray:
+    """Divide (white, grey, black) count rows by the field size.
 
-    Accepts a Trajectory or a raw (steps, 3) count array. Raises ValueError
-    if any row does not sum exactly to ``field_size``: counts are conserved
-    by construction, so a violation signals an engine bug upstream.
+    The only place counts become fractions. ``counts`` is a (rows, 3)
+    array. Raises ValueError if any row does not sum exactly to
+    ``field_size``: counts are conserved by construction, so a violation
+    signals an engine bug upstream.
     """
-    counts = np.asarray(getattr(trajectory, "counts", trajectory))
+    counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[1] != 3:
-        raise ValueError("expected a (steps, 3) count array")
+        raise ValueError("expected a (rows, 3) count array")
     sums = counts.sum(axis=1)
     bad = np.nonzero(sums != field_size)[0]
     if bad.size:

@@ -148,10 +148,16 @@ def save_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def load_manifest(path: Path) -> tuple[SimulationConfig, dict]:
-    """(config, contents) of a simulate or ensemble manifest; raises ManifestError if malformed."""
+def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
+    """(config, contents) of a manifest written by ``command`` with this
+    package's generator; raises ManifestError if it is malformed or was
+    written by another command or generator, whose rerun here would be
+    another experiment."""
     try:
         manifest = json.loads(path.read_text())
+        for key, want in (("command", command), ("rng", GENERATOR_NAME)):
+            if manifest[key] != want:
+                raise ManifestError(f"{key} must be {want!r}, got {manifest[key]!r}")
         return config_from_dict(manifest["config"]), manifest
     except KeyError as exc:
         raise ManifestError(f"{path}: missing key {exc}") from None
@@ -162,11 +168,10 @@ def load_manifest(path: Path) -> tuple[SimulationConfig, dict]:
 # ---------------------------------------------------------------------------
 # file formats
 
-def write_series_csv(path: Path, counts: np.ndarray, field_size: int) -> None:
-    """Per-step counts plus 9-significant-digit fractions."""
+def write_series_csv(path: Path, counts: np.ndarray, fractions: np.ndarray) -> None:
+    """Per-step counts plus their fractions (from :func:`normalize`) to 9 significant digits."""
     lines = ["step,white,grey,black,white_frac,grey_frac,black_frac"]
-    for t, (w, g, b) in enumerate(counts):
-        fw, fg, fb = (v / field_size for v in (w, g, b))
+    for t, ((w, g, b), (fw, fg, fb)) in enumerate(zip(counts, fractions)):
         lines.append(f"{t},{w},{g},{b},{fw:.9g},{fg:.9g},{fb:.9g}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -181,10 +186,10 @@ def write_mean_series_csv(path: Path, mean_fractions: np.ndarray) -> None:
 
 def write_convergence_csv(path: Path, result: EnsembleResult) -> None:
     lines = ["run,seed,converged_at,black_extinct_at,steps,final_white_frac,final_grey_frac,final_black_frac"]
-    for i, tr in enumerate(result.trajectories):
+    finals = normalize([tr.counts[-1] for tr in result.trajectories], result.config.field_size)
+    for i, (tr, (fw, fg, fb)) in enumerate(zip(result.trajectories, finals)):
         conv = "" if tr.converged_at is None else tr.converged_at
         ext = "" if tr.black_extinct_at is None else tr.black_extinct_at
-        fw, fg, fb = tr.counts[-1] / result.config.field_size
         lines.append(
             f"{i},{result.run_seeds[i]},{conv},{ext},{tr.steps},{fw:.9g},{fg:.9g},{fb:.9g}"
         )
@@ -252,8 +257,11 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     Columns are located by header name, so the simulate, ensemble and
     eval-model layouts all work. A missing black column is reconstructed
     from normalization. Every value must be finite, the white and grey
-    fractions within [0, 1] and the steps strictly increasing; a
-    CsvFormatError names the first line that is not, or that is not UTF-8.
+    fractions within [0, 1], the three fractions of a row, when the black
+    one is given, must sum to 1 within 1e-6, and the steps must strictly
+    increase; a CsvFormatError names the first line that breaks a rule, or
+    that is not UTF-8. Black is not range-checked: a model's black curve
+    may dip just below 0.
     """
     data = path.read_bytes()
     try:
@@ -286,6 +294,8 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
                 raise CsvFormatError(lineno, f"non-finite value in row {row}")
             if not (0 <= values[1] <= 1 and 0 <= values[2] <= 1):
                 raise CsvFormatError(lineno, f"white or grey fraction outside [0, 1] in row {row}")
+            if len(values) == 4 and abs(sum(values[1:]) - 1) > 1e-6:
+                raise CsvFormatError(lineno, f"fractions sum to {sum(values[1:])!r}, not 1, in row {row}")
             if rows and values[0] <= rows[-1][0]:
                 raise CsvFormatError(lineno, f"step {values[0]:g} does not follow step {rows[-1][0]:g}")
             rows.append(values)
@@ -367,7 +377,7 @@ def _fit_result_dict(fit: FitResult) -> dict:
 
 def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.from_manifest is not None:
-        config, manifest_in = load_manifest(args.from_manifest)
+        config, manifest_in = load_manifest(args.from_manifest, "simulate")
         snapshot_format = manifest_in.get("snapshot_format", SNAPSHOT_FORMATS[0])
         if snapshot_format not in SNAPSHOT_FORMATS:
             raise ManifestError(f"{args.from_manifest}: snapshot_format must be one of "
@@ -378,13 +388,14 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     outdir = _resolve_outdir(args)
 
     trajectory = run(config)
+    fractions = normalize(trajectory.counts, config.field_size)
 
-    write_series_csv(outdir / "series.csv", trajectory.counts, config.field_size)
+    write_series_csv(outdir / "series.csv", trajectory.counts, fractions)
     manifest = build_manifest("simulate", config, snapshot_format=snapshot_format)
     save_manifest(outdir / "manifest.json", manifest)
     snapshot_paths = write_snapshots(outdir, trajectory, snapshot_format, config.rule_params.chars)
 
-    grey, white, black = stabilization_ratio(normalize(trajectory, config.field_size))
+    grey, white, black = stabilization_ratio(fractions)
     print(f"model={config.rule_params.name} field={config.width}x{config.height} "
           f"boundary={config.boundary.value} rng_seed={config.rng_seed}")
     conv = trajectory.converged_at
@@ -401,7 +412,7 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
 
 def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.from_manifest is not None:
-        config, manifest_in = load_manifest(args.from_manifest)
+        config, manifest_in = load_manifest(args.from_manifest, "ensemble")
         runs = manifest_in.get("runs")
         if type(runs) is not int:
             raise ManifestError(f"{args.from_manifest}: runs must be a positive integer, got {runs!r}")
@@ -429,7 +440,7 @@ def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     in_band = sum(1 for c in converged if 80 <= c <= 150)
     summary = {
         "runs": runs,
-        "base_seed": result.base_seed,
+        "base_seed": config.rng_seed,
         "generator": GENERATOR_NAME,
         "convergence": {
             "min": stats[0] if stats else None,
@@ -446,7 +457,7 @@ def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     print(f"ensemble: {runs} runs of {config.width}x{config.height} "
-          f"{config.boundary.value} base_seed={result.base_seed} jobs={args.jobs}")
+          f"{config.boundary.value} base_seed={config.rng_seed} jobs={args.jobs}")
     if stats:
         print(f"convergence steps: min={stats[0]:g} median={stats[1]:g} max={stats[2]:g} "
               f"unconverged={len(result.unconverged)} in_80_150={in_band}/{runs}")

@@ -38,6 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .analytics import normalize
 from .grid import Boundary, Grid, new_grid
 # Re-exported because benchmarks/workloads.py imports step_reference from here.
 from .reference import step_reference  # noqa: F401
@@ -131,21 +132,19 @@ class EnsembleResult:
 
     ``mean_fractions[t]`` is the across-run mean of (white, grey, black)
     fractions at step ``t``; runs that converge early hold their final
-    fractions through the longest run's horizon. Per-run convergence steps
-    are kept in full; non-converged runs are flagged, never dropped.
+    fractions through the longest run's horizon. ``trajectories[i]`` is the
+    run seeded with ``run_seeds[i]``; non-converged runs are flagged, never
+    dropped.
     """
 
     config: SimulationConfig
-    runs: int
     run_seeds: list[int]
     mean_fractions: np.ndarray
-    converged_steps: list[int | None]
-    black_extinct_steps: list[int | None]
     trajectories: list[Trajectory]
 
     @property
-    def base_seed(self) -> int:
-        return self.config.rng_seed
+    def converged_steps(self) -> list[int | None]:
+        return [tr.converged_at for tr in self.trajectories]
 
     @property
     def unconverged(self) -> list[int]:
@@ -449,21 +448,12 @@ def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1) -> Ensemble
     else:
         trajectories = _run_stack(config, seeds)
 
-    field_size = float(config.field_size)
     horizon = max(len(tr.counts) for tr in trajectories)
     stacked = np.empty((runs, horizon, 3), dtype=np.float64)
     for i, tr in enumerate(trajectories):
-        frac = tr.counts / field_size
+        frac = normalize(tr.counts, config.field_size)
         stacked[i, : len(frac)] = frac
         stacked[i, len(frac):] = frac[-1]  # hold the fixed point
-    mean = stacked.mean(axis=0)
 
-    return EnsembleResult(
-        config=config,
-        runs=runs,
-        run_seeds=seeds,
-        mean_fractions=mean,
-        converged_steps=[tr.converged_at for tr in trajectories],
-        black_extinct_steps=[tr.black_extinct_at for tr in trajectories],
-        trajectories=trajectories,
-    )
+    return EnsembleResult(config=config, run_seeds=seeds, mean_fractions=stacked.mean(axis=0),
+                          trajectories=trajectories)

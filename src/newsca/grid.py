@@ -73,17 +73,10 @@ class Grid:
     def width(self) -> int:
         return self.cells.shape[-1]
 
-    @property
-    def field_size(self) -> int:
-        return self.cells.size
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
             return NotImplemented
         return self.boundary is other.boundary and np.array_equal(self.cells, other.cells)
-
-    def copy(self) -> "Grid":
-        return Grid(self.cells.copy(), self.boundary)
 
 
 def new_grid(

@@ -200,24 +200,15 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     elif rmse > EXACT_RMSE and (off := _samples_off_plateaus(t, tau, gamma)) < 3:
         problem = (f"fitted curve saturated: {off} of {len(y)} samples lie off its plateaus, "
                    f"too few for its 3 parameters, and it misses the data (rmse {rmse:.3g})")
-    if problem is not None:
-        return FitResult(
-            params=None,
-            rmse=rmse,
-            iterations=int(res.njev),
-            converged=False,
-            message=problem,
-            nfev=int(res.nfev),
-        )
-    params = LogisticParams(c=min(c, 1.0), tau=tau, gamma=gamma)
+    ok = problem is None
     return FitResult(
-        params=params,
+        params=LogisticParams(c=min(c, 1.0), tau=tau, gamma=gamma) if ok else None,
         rmse=rmse,
         iterations=int(res.njev),
-        converged=bool(res.success),
-        message=str(res.message),
+        converged=ok and bool(res.success),
+        message=problem or str(res.message),
         nfev=int(res.nfev),
-        stderr=_standard_errors(res.jac, res.cost, len(y)),
+        stderr=_standard_errors(res.jac, res.cost, len(y)) if ok else None,
     )
 
 

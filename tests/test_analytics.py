@@ -28,12 +28,6 @@ class TestNormalize:
         with pytest.raises(ValueError, match="step 1"):
             normalize(np.array([[1599, 0, 1], [1598, 0, 1]]), 1600)
 
-    def test_accepts_trajectory_objects(self):
-        class Fake:
-            counts = np.array([[3, 1, 0]])
-
-        assert normalize(Fake(), 4)[0].tolist() == [0.75, 0.25, 0.0]
-
     @given(
         data=st.data(),
         field=st.integers(1, 500),

@@ -134,6 +134,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "snapshot_format" in err and err.count("\n") == 1
 
+    def test_ensemble_manifest_is_io_error(self, tmp_path, capsys):
+        assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",
+                     "--outdir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["simulate", "--from-manifest", str(tmp_path / "manifest.json"),
+                     "--outdir", str(tmp_path / "b")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "command" in err and err.count("\n") == 1
+        assert not (tmp_path / "b").exists()
+
     def test_ascii_snapshots_at_intervals(self, tmp_path):
         code = main(["simulate", "--width", "10", "--height", "10", "--seed", "3",
                      "--snapshot-every", "10", "--outdir", str(tmp_path)])
@@ -351,16 +362,20 @@ class TestFit:
                      "--outdir", str(tmp_path / "out")]) == EXIT_IO
         assert "line 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["1.5", "-0.5"])
-    def test_fraction_outside_unit_interval_names_line(self, tmp_path, capsys, value):
+    # Black is not range-checked on its own, but it must agree with white and grey.
+    @pytest.mark.parametrize("row", ["1,0.8,1.5,0", "1,0.8,-0.5,0", "1,0.8,0.2,5"],
+                             ids=["1.5", "-0.5", "black-contradicts"])
+    def test_fraction_outside_unit_interval_names_line(self, tmp_path, capsys, row):
         csv_path = tmp_path / "range.csv"
         csv_path.write_text(
             "step,white_frac,grey_frac,black_frac\n"
-            f"0,0.9,0.1,0\n1,0.8,{value},0\n2,0.7,0.3,0\n3,0.6,0.3,0.1\n4,0.5,0.3,0.2\n"
+            f"0,0.9,0.1,0\n{row}\n2,0.7,0.3,0\n3,0.6,0.3,0.1\n4,0.5,0.3,0.2\n"
         )
         assert main(["fit", "--input", str(csv_path),
                      "--outdir", str(tmp_path / "out")]) == EXIT_IO
-        assert "line 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path}: line 3: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "fit_series.csv").exists()
 
     def test_field_above_csv_size_limit_is_io_error(self, tmp_path, capsys):
         csv_path = tmp_path / "huge.csv"
@@ -481,10 +496,14 @@ class TestManifestRoundTrip:
         lambda m: m["config"].update(boundary="open"),
         lambda m: m["config"].update(width=100_000, height=100_000),
         lambda m: (m["config"].update(width=1000, height=1000), m.update(runs=1000)),
+        lambda m: m.update(command="simulate"),
+        lambda m: m.pop("command"),
+        lambda m: m.update(rng="mt19937"),
     ], ids=["missing-config-key", "extra-config-key", "missing-rule-key", "extra-rule-key",
             "unknown-model", "missing-runs", "invalid-json", "width-float", "max-steps-bool",
             "seed-position-float", "snapshot-every-string", "boost-below-float", "unknown-boundary",
-            "field-above-max-cells", "runs-above-max-cells"])
+            "field-above-max-cells", "runs-above-max-cells", "other-command", "missing-command",
+            "other-generator"])
     def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit):
         path = tmp_path / "manifest.json"
         assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",
@@ -566,6 +585,8 @@ BAD_ENTRIES = {
     (): NOT_AN_OBJECT,
     ("config",): NOT_AN_OBJECT,
     ("snapshot_format",): JSON_LEAVES.filter(lambda v: v not in ("ascii", "pgm")),
+    ("command",): JSON_LEAVES.filter(lambda v: v != "simulate"),
+    ("rng",): JSON_LEAVES.filter(lambda v: v != "numpy-pcg64"),
     **{("config", name): NOT_AN_INT for name in ("width", "height", "rng_seed", "max_steps")},
     ("config", "model"): JSON_LEAVES.filter(lambda v: v not in MODELS) | JSON_CONTAINERS,
     ("config", "boundary"): JSON_LEAVES.filter(lambda v: v not in ("bounded", "toroidal")) | JSON_CONTAINERS,

@@ -279,7 +279,7 @@ class TestStep:
         rng = make_rng(seed)
         for t in range(5):
             grid = step(grid, t, rng, NewsRuleParams())
-            assert sum(count_states(grid)) == grid.field_size
+            assert sum(count_states(grid)) == grid.cells.size
 
     @settings(max_examples=30, deadline=None)
     @given(cells=adoption_cells, boundary=boundaries, seed=st.integers(0, 2**32))
@@ -459,7 +459,7 @@ class TestEnsemble:
         b = run_ensemble(cfg, runs, jobs=jobs)
         np.testing.assert_array_equal(a.mean_fractions, b.mean_fractions)
         assert a.converged_steps == b.converged_steps
-        assert a.black_extinct_steps == b.black_extinct_steps
+        assert [t.black_extinct_at for t in a.trajectories] == [t.black_extinct_at for t in b.trajectories]
         assert a.run_seeds == b.run_seeds
         for ta, tb in zip(a.trajectories, b.trajectories):
             np.testing.assert_array_equal(ta.counts, tb.counts)

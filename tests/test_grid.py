@@ -138,7 +138,7 @@ class TestCounting:
     @given(cells=news_grids)
     def test_counts_sum_to_field_size(self, cells):
         grid = Grid(cells)
-        assert sum(count_states(grid)) == grid.field_size
+        assert sum(count_states(grid)) == grid.cells.size
 
     def test_code_outside_the_alphabet_rejected(self):
         with pytest.raises(ValueError, match="cell code 3"):
@@ -185,4 +185,4 @@ class TestGridType:
         a = new_grid(3, 3, (1, 1), Boundary.BOUNDED)
         b = new_grid(3, 3, (1, 1), Boundary.TOROIDAL)
         assert a != b
-        assert a == a.copy()
+        assert a == Grid(a.cells.copy(), a.boundary)

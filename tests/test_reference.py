@@ -1,4 +1,5 @@
-"""The per-cell oracle stays independent of the kernel it checks, and off the product path."""
+"""The per-cell oracle stays independent of the kernel it checks, and off the product
+path; the package keeps one home for each decision."""
 import ast
 from pathlib import Path
 
@@ -72,6 +73,17 @@ class TestOracleIndependence:
                     if names:
                         private[path.stem] = private.get(path.stem, []) + names
         assert private == {}
+
+    # normalize checks conservation, so a fraction made anywhere else is unchecked.
+    def test_only_analytics_divides_by_field_size(self):
+        divisions = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.Div):
+                    operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
+                    if any("field_size" in named_in(operand) for operand in operands):
+                        divisions.append(f"{path.stem}:{node.lineno}")
+        assert [d for d in divisions if not d.startswith("analytics:")] == []
 
     def test_only_engine_imports_the_oracle(self):
         users = {module: imported_from(parse(module), "reference") for module in PRODUCT_MODULES}
