@@ -23,17 +23,21 @@ Run ``r`` draws ``rngs[r].random(n_r)`` for its ``n_r`` code-0 cells; they
 are drawn in run order into one buffer and applied to the code-0 cells of
 the flattened stack, which come run by run and row-major within each run,
 so every run consumes and produces exactly what it would stepped alone.
-The census, the draws and the next cells are written into one set of
-buffers made once per stack (:class:`_Buffers`), so a step allocates little
-beyond the index of its code-0 cells. A run leaves the stack at its first
-fixed point or at ``max_steps``. The kernel is checked against the per-cell
-oracle in :mod:`newsca.reference`.
+The census, its count rows included, the draws and the next cells are
+written into one set of buffers made once per stack (:class:`_Buffers`), so
+a step allocates little beyond the index of its code-0 cells. The kernel
+hands numpy cell codes as plain ints, never as enum members, which numpy
+compares through a much slower loop. A run leaves the stack at its first
+fixed point or at ``max_steps``; only then does the run loop do more than
+test each state. The kernel is checked against the per-cell oracle in
+:mod:`newsca.reference`.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -94,7 +98,7 @@ class SimulationConfig:
 
     def initial_grid(self) -> Grid:
         return new_grid(
-            self.width, self.height, self.seed_position, self.boundary, self.rule_params.seed_state
+            self.width, self.height, self.seed_position, self.boundary, int(self.rule_params.seed_state)
         )
 
 
@@ -194,6 +198,7 @@ class _Buffers:
     step, so a step need not allocate and free arrays the size of the field.
 
     ``white`` and ``plane`` hold the census's code-0 mask and packed plane;
+    ``rows`` holds its (white, grey, black) count rows, in uint32;
     ``halo``, ``across`` and ``block`` are the one-cell halo, row sums and
     block sums of :func:`_block_sums`. Before the block sums are taken,
     ``block`` holds the news plane's white term. Once they are, the step
@@ -206,6 +211,7 @@ class _Buffers:
 
     white: np.ndarray
     plane: np.ndarray
+    rows: np.ndarray
     halo: np.ndarray
     across: np.ndarray
     block: np.ndarray
@@ -216,8 +222,9 @@ class _Buffers:
     def new(cls, shape: tuple[int, int, int]) -> "_Buffers":
         runs, h, w = shape
         return cls(np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint8),
-                   np.zeros((runs, h + 2, w + 2), dtype=np.uint8), np.empty((runs, h + 2, w), dtype=np.uint8),
-                   np.empty(shape, dtype=np.uint8), np.empty(shape, dtype=np.uint8), np.empty((runs, h * w)))
+                   np.empty((runs, 3), dtype=np.uint32), np.zeros((runs, h + 2, w + 2), dtype=np.uint8),
+                   np.empty((runs, h + 2, w), dtype=np.uint8), np.empty(shape, dtype=np.uint8),
+                   np.empty(shape, dtype=np.uint8), np.empty((runs, h * w)))
 
     def first(self, k: int) -> "_Buffers":
         """Views of the buffers of the stack's first ``k`` grids."""
@@ -254,20 +261,22 @@ def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: 
 
     Rows are (white, grey, black) for news and (not adopted, 0, adopted) for
     innovation: the code-0 and seed-state cells counted from their masks,
-    the rest of the field in between. Both sums are exact in uint32, as
-    MAX_CELLS < 2**32.
+    by one reduction each over the whole stack, and the rest of the field
+    in between, all written into ``buffers.rows``. The counts are exact in
+    uint32, as MAX_CELLS < 2**32. The seed state is compared as a plain int:
+    numpy compares with an enum member through a loop many times slower.
     """
     white = np.equal(cells, 0, out=buffers.white)
     plane = buffers.plane
-    np.equal(cells, params.seed_state, out=plane.view(bool))
-    per_run = (len(cells), -1)
-    n_white = np.add.reduce(white.view(np.uint8).reshape(per_run), axis=1, dtype=np.uint32)
-    n_seed = np.add.reduce(plane.reshape(per_run), axis=1, dtype=np.uint32)
+    np.equal(cells, int(params.seed_state), out=plane.view(bool))
+    rows, per_run = buffers.rows, (len(cells), -1)
+    np.add.reduce(white.view(np.uint8).reshape(per_run), axis=1, dtype=np.uint32, out=rows[:, 0])
+    np.add.reduce(plane.reshape(per_run), axis=1, dtype=np.uint32, out=rows[:, 2])
+    np.subtract(cells[0].size, rows[:, 0], out=rows[:, 1])
+    rows[:, 1] -= rows[:, 2]
     if params.stale:
         plane += np.multiply(white.view(np.uint8), _WHITE, out=buffers.block)
-    rows = np.stack([n_white, cells[0].size - n_white - n_seed, n_seed], axis=1)
-    block = _block_sums(plane, boundary, buffers)
-    return _Census(rows, white, block)
+    return _Census(rows, white, _block_sums(plane, boundary, buffers))
 
 
 def step(
@@ -308,7 +317,7 @@ def step(
         np.subtract(stack, np.less(block, _WHITE, out=scratch.view(bool)), out=new)
     else:
         np.copyto(new, stack)
-    where = np.flatnonzero(white)  # grid by grid, each in row-major order
+    where = white.reshape(-1).nonzero()[0]  # grid by grid, each in row-major order
     if where.size:
         draws = buffers.draws.reshape(-1)
         a = 0
@@ -317,15 +326,26 @@ def step(
                 g.random(n, out=draws[a:a + n])
                 a += n
         # mode="clip" lets take write into ``out`` directly; every index is in range.
-        seed_nb = np.take(block.reshape(-1), where, out=scratch.reshape(-1)[:a], mode="clip")
+        seed_nb = block.reshape(-1).take(where, out=scratch.reshape(-1)[:a], mode="clip")
         seed_nb &= _WHITE - 1
         # Only cells with a seed-state neighbor can adopt. Rebinding ``where``
         # frees the index of every code-0 cell before the adoption test.
-        near = np.flatnonzero(np.not_equal(seed_nb, 0, out=buffers.across.reshape(-1)[:a].view(bool)))
+        near = np.not_equal(seed_nb, 0, out=buffers.across.reshape(-1)[:a].view(bool)).nonzero()[0]
         where = where[near]
         fires = draws[near] >= cutoffs(params).take(seed_nb[near])
-        new.reshape(-1)[where[fires]] = params.seed_state
+        new.reshape(-1)[where[fires]] = int(params.seed_state)
     return Grid(new.reshape(cells.shape), grid.boundary)
+
+
+@lru_cache(maxsize=16)
+def _adoptable(params: RuleParams) -> tuple[bool, np.ndarray]:
+    """``(always, can)``: ``can[m]`` says whether a code-0 cell with ``m``
+    seed-state neighbors, m = 0..8, adopts at some draw up to MAX_DRAW, and
+    ``always`` whether every m from 1 to 8 does. Cached per parameter set,
+    as :func:`_fixed` reads it at every state."""
+    can = cutoffs(params) <= MAX_DRAW
+    can.flags.writeable = False
+    return bool(can[1:].all()), can
 
 
 def _fixed(census: _Census, params: RuleParams) -> np.ndarray:
@@ -335,8 +355,7 @@ def _fixed(census: _Census, params: RuleParams) -> np.ndarray:
     neighbor and no code-0 cell can adopt from its seed-state neighbors,
     even at the largest draw.
     """
-    q = cutoffs(params)  # a cell with m seed-state neighbors can adopt iff q[m] <= MAX_DRAW
-    always = max(q.tolist()[1:]) <= MAX_DRAW  # every m from 1 to 8 can; Python is cheaper on 9 values
+    always, can = _adoptable(params)
     rows, white, block = census
     if params.stale and always and rows[:, 2].all():
         # In every grid a black cell's white neighbor can adopt, or the cell goes stale.
@@ -344,7 +363,7 @@ def _fixed(census: _Census, params: RuleParams) -> np.ndarray:
     seed_nb = block & (_WHITE - 1)  # count of seed-state neighbors at code-0 cells
     # Only code-0 cells read the table; clipping the other cells' counts, which
     # reach 9 where a whole block is seed-state, keeps their lookups in range.
-    change = white & (seed_nb != 0 if always else (q <= MAX_DRAW).take(seed_nb, mode="clip"))
+    change = white & (seed_nb != 0 if always else can.take(seed_nb, mode="clip"))
     if params.stale:
         change |= block < _WHITE
     return ~change.reshape(len(rows), -1).any(axis=1)
@@ -377,14 +396,14 @@ def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:
             for k, r in enumerate(live):
                 snapshots[r].append((t, Grid(cells[k].copy(), boundary)))
         fixed = _fixed(census, params)
-        done = fixed | (t == config.max_steps)
-        for k in np.flatnonzero(done):
-            final_grids[live[k]] = Grid(cells[k].copy(), boundary)
-            if fixed[k]:
-                converged_at[live[k]] = t
-        if done.all():
-            break
+        done = fixed if t < config.max_steps else np.ones_like(fixed)
         if done.any():
+            for k in np.flatnonzero(done):
+                final_grids[live[k]] = Grid(cells[k].copy(), boundary)
+                if fixed[k]:
+                    converged_at[live[k]] = t
+            if done.all():
+                break
             keep = ~done
             cells, live = cells[keep], live[keep]
             census = _Census(*(a[keep] for a in census))

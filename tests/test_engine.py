@@ -243,6 +243,24 @@ class TestStep:
                      int(seed[k].sum())] for k in range(runs)]
         assert rows.tolist() == per_grid
 
+    # The rows are uint32 reductions written into the stack's buffer set. A
+    # large field and a large stack are counted, the stack again, as the run
+    # loop does when runs leave it, on the first(k) views of its buffers,
+    # which still hold the whole stack's census.
+    @pytest.mark.parametrize("runs,size,steps", [(1, 300, 120), (25, 40, 40)],
+                             ids=["300x300-field", "25-run-40x40-stack"])
+    def test_census_rows_match_count_states(self, runs, size, steps):
+        config = SimulationConfig(width=size, height=size, rng_seed=1, max_steps=steps)
+        cells = np.stack([tr.final_grid.cells for tr in run_ensemble(config, runs).trajectories])
+        buffers = _Buffers.new(cells.shape)
+        stacks = [cells, cells[::2], cells[[3, 4, 20]]] if runs > 1 else [cells]
+        for stack in stacks:
+            sub = buffers.first(len(stack))
+            rows = _census(stack, config.boundary, config.rule_params, sub).rows
+            assert rows.dtype == np.uint32 and np.shares_memory(rows, buffers.rows)
+            assert rows.tolist() == [list(count_states(Grid(c))) for c in stack]
+        assert (rows[:, 1] > 0).all() and (rows[:, 2] > 0).all()  # mid-spread, not empty fields
+
     @settings(max_examples=40, deadline=None)
     @given(cells=adoption_cells, boundary=boundaries, seed=st.integers(0, 2**32))
     def test_news_fixed_point_test_matches_a_step(self, cells, boundary, seed):

@@ -9,7 +9,7 @@ import pytest
 import newsca
 import newsca.engine
 import newsca.reference
-from newsca import Boundary, Grid, InnovationRuleParams, NewsRuleParams, make_rng, step
+from newsca import AdoptionState, Boundary, CellState, Grid, InnovationRuleParams, NewsRuleParams, make_rng, step
 
 PACKAGE = Path(newsca.__file__).parent
 PRODUCT_MODULES = ("grid", "rules", "engine", "cli", "model", "analytics")
@@ -84,6 +84,21 @@ class TestOracleIndependence:
                     if any("field_size" in named_in(operand) for operand in operands):
                         divisions.append(f"{path.stem}:{node.lineno}")
         assert [d for d in divisions if not d.startswith("analytics:")] == []
+
+    # numpy compares a uint8 array with an IntEnum member through a casting
+    # loop several times slower than with a plain int, so the kernel reads the
+    # seed state only as an int and names no enum member.
+    def test_engine_passes_no_enum_member_to_numpy(self):
+        tree = parse("engine")
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "seed_state"]
+        assert reads
+        bare = [node.lineno for node in reads
+                if not (isinstance(parent[node], ast.Call) and isinstance(parent[node].func, ast.Name)
+                        and parent[node].func.id == "int" and parent[node].args == [node])]
+        assert bare == []
+        enums = {"CellState", "AdoptionState", *CellState.__members__, *AdoptionState.__members__}
+        assert named_in(tree).isdisjoint(enums)
 
     def test_only_engine_imports_the_oracle(self):
         users = {module: imported_from(parse(module), "reference") for module in PRODUCT_MODULES}
