@@ -116,10 +116,12 @@ def config_from_dict(d: dict) -> SimulationConfig:
     """Inverse of :func:`config_to_dict`; the config and its ``rule_params``
     must hold exactly the fields of SimulationConfig and of the named model,
     each of its annotated type."""
+    if type(d) is not dict:
+        raise ManifestError("config must be a JSON object")
     d = dict(d)
     model = d.pop("model")
-    if model not in MODELS:
-        raise ManifestError(f"unknown model {model!r}")
+    if type(model) is not str or model not in MODELS:
+        raise ManifestError(f"config entry 'model' must be one of {sorted(MODELS)}, got {model!r}")
     cls = MODELS[model]
     _check_fields(SimulationConfig, d, "config")
     _check_fields(cls, d["rule_params"], f"rule_params of model {cls.name!r}")
@@ -155,6 +157,8 @@ def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
     another experiment."""
     try:
         manifest = json.loads(path.read_text())
+        if type(manifest) is not dict:
+            raise ManifestError("the manifest must be a JSON object")
         for key, want in (("command", command), ("rng", GENERATOR_NAME)):
             if manifest[key] != want:
                 raise ManifestError(f"{key} must be {want!r}, got {manifest[key]!r}")

@@ -9,8 +9,9 @@ scheduled.
 
 One kernel steps every run. The live runs of an ensemble are stacked as
 one (runs, height, width) uint8 array, a single run being a stack of one.
-Each state's census is taken once and read by both the fixed-point test
-and :func:`step`: the count rows, the white mask and one 3x3 block sum
+Each state's census is taken once into the stack's buffer set
+(:class:`_Buffers`), where both the fixed-point test and :func:`step` read
+it: the count rows, the white mask and one 3x3 block sum
 (:func:`_block_sums`, over a one-cell halo that wraps on toroidal grids),
 the cell itself included, of a packed uint8 plane, ``16 * white + black``
 for news and the adopted mask for innovation. At a code-0 cell the low
@@ -23,14 +24,13 @@ Run ``r`` draws ``rngs[r].random(n_r)`` for its ``n_r`` code-0 cells; they
 are drawn in run order into one buffer and applied to the code-0 cells of
 the flattened stack, which come run by run and row-major within each run,
 so every run consumes and produces exactly what it would stepped alone.
-The census, its count rows included, the draws and the next cells are
-written into one set of buffers made once per stack (:class:`_Buffers`), so
-a step allocates little beyond the index of its code-0 cells. The kernel
-hands numpy cell codes as plain ints, never as enum members, which numpy
-compares through a much slower loop. A run leaves the stack at its first
-fixed point or at ``max_steps``; only then does the run loop do more than
-test each state. The kernel is checked against the per-cell oracle in
-:mod:`newsca.reference`.
+The draws and the next cells go into the same buffer set, made once per
+stack, so a step allocates little beyond the index of its code-0 cells.
+The kernel hands numpy cell codes as plain ints, never as enum members,
+which numpy compares through a much slower loop. A run leaves the stack at
+its first fixed point or at ``max_steps``; then :meth:`_Buffers.keep` moves
+the census of the runs that stay to the front of the set. The kernel is
+checked against the per-cell oracle in :mod:`newsca.reference`.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -112,12 +111,10 @@ class Trajectory:
     adopted). ``converged_at`` is the index of the first recorded state
     that is a fixed point, ``max_steps`` included (None if the state at
     ``max_steps`` is still live); the trajectory ends at that state.
-    ``black_extinct_at`` is the first step with no fresh-news cells.
     """
 
     counts: np.ndarray
     converged_at: int | None
-    black_extinct_at: int | None
     snapshots: list[tuple[int, Grid]]
     final_grid: Grid
 
@@ -128,6 +125,12 @@ class Trajectory:
     @property
     def steps(self) -> int:
         return len(self.counts) - 1
+
+    @property
+    def black_extinct_at(self) -> int | None:
+        """The first step with no black (adopted) cells, or None."""
+        gone = np.flatnonzero(self.counts[:, 2] == 0)
+        return int(gone[0]) if gone.size else None
 
 
 @dataclass
@@ -182,31 +185,21 @@ def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
 _WHITE = 16
 
 
-class _Census(NamedTuple):
-    """What the fixed-point test and the step both read of one state of a
-    (runs, height, width) stack, computed once per state by :func:`_census`."""
-
-    rows: np.ndarray  # (runs, 3) trajectory rows
-    white: np.ndarray  # code-0 (white / not adopted) cells
-    block: np.ndarray  # 3x3 block sums of the packed plane (see the module docstring)
-
-
 @dataclass(slots=True)
 class _Buffers:
-    """The arrays :func:`_census` and :func:`step` write one state of a
-    (runs, height, width) stack into, made once per stack and reused every
-    step, so a step need not allocate and free arrays the size of the field.
+    """The arrays one state of a (runs, height, width) stack is written
+    into, made once per stack and reused every step, so a step need not
+    allocate and free arrays the size of the field.
 
-    ``white`` and ``plane`` hold the census's code-0 mask and packed plane;
-    ``rows`` holds its (white, grey, black) count rows, in uint32;
-    ``halo``, ``across`` and ``block`` are the one-cell halo, row sums and
-    block sums of :func:`_block_sums`. Before the block sums are taken,
-    ``block`` holds the news plane's white term. Once they are, the step
-    reuses ``plane`` for the stale mask and then for the gathered sums of
-    the code-0 cells, and ``across`` for the mask of those with a
-    seed-state neighbor. The step writes the draws into ``draws``, which has
-    room for one per cell, and the new cells into ``spare``, which the run
-    loop then swaps with the old cells.
+    They hold the census, which the fixed-point test and :func:`step` both
+    read: ``rows``, the (white, grey, black) count rows in uint32,
+    ``white``, the code-0 mask, and ``block``, the block sums of the packed
+    plane in ``plane``, taken through ``halo`` and ``across``
+    (:func:`_block_sums`). The step reuses ``plane`` for the stale mask and
+    the gathered sums of the code-0 cells, and ``across`` for the mask of
+    those with a seed-state neighbor; it writes the draws into ``draws``,
+    with room for one per cell, and the new cells into ``spare``, which the
+    run loop swaps with the old cells.
     """
 
     white: np.ndarray
@@ -226,8 +219,12 @@ class _Buffers:
                    np.empty((runs, h + 2, w), dtype=np.uint8), np.empty(shape, dtype=np.uint8),
                    np.empty(shape, dtype=np.uint8), np.empty((runs, h * w)))
 
-    def first(self, k: int) -> "_Buffers":
-        """Views of the buffers of the stack's first ``k`` grids."""
+    def keep(self, mask: np.ndarray) -> "_Buffers":
+        """Move the census of the ``k`` grids ``mask`` keeps, in order, into
+        the first ``k`` slots, and return views of those slots' buffers."""
+        k = int(np.count_nonzero(mask))
+        for a in (self.rows, self.white, self.block):
+            a[:k] = a[mask]
         return _Buffers(*(getattr(self, name)[:k] for name in self.__slots__))
 
 
@@ -256,8 +253,8 @@ def _block_sums(plane: np.ndarray, boundary: Boundary, buffers: _Buffers) -> np.
     return out
 
 
-def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: _Buffers) -> _Census:
-    """The census of the (runs, height, width) stack ``cells``, written into ``buffers``.
+def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: _Buffers) -> None:
+    """Take the census of the (runs, height, width) stack ``cells`` into ``buffers``.
 
     Rows are (white, grey, black) for news and (not adopted, 0, adopted) for
     innovation: the code-0 and seed-state cells counted from their masks,
@@ -276,17 +273,11 @@ def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: 
     rows[:, 1] -= rows[:, 2]
     if params.stale:
         plane += np.multiply(white.view(np.uint8), _WHITE, out=buffers.block)
-    return _Census(rows, white, _block_sums(plane, boundary, buffers))
+    _block_sums(plane, boundary, buffers)
 
 
-def step(
-    grid: Grid,
-    step_index: int,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    params: RuleParams,
-    census: _Census | None = None,
-    buffers: _Buffers | None = None,
-) -> Grid:
+def step(grid: Grid, rng: np.random.Generator | Sequence[np.random.Generator], params: RuleParams,
+         buffers: _Buffers | None = None) -> Grid:
     """One synchronous update of a grid, or of a stack of grids, computed from the old cells.
 
     ``grid.cells`` is one (height, width) grid stepped with the generator
@@ -299,18 +290,17 @@ def step(
     :func:`newsca.rules.cutoffs` gives for its count of seed-state
     neighbors, which is exactly where ``params.adopts`` fires; so each grid
     of a stack consumes and changes exactly as if it were stepped alone.
-    The run loop passes the stack's ``census``, which it has already taken,
-    and its ``buffers``, whose ``spare`` cells the new grid is written into;
-    without them the step takes the census into a new set, so the new grid
-    never shares memory with ``grid``. ``step_index`` is threaded through for rules that depend
-    on time; the built-in rules ignore it beyond the RNG stream position.
+    The run loop passes the stack's ``buffers``, which already hold the
+    census of ``grid``; the new grid is written into their ``spare`` cells.
+    Without them the step takes the census into a new set, so the new grid
+    never shares memory with ``grid``.
     """
-    del step_index
     cells = grid.cells
     stack, rngs = (cells, rng) if cells.ndim == 3 else (cells[None], (rng,))
     if buffers is None:
         buffers = _Buffers.new(stack.shape)
-    rows, white, block = _census(stack, grid.boundary, params, buffers) if census is None else census
+        _census(stack, grid.boundary, params, buffers)
+    rows, white, block = buffers.rows, buffers.white, buffers.block
     new, scratch = buffers.spare, buffers.plane
     if params.stale:
         # One state staler is one code lower: black (2) to grey (1), grey to white (0).
@@ -348,15 +338,15 @@ def _adoptable(params: RuleParams) -> tuple[bool, np.ndarray]:
     return bool(can[1:].all()), can
 
 
-def _fixed(census: _Census, params: RuleParams) -> np.ndarray:
-    """Which grids of a stack no step can change, from their census.
+def _fixed(buffers: _Buffers, params: RuleParams) -> np.ndarray:
+    """Which grids of a stack no step can change, from the census in its ``buffers``.
 
     No cell can change when every cell that would go stale has a code-0
     neighbor and no code-0 cell can adopt from its seed-state neighbors,
     even at the largest draw.
     """
     always, can = _adoptable(params)
-    rows, white, block = census
+    rows, white, block = buffers.rows, buffers.white, buffers.block
     if params.stale and always and rows[:, 2].all():
         # In every grid a black cell's white neighbor can adopt, or the cell goes stale.
         return np.zeros(len(rows), dtype=bool)
@@ -389,13 +379,13 @@ def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:
 
     t = 0
     while True:
-        census = _census(cells, boundary, params, buffers)
-        for r, row in zip(live, census.rows.tolist()):
+        _census(cells, boundary, params, buffers)
+        for r, row in zip(live, buffers.rows.tolist()):
             counts[r].append(row)
         if every is not None and t % every == 0:
             for k, r in enumerate(live):
                 snapshots[r].append((t, Grid(cells[k].copy(), boundary)))
-        fixed = _fixed(census, params)
+        fixed = _fixed(buffers, params)
         done = fixed if t < config.max_steps else np.ones_like(fixed)
         if done.any():
             for k in np.flatnonzero(done):
@@ -406,10 +396,9 @@ def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:
                 break
             keep = ~done
             cells, live = cells[keep], live[keep]
-            census = _Census(*(a[keep] for a in census))
             rngs = [g for g, d in zip(rngs, done) if not d]
-            buffers = buffers.first(len(live))
-        new = step(Grid(cells, boundary), t, rngs, params, census, buffers).cells
+            buffers = buffers.keep(keep)
+        new = step(Grid(cells, boundary), rngs, params, buffers).cells
         cells, buffers.spare = new, cells
         t += 1
 
@@ -417,7 +406,6 @@ def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:
         Trajectory(
             counts=np.array(rows, dtype=np.int64),
             converged_at=converged_at[r],
-            black_extinct_at=next((t for t, row in enumerate(rows) if row[2] == 0), None),
             snapshots=snapshots[r],
             final_grid=final_grids[r],
         )

@@ -186,8 +186,8 @@ def test_criterion_9_absorbing_adoption():
         grid = Grid(cells, boundary)
         run_rng = make_rng(int(rng.integers(0, 2**63)))
         adopted = int(np.count_nonzero(grid.cells))
-        for t in range(50):
-            grid = step(grid, t, run_rng, params)
+        for _ in range(50):
+            grid = step(grid, run_rng, params)
             now = int(np.count_nonzero(grid.cells))
             if now < adopted:
                 ok = False

@@ -480,36 +480,44 @@ class TestManifestRoundTrip:
         assert d["rule_params"] == asdict(cfg.rule_params)
         assert config_from_dict(d) == cfg
 
-    @pytest.mark.parametrize("edit", [
-        lambda m: m["config"].pop("max_steps"),
-        lambda m: m["config"].update(colour="red"),
-        lambda m: m["config"]["rule_params"].pop("boost_factor"),
-        lambda m: m["config"]["rule_params"].update(threshold=1.0),
-        lambda m: m["config"].update(model="rumor"),
-        lambda m: m.pop("runs"),
-        None,
-        lambda m: m["config"].update(width=6.5),
-        lambda m: m["config"].update(max_steps=True),
-        lambda m: m["config"].update(seed_position=[1, 2.0]),
-        lambda m: m["config"].update(snapshot_every="5"),
-        lambda m: m["config"]["rule_params"].update(boost_below=2.0),
-        lambda m: m["config"].update(boundary="open"),
-        lambda m: m["config"].update(width=100_000, height=100_000),
-        lambda m: (m["config"].update(width=1000, height=1000), m.update(runs=1000)),
-        lambda m: m.update(command="simulate"),
-        lambda m: m.pop("command"),
-        lambda m: m.update(rng="mt19937"),
+    # An edit changes the manifest in place, or is the text that replaces
+    # it; None truncates it. Each message names the entry at fault.
+    @pytest.mark.parametrize("edit,names", [
+        (lambda m: m["config"].pop("max_steps"), "config must hold"),
+        (lambda m: m["config"].update(colour="red"), "config must hold"),
+        (lambda m: m["config"]["rule_params"].pop("boost_factor"), "rule_params of model 'news' must hold"),
+        (lambda m: m["config"]["rule_params"].update(threshold=1.0), "rule_params of model 'news' must hold"),
+        (lambda m: m["config"].update(model="rumor"), "config entry 'model'"),
+        (lambda m: m.pop("runs"), "runs must be"),
+        (None, "Expecting"),
+        (lambda m: m["config"].update(width=6.5), "config entry 'width'"),
+        (lambda m: m["config"].update(max_steps=True), "config entry 'max_steps'"),
+        (lambda m: m["config"].update(seed_position=[1, 2.0]), "config entry 'seed_position'"),
+        (lambda m: m["config"].update(snapshot_every="5"), "config entry 'snapshot_every'"),
+        (lambda m: m["config"]["rule_params"].update(boost_below=2.0), "entry 'boost_below'"),
+        (lambda m: m["config"].update(boundary="open"), "config entry 'boundary'"),
+        (lambda m: m["config"].update(width=100_000, height=100_000), "field exceeds MAX_CELLS"),
+        (lambda m: (m["config"].update(width=1000, height=1000), m.update(runs=1000)), "1000 runs"),
+        (lambda m: m.update(command="simulate"), "command must be"),
+        (lambda m: m.pop("command"), "missing key 'command'"),
+        (lambda m: m.update(rng="mt19937"), "rng must be"),
+        ("[]", "the manifest must be a JSON object"),
+        ("null", "the manifest must be a JSON object"),
+        (lambda m: m.update(config=list(m["config"].items())), "config must be a JSON object"),
+        (lambda m: m["config"].update(model=["news"]), "config entry 'model'"),
     ], ids=["missing-config-key", "extra-config-key", "missing-rule-key", "extra-rule-key",
             "unknown-model", "missing-runs", "invalid-json", "width-float", "max-steps-bool",
             "seed-position-float", "snapshot-every-string", "boost-below-float", "unknown-boundary",
             "field-above-max-cells", "runs-above-max-cells", "other-command", "missing-command",
-            "other-generator"])
-    def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit):
+            "other-generator", "manifest-list", "manifest-null", "config-list", "model-list"])
+    def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit, names):
         path = tmp_path / "manifest.json"
         assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",
                      "--outdir", str(tmp_path)]) == EXIT_OK
         if edit is None:
             path.write_text(path.read_text()[:-10])
+        elif isinstance(edit, str):
+            path.write_text(edit)
         else:
             manifest = json.loads(path.read_text())
             edit(manifest)
@@ -518,7 +526,8 @@ class TestManifestRoundTrip:
         code = main(["ensemble", "--from-manifest", str(path), "--outdir", str(tmp_path / "b")])
         assert code == EXIT_IO
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert names in err
 
 
 def run_quietly(argv):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -25,6 +26,7 @@ from newsca import (
     step,
 )
 from newsca.reference import count_states, neighbor_counts, step_reference
+from newsca import engine
 from newsca.cli import EXIT_OK, main
 from newsca.engine import _Buffers, _census, _fixed
 from newsca.rules import MAX_DRAW, cutoffs
@@ -59,7 +61,9 @@ innovation_thresholds = st.one_of(_at_and_beside(p * m for p in (1.0, MAX_DRAW) 
 def is_fixed(grid, params):
     """The run loop's fixed-point test, applied to one grid."""
     stack = grid.cells[None]
-    return bool(_fixed(_census(stack, grid.boundary, params, _Buffers.new(stack.shape)), params)[0])
+    buffers = _Buffers.new(stack.shape)
+    _census(stack, grid.boundary, params, buffers)
+    return bool(_fixed(buffers, params)[0])
 
 
 class ScriptedDraws:
@@ -86,11 +90,11 @@ def max_draws():
 class TestStep:
     def test_all_white_is_inert(self):
         grid = Grid(np.zeros((3, 3), dtype=np.uint8))
-        assert step(grid, 0, make_rng(99), NewsRuleParams()) == grid
+        assert step(grid, make_rng(99), NewsRuleParams()) == grid
 
     def test_all_black_goes_all_grey(self):
         grid = Grid(np.full((3, 3), CellState.BLACK, dtype=np.uint8))
-        out = step(grid, 0, make_rng(1), NewsRuleParams())
+        out = step(grid, make_rng(1), NewsRuleParams())
         assert np.all(out.cells == CellState.GREY)
 
     def test_center_seed_adoption_pattern(self):
@@ -98,7 +102,7 @@ class TestStep:
         # their boosted draw clears the threshold: 1.5 p > 1, so p > 2/3.
         grid = new_grid(3, 3, (1, 1))
         seed = 1234
-        out = step(grid, 0, make_rng(seed), NewsRuleParams())
+        out = step(grid, make_rng(seed), NewsRuleParams())
         draws = make_rng(seed).random(8)  # row-major over the white cells
         assert out.cells[1, 1] == CellState.BLACK  # white neighbors remain
         flat_expect = []
@@ -125,7 +129,7 @@ class TestStep:
         grid = Grid(cells, boundary)
         params = NewsRuleParams(adoption_threshold=threshold, boost_below=boost_below)
         rngs = (max_draws(), max_draws()) if largest else (make_rng(seed), make_rng(seed))
-        fast = step(grid, 0, rngs[0], params)
+        fast = step(grid, rngs[0], params)
         slow = step_reference(grid, 0, rngs[1], params)
         assert fast == slow
 
@@ -136,7 +140,7 @@ class TestStep:
         grid = Grid(cells, boundary)
         params = InnovationRuleParams(threshold=threshold)
         rngs = (max_draws(), max_draws()) if largest else (make_rng(seed), make_rng(seed))
-        fast = step(grid, 0, rngs[0], params)
+        fast = step(grid, rngs[0], params)
         slow = step_reference(grid, 0, rngs[1], params)
         assert fast == slow
 
@@ -161,7 +165,7 @@ class TestStep:
         ), min_size=runs, max_size=runs))
         seeds = data.draw(st.lists(st.integers(0, 2**32), min_size=runs, max_size=runs))
         rngs = [max_draws() if largest else make_rng(s) for s in seeds]
-        batched = step(Grid(np.stack(grids), boundary), 0, rngs, params)
+        batched = step(Grid(np.stack(grids), boundary), rngs, params)
         for k, cells in enumerate(grids):
             rng = max_draws() if largest else make_rng(seeds[k])
             alone = step_reference(Grid(cells, boundary), 0, rng, params)
@@ -217,7 +221,7 @@ class TestStep:
             below = data.draw(st.lists(st.booleans(), min_size=counts.size, max_size=counts.size))
             draws = [MAX_DRAW if math.isinf(q[m]) else float(np.nextafter(q[m], 0.0) if b else q[m])
                      for m, b in zip(counts.tolist(), below)]
-            fast = step(grid, t, ScriptedDraws(draws), params)
+            fast = step(grid, ScriptedDraws(draws), params)
             assert fast == step_reference(grid, t, ScriptedDraws(draws), params)
             grid = fast
 
@@ -233,32 +237,42 @@ class TestStep:
     def test_packed_census_matches_neighbor_counts(self, data, params, boundary, runs, shape):
         cells = data.draw(arrays(np.uint8, (runs, *shape), elements=st.integers(0, int(params.seed_state))))
         white, seed = cells == 0, cells == params.seed_state
-        rows, census_white, block = _census(cells, boundary, params, _Buffers.new(cells.shape))
-        assert np.array_equal(census_white, white)
+        census = _Buffers.new(cells.shape)
+        _census(cells, boundary, params, census)
+        assert np.array_equal(census.white, white)
         expected = seed + neighbor_counts(seed, boundary).astype(int)
         if params.stale:
             expected += 16 * (white + neighbor_counts(white, boundary).astype(int))
-        assert np.array_equal(block, expected)
+        assert np.array_equal(census.block, expected)
         per_grid = [[int(white[k].sum()), int((cells[k] == 1).sum()) if params.stale else 0,
                      int(seed[k].sum())] for k in range(runs)]
-        assert rows.tolist() == per_grid
+        assert census.rows.tolist() == per_grid
 
     # The rows are uint32 reductions written into the stack's buffer set. A
-    # large field and a large stack are counted, the stack again, as the run
-    # loop does when runs leave it, on the first(k) views of its buffers,
-    # which still hold the whole stack's census.
+    # large field and a large stack are counted. When runs leave the stack,
+    # keep moves the census of those that stay, here runs 3, 4 and 20, to
+    # the front of the set, in order, as a fresh census of them would be.
     @pytest.mark.parametrize("runs,size,steps", [(1, 300, 120), (25, 40, 40)],
                              ids=["300x300-field", "25-run-40x40-stack"])
     def test_census_rows_match_count_states(self, runs, size, steps):
         config = SimulationConfig(width=size, height=size, rng_seed=1, max_steps=steps)
+        params, boundary = config.rule_params, config.boundary
         cells = np.stack([tr.final_grid.cells for tr in run_ensemble(config, runs).trajectories])
         buffers = _Buffers.new(cells.shape)
-        stacks = [cells, cells[::2], cells[[3, 4, 20]]] if runs > 1 else [cells]
-        for stack in stacks:
-            sub = buffers.first(len(stack))
-            rows = _census(stack, config.boundary, config.rule_params, sub).rows
-            assert rows.dtype == np.uint32 and np.shares_memory(rows, buffers.rows)
-            assert rows.tolist() == [list(count_states(Grid(c))) for c in stack]
+        _census(cells, boundary, params, buffers)
+        census, stack = buffers, cells
+        if runs > 1:
+            mask = np.isin(np.arange(runs), [3, 4, 20])
+            census, stack = buffers.keep(mask), cells[mask]
+            fresh = _Buffers.new(stack.shape)
+            _census(stack, boundary, params, fresh)
+            for name in ("rows", "white", "block"):
+                kept = getattr(census, name)
+                assert np.array_equal(kept, getattr(fresh, name)), name
+                assert np.shares_memory(kept, getattr(buffers, name)), name
+        rows = census.rows
+        assert rows.dtype == np.uint32 and np.shares_memory(rows, buffers.rows)
+        assert rows.tolist() == [list(count_states(Grid(c))) for c in stack]
         assert (rows[:, 1] > 0).all() and (rows[:, 2] > 0).all()  # mid-spread, not empty fields
 
     @settings(max_examples=40, deadline=None)
@@ -269,7 +283,7 @@ class TestStep:
         grid = Grid(cells, boundary)
         params = NewsRuleParams()
         fixed = is_fixed(grid, params)
-        assert fixed == (step(grid, 0, make_rng(seed), params) == grid)
+        assert fixed == (step(grid, make_rng(seed), params) == grid)
 
     # Adoption is monotone in the draw, so a state is fixed exactly when a
     # step whose every draw is the largest possible changes nothing.
@@ -280,7 +294,7 @@ class TestStep:
         grid = Grid(cells, boundary)
         params = NewsRuleParams(adoption_threshold=threshold, boost_below=boost_below)
         fixed = is_fixed(grid, params)
-        assert fixed == (step(grid, 0, max_draws(), params) == grid)
+        assert fixed == (step(grid, max_draws(), params) == grid)
 
     @settings(max_examples=100, deadline=None)
     @given(cells=adoption_cells, boundary=boundaries, threshold=innovation_thresholds)
@@ -288,15 +302,15 @@ class TestStep:
         grid = Grid(cells, boundary)
         params = InnovationRuleParams(threshold=threshold)
         frozen = is_fixed(grid, params)
-        assert frozen == (step(grid, 0, max_draws(), params) == grid)
+        assert frozen == (step(grid, max_draws(), params) == grid)
 
     @settings(max_examples=30, deadline=None)
     @given(cells=news_cells, boundary=boundaries, seed=st.integers(0, 2**32))
     def test_conservation_through_steps(self, cells, boundary, seed):
         grid = Grid(cells, boundary)
         rng = make_rng(seed)
-        for t in range(5):
-            grid = step(grid, t, rng, NewsRuleParams())
+        for _ in range(5):
+            grid = step(grid, rng, NewsRuleParams())
             assert sum(count_states(grid)) == grid.cells.size
 
     @settings(max_examples=30, deadline=None)
@@ -305,8 +319,8 @@ class TestStep:
         grid = Grid(cells, boundary)
         rng = make_rng(seed)
         adopted = int(np.count_nonzero(grid.cells == AdoptionState.ADOPTED))
-        for t in range(8):
-            grid = step(grid, t, rng, InnovationRuleParams())
+        for _ in range(8):
+            grid = step(grid, rng, InnovationRuleParams())
             now = int(np.count_nonzero(grid.cells == AdoptionState.ADOPTED))
             assert now >= adopted
             adopted = now
@@ -332,13 +346,18 @@ class TestRun:
         assert a.converged_at == b.converged_at
         assert a.final_grid == b.final_grid
 
+    # Black news goes stale and dies out; an adopted cell never leaves, so
+    # an innovation run, whose seed is adopted, has no extinction step.
     def test_black_extinction_is_permanent(self):
         tr = run(SimulationConfig(width=20, height=20, rng_seed=11))
         black = tr.counts[:, 2]
         gone = np.nonzero(black == 0)[0]
         assert gone.size > 0
         assert np.all(black[gone[0]:] == 0)
-        assert tr.black_extinct_at == gone[0]
+        assert tr.black_extinct_at == gone[0] and type(tr.black_extinct_at) is int
+        tr = run(SimulationConfig(width=20, height=20, rng_seed=11, rule_params=InnovationRuleParams()))
+        assert (tr.counts[:, 2] > 0).all()
+        assert tr.black_extinct_at is None
 
     def test_converged_fixed_point_characterization(self):
         tr = run(SimulationConfig(width=20, height=20, rng_seed=4))
@@ -536,15 +555,16 @@ class TestMemory:
         params, boundary = config.rule_params, config.boundary
         rngs = [make_rng(seed) for seed in range(runs)]
         buffers = _Buffers.new(cells.shape)
-        step(Grid(cells, boundary), 0, rngs, params, None, buffers)  # fills lazy caches
+        _census(cells, boundary, params, buffers)
+        step(Grid(cells, boundary), rngs, params, buffers)  # fills lazy caches
         tracemalloc.start()
         try:
-            census = _census(cells, boundary, params, buffers)
-            step(Grid(cells, boundary), 1, rngs, params, census, buffers)
+            _census(cells, boundary, params, buffers)
+            step(Grid(cells, boundary), rngs, params, buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n_white = int(census.rows[:, 0].sum())
+        n_white = int(buffers.rows[:, 0].sum())
         assert n_white > 10_000 // runs  # a state mid-spread, not an empty field
         assert peak <= 8 * n_white + 64 * 1024
 
@@ -569,6 +589,72 @@ class TestMemory:
         cells[..., 3, 3] = CellState.BLACK
         grid = Grid(cells)
         rng = make_rng(0) if len(shape) == 2 else [make_rng(s) for s in range(shape[0])]
-        out = step(grid, 0, rng, NewsRuleParams())
+        out = step(grid, rng, NewsRuleParams())
         assert not np.shares_memory(out.cells, grid.cells)
         assert out.cells.shape == shape
+
+
+class CountingRng:
+    """Generator stand-in that adds the number of doubles each ``random``
+    call returns to ``drawn``, under ``lock``, as runs may draw on threads."""
+
+    def __init__(self, generator, drawn, lock):
+        self._generator, self._drawn, self._lock = generator, drawn, lock
+
+    def random(self, *args, **kwargs):
+        out = self._generator.random(*args, **kwargs)
+        with self._lock:
+            self._drawn.append(np.size(out))
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._generator, name)
+
+
+class TestTracedBoundary:
+    # The benchmark tracer wraps the module-global newsca.engine.step, reads
+    # only the grid passed as its first argument, and counts draws through
+    # a proxy that a patched newsca.engine.make_rng returns. Its counts hold
+    # when the run loop steps every state but a run's last exactly once
+    # through that name, drawing one double per code-0 cell of the grids it
+    # passes from generators made by that name, and outputs are unchanged.
+    # The news runs leave their stacks at different steps, some at a fixed
+    # point and some at max_steps.
+    @pytest.mark.parametrize("how", ["run", "jobs=1", "jobs=2"])
+    @pytest.mark.parametrize("params,boundary", [(NewsRuleParams(), Boundary.BOUNDED),
+                                                 (InnovationRuleParams(threshold=0.9), Boundary.TOROIDAL)],
+                             ids=["news", "innovation"])
+    def test_step_and_draws_are_seen_at_the_module_names(self, monkeypatch, params, boundary, how):
+        config = SimulationConfig(width=9, height=8, rng_seed=3, max_steps=60, snapshot_every=1,
+                                  boundary=boundary, rule_params=params)
+
+        def execute():
+            if how == "run":
+                return [run(config)]
+            return run_ensemble(config, 5, jobs=int(how[-1])).trajectories
+
+        expected = execute()
+        lock = threading.Lock()
+        stepped, drawn = [], []
+        real_step, real_make_rng = engine.step, engine.make_rng
+
+        def recording_step(*args, **kwargs):
+            with lock:
+                stepped.append(args[0].cells.copy())
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "step", recording_step)
+        monkeypatch.setattr(engine, "make_rng", lambda seed: CountingRng(real_make_rng(seed), drawn, lock))
+        traced = execute()
+        monkeypatch.undo()
+
+        for tr, alone in zip(traced, expected, strict=True):
+            assert np.array_equal(tr.counts, alone.counts)
+            assert tr.converged_at == alone.converged_at and tr.final_grid == alone.final_grid
+            assert tr.snapshots == alone.snapshots
+        code_0 = sum(int(np.count_nonzero(cells == 0)) for cells in stepped)
+        assert sum(drawn) == code_0 > 0
+        grids = sorted(g.tobytes() for cells in stepped for g in cells.reshape(-1, *cells.shape[-2:]))
+        states = sorted(g.cells.tobytes() for tr in expected for t, g in tr.snapshots if t < tr.steps)
+        assert len(states) == sum(tr.steps for tr in expected) > 0
+        assert grids == states

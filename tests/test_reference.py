@@ -117,6 +117,6 @@ class TestBenchmarkImport:
         cells = np.random.default_rng(4).integers(0, codes, size=(6, 7), dtype=np.uint8)
         grid = Grid(cells, boundary)
         slow = newsca.engine.step_reference(grid, 0, make_rng(11), params)
-        fast = step(grid, 0, make_rng(11), params)
+        fast = step(grid, make_rng(11), params)
         assert slow == fast
         assert not np.array_equal(slow.cells, cells)
