@@ -29,7 +29,6 @@ from .engine import (
     MAX_CELLS,
     EnsembleResult,
     SimulationConfig,
-    Trajectory,
     check_runs,
     run,
     run_ensemble,
@@ -100,6 +99,19 @@ def _conforms(value, kind) -> bool:
     return type(value) is kind
 
 
+def _shape(kind) -> str:
+    """The JSON shape of a field annotated ``kind``, as an error names it."""
+    if get_origin(kind) is tuple:  # seed_position, the only tuple field, holds ints
+        return f"a list of {len(get_args(kind))} integers"
+    if get_args(kind):
+        return " or ".join(dict.fromkeys(map(_shape, get_args(kind))))
+    if is_dataclass(kind):
+        return "a JSON object"
+    if issubclass(kind, Enum):
+        return f"one of {[member.value for member in kind]}"
+    return {int: "an integer", float: "a number", type(None): "null"}[kind]
+
+
 def _check_fields(cls, d: dict, what: str) -> None:
     """``d`` holds exactly the fields of ``cls``, each of its annotated type."""
     names = sorted(f.name for f in fields(cls))
@@ -108,8 +120,7 @@ def _check_fields(cls, d: dict, what: str) -> None:
     hints = get_type_hints(cls)
     for name in names:
         if not _conforms(d[name], hints[name]):
-            kind = getattr(hints[name], "__name__", hints[name])
-            raise ManifestError(f"{what} entry {name!r} must be {kind}, got {d[name]!r}")
+            raise ManifestError(f"{what} entry {name!r} must be {_shape(hints[name])}, got {d[name]!r}")
 
 
 def config_from_dict(d: dict) -> SimulationConfig:
@@ -241,18 +252,15 @@ def write_pgm(path: Path, grid: Grid, chars: dict) -> None:
     path.write_text(f"P2\n{grid.width} {grid.height}\n255\n" + render_rows(grid.cells, levels, " "))
 
 
-def write_snapshots(outdir: Path, trajectory: Trajectory, fmt: str, chars: dict) -> list[Path]:
-    """One file per snapshot, cells written with the alphabet ``chars``."""
-    paths = []
-    for step_index, grid in trajectory.snapshots:
-        if fmt == "pgm":
-            p = outdir / f"snapshot_{step_index:06d}.pgm"
-            write_pgm(p, grid, chars)
-        else:
-            p = outdir / f"snapshot_{step_index:06d}.txt"
-            p.write_text(grid_to_text(grid, chars))
-        paths.append(p)
-    return paths
+def write_snapshot(outdir: Path, t: int, grid: Grid, fmt: str, chars: dict) -> Path:
+    """Write the snapshot of step ``t``, cells in the alphabet ``chars``, and return its path."""
+    if fmt == "pgm":
+        path = outdir / f"snapshot_{t:06d}.pgm"
+        write_pgm(path, grid, chars)
+    else:
+        path = outdir / f"snapshot_{t:06d}.txt"
+        path.write_text(grid_to_text(grid, chars))
+    return path
 
 
 def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -391,13 +399,19 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         snapshot_format = args.snapshot_format
     outdir = _resolve_outdir(args)
 
-    trajectory = run(config)
+    every, snapshot_paths = config.snapshot_every, []
+
+    def write_due(t: int, r: int, cells: np.ndarray) -> None:  # as the run passes, so none is held
+        if t % every == 0:
+            grid = Grid(cells, config.boundary)
+            snapshot_paths.append(write_snapshot(outdir, t, grid, snapshot_format, config.rule_params.chars))
+
+    trajectory = run(config, None if every is None else write_due)
     fractions = normalize(trajectory.counts, config.field_size)
 
     write_series_csv(outdir / "series.csv", trajectory.counts, fractions)
     manifest = build_manifest("simulate", config, snapshot_format=snapshot_format)
     save_manifest(outdir / "manifest.json", manifest)
-    snapshot_paths = write_snapshots(outdir, trajectory, snapshot_format, config.rule_params.chars)
 
     grey, white, black = stabilization_ratio(fractions)
     print(f"model={config.rule_params.name} field={config.width}x{config.height} "
@@ -424,6 +438,9 @@ def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
             check_runs(config, runs)
         except ValueError as exc:
             raise ManifestError(f"{args.from_manifest}: {exc}") from None
+        if config.snapshot_every is not None:  # ensemble writes no snapshots
+            raise ManifestError(f"{args.from_manifest}: config entry 'snapshot_every' must be null "
+                                f"for ensemble, got {config.snapshot_every!r}")
     else:
         config = _config_from_args(args, parser)
         runs = args.runs

@@ -29,12 +29,14 @@ stack, so a step allocates little beyond the index of its code-0 cells.
 The kernel hands numpy cell codes as plain ints, never as enum members,
 which numpy compares through a much slower loop. A run leaves the stack at
 its first fixed point or at ``max_steps``; then :meth:`_Buffers.keep` moves
-the census of the runs that stay to the front of the set. The kernel is
-checked against the per-cell oracle in :mod:`newsca.reference`.
+the census of the runs that stay to the front of the set. A run keeps only
+its count rows and the step it converged at; a caller that needs the
+states passes an observer, which sees each one as the loop passes it. The
+kernel is checked against the per-cell oracle in :mod:`newsca.reference`.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -64,6 +66,8 @@ class SimulationConfig:
     ``seed_position=None`` places the initial seed cell at the grid center.
     ``rule_params`` selects the model: NewsRuleParams for the three-state
     news automaton, InnovationRuleParams for the two-state adoption one.
+    ``snapshot_every`` is the step interval of ``newsca simulate``'s
+    snapshots; the engine does not read it.
     """
 
     width: int = 40
@@ -115,8 +119,6 @@ class Trajectory:
 
     counts: np.ndarray
     converged_at: int | None
-    snapshots: list[tuple[int, Grid]]
-    final_grid: Grid
 
     @property
     def converged(self) -> bool:
@@ -359,61 +361,54 @@ def _fixed(buffers: _Buffers, params: RuleParams) -> np.ndarray:
     return ~change.reshape(len(rows), -1).any(axis=1)
 
 
-def _run_stack(config: SimulationConfig, seeds: list[int]) -> list[Trajectory]:
+def _run_stack(config: SimulationConfig, seeds: list[int],
+               observe: Callable[[int, int, np.ndarray], None] | None = None) -> list[Trajectory]:
     """One run of ``config`` per seed, all stepped together as one stack.
 
     Every recorded state of every run, the initial one and the one at
     ``max_steps`` included, is tested for being a fixed point: a state no
     further step can change. A run leaves the stack at its first fixed
-    point or at ``max_steps``, whichever comes first.
+    point or at ``max_steps``, whichever comes first. Only the counts and
+    ``converged_at`` of each run are kept. ``observe(t, r, cells)`` is
+    called for every recorded state of every live run, step by step and
+    within a step in run order, with ``r`` the run's index in ``seeds`` and
+    ``cells`` a (height, width) view of its state in the stack, which the
+    run loop overwrites once the call returns.
     """
-    params, boundary, every = config.rule_params, config.boundary, config.snapshot_every
+    params, boundary = config.rule_params, config.boundary
     rngs = [make_rng(seed) for seed in seeds]
     cells = np.repeat(config.initial_grid().cells[None], len(seeds), axis=0)
     buffers = _Buffers.new(cells.shape)
     live = np.arange(len(seeds))  # the run of each grid in the stack
     counts: list[list[list[int]]] = [[] for _ in seeds]
-    snapshots: list[list[tuple[int, Grid]]] = [[] for _ in seeds]
-    final_grids: list[Grid | None] = [None] * len(seeds)
     converged_at: list[int | None] = [None] * len(seeds)
 
     t = 0
     while True:
         _census(cells, boundary, params, buffers)
-        for r, row in zip(live, buffers.rows.tolist()):
+        for k, (r, row) in enumerate(zip(live.tolist(), buffers.rows.tolist())):
             counts[r].append(row)
-        if every is not None and t % every == 0:
-            for k, r in enumerate(live):
-                snapshots[r].append((t, Grid(cells[k].copy(), boundary)))
+            if observe is not None:
+                observe(t, r, cells[k])
         fixed = _fixed(buffers, params)
-        done = fixed if t < config.max_steps else np.ones_like(fixed)
-        if done.any():
-            for k in np.flatnonzero(done):
-                final_grids[live[k]] = Grid(cells[k].copy(), boundary)
-                if fixed[k]:
-                    converged_at[live[k]] = t
-            if done.all():
+        if fixed.any() or t == config.max_steps:
+            for r in live[fixed].tolist():
+                converged_at[r] = t
+            if fixed.all() or t == config.max_steps:
                 break
-            keep = ~done
+            keep = ~fixed
             cells, live = cells[keep], live[keep]
-            rngs = [g for g, d in zip(rngs, done) if not d]
+            rngs = [g for g, f in zip(rngs, fixed) if not f]
             buffers = buffers.keep(keep)
         new = step(Grid(cells, boundary), rngs, params, buffers).cells
         cells, buffers.spare = new, cells
         t += 1
 
-    return [
-        Trajectory(
-            counts=np.array(rows, dtype=np.int64),
-            converged_at=converged_at[r],
-            snapshots=snapshots[r],
-            final_grid=final_grids[r],
-        )
-        for r, rows in enumerate(counts)
-    ]
+    return [Trajectory(counts=np.array(rows, dtype=np.int64), converged_at=converged_at[r])
+            for r, rows in enumerate(counts)]
 
 
-def run(config: SimulationConfig) -> Trajectory:
+def run(config: SimulationConfig, observe: Callable[[int, int, np.ndarray], None] | None = None) -> Trajectory:
     """Run one simulation until it reaches a fixed point or ``max_steps``.
 
     Every recorded state, the initial one and the one at ``max_steps``
@@ -421,9 +416,10 @@ def run(config: SimulationConfig) -> Trajectory:
     can change. No cell can change when no black or grey news cell lacks a
     white neighbor and no white or not-adopted cell can adopt, even at the
     largest draw. A run still live at ``max_steps`` is reported distinctly
-    via ``converged_at=None``.
+    via ``converged_at=None``. ``observe(t, 0, cells)``, if given, sees each
+    recorded state as :func:`_run_stack` describes; the last is the final grid.
     """
-    return _run_stack(config, [config.rng_seed])[0]
+    return _run_stack(config, [config.rng_seed], observe)[0]
 
 
 def check_runs(config: SimulationConfig, runs: int) -> None:

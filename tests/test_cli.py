@@ -171,11 +171,14 @@ class TestSimulate:
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--width", "15", "--height", "15", "--seed", "8",
-                     "--outdir", str(a)]) == EXIT_OK
+                     "--snapshot-every", "7", "--outdir", str(a)]) == EXIT_OK
         assert main(["simulate", "--from-manifest", str(a / "manifest.json"),
                      "--outdir", str(b)]) == EXIT_OK
-        assert (a / "series.csv").read_bytes() == (b / "series.csv").read_bytes()
-        assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert len([n for n in names if n.startswith("snapshot_")]) > 2
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_outdir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NEWSCA_OUTDIR", str(tmp_path / "envout"))
@@ -505,11 +508,14 @@ class TestManifestRoundTrip:
         ("null", "the manifest must be a JSON object"),
         (lambda m: m.update(config=list(m["config"].items())), "config must be a JSON object"),
         (lambda m: m["config"].update(model=["news"]), "config entry 'model'"),
+        (lambda m: m["config"].update(rule_params=3), "config entry 'rule_params' must be a JSON object"),
+        (lambda m: m["config"].update(snapshot_every=1), "config entry 'snapshot_every' must be null"),
     ], ids=["missing-config-key", "extra-config-key", "missing-rule-key", "extra-rule-key",
             "unknown-model", "missing-runs", "invalid-json", "width-float", "max-steps-bool",
             "seed-position-float", "snapshot-every-string", "boost-below-float", "unknown-boundary",
             "field-above-max-cells", "runs-above-max-cells", "other-command", "missing-command",
-            "other-generator", "manifest-list", "manifest-null", "config-list", "model-list"])
+            "other-generator", "manifest-list", "manifest-null", "config-list", "model-list",
+            "rule-params-int", "snapshot-every-set"])
     def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit, names):
         path = tmp_path / "manifest.json"
         assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",
@@ -528,6 +534,8 @@ class TestManifestRoundTrip:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert names in err
+        # Entries are named by their JSON shape, not by a Python type.
+        assert "newsca." not in err and "[int" not in err
 
 
 def run_quietly(argv):

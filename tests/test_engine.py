@@ -82,6 +82,26 @@ class ScriptedDraws:
         return out
 
 
+@pytest.fixture
+def observed(monkeypatch):
+    """Each run's recorded states, by seed: every ``run`` and ``run_ensemble``
+    call records a copy of each state its run loop observes as a ``(t,
+    Grid)`` pair, so ``observed[seed][-1][1]`` is the run's final grid. A
+    later run of the same seed replaces the record."""
+    states = {}
+    run_stack = engine._run_stack
+
+    def recording(config, seeds, observe=None):
+        assert observe is None  # run and run_ensemble pass none of their own
+        records = [[] for _ in seeds]
+        states.update(zip(seeds, records))
+        return run_stack(config, seeds,
+                         lambda t, r, cells: records[r].append((t, Grid(cells.copy(), config.boundary))))
+
+    monkeypatch.setattr(engine, "_run_stack", recording)
+    return states
+
+
 def max_draws():
     """Generator stand-in whose every draw is the largest ``rng.random()`` returns."""
     return ScriptedDraws(itertools.repeat(MAX_DRAW))
@@ -254,10 +274,10 @@ class TestStep:
     # the front of the set, in order, as a fresh census of them would be.
     @pytest.mark.parametrize("runs,size,steps", [(1, 300, 120), (25, 40, 40)],
                              ids=["300x300-field", "25-run-40x40-stack"])
-    def test_census_rows_match_count_states(self, runs, size, steps):
+    def test_census_rows_match_count_states(self, observed, runs, size, steps):
         config = SimulationConfig(width=size, height=size, rng_seed=1, max_steps=steps)
         params, boundary = config.rule_params, config.boundary
-        cells = np.stack([tr.final_grid.cells for tr in run_ensemble(config, runs).trajectories])
+        cells = np.stack([observed[seed][-1][1].cells for seed in run_ensemble(config, runs).run_seeds])
         buffers = _Buffers.new(cells.shape)
         _census(cells, boundary, params, buffers)
         census, stack = buffers, cells
@@ -327,24 +347,26 @@ class TestStep:
 
 
 class TestRun:
-    def test_single_cell_trace(self):
+    def test_single_cell_trace(self, observed):
         # black -> grey -> white through vacuous neighborhoods, then fixed
         tr = run(SimulationConfig(width=1, height=1, seed_position=(0, 0), rng_seed=0))
         assert tr.counts.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
         assert tr.converged_at == 2
         assert tr.black_extinct_at == 1
-        assert np.all(tr.final_grid.cells == CellState.WHITE)
+        assert np.all(observed[0][-1][1].cells == CellState.WHITE)
 
     def test_initial_row_is_seeded_field(self):
         tr = run(SimulationConfig(width=9, height=7, rng_seed=3, max_steps=2))
         assert tr.counts[0].tolist() == [62, 0, 1]
 
-    def test_deterministic_for_equal_configs(self):
+    def test_deterministic_for_equal_configs(self, observed):
         cfg = SimulationConfig(width=15, height=15, rng_seed=77)
-        a, b = run(cfg), run(cfg)
+        a = run(cfg)
+        first = observed[77]
+        b = run(cfg)
         assert np.array_equal(a.counts, b.counts)
         assert a.converged_at == b.converged_at
-        assert a.final_grid == b.final_grid
+        assert first == observed[77]  # every state, the final grid included
 
     # Black news goes stale and dies out; an adopted cell never leaves, so
     # an innovation run, whose seed is adopted, has no extinction step.
@@ -359,13 +381,14 @@ class TestRun:
         assert (tr.counts[:, 2] > 0).all()
         assert tr.black_extinct_at is None
 
-    def test_converged_fixed_point_characterization(self):
+    def test_converged_fixed_point_characterization(self, observed):
         tr = run(SimulationConfig(width=20, height=20, rng_seed=4))
         assert tr.converged
         assert tr.counts[tr.converged_at, 2] == 0
-        cells = tr.final_grid.cells
+        final = observed[4][-1][1]
+        cells = final.cells
         assert not np.any(cells == CellState.BLACK)
-        white_nb = neighbor_counts(cells == CellState.WHITE, tr.final_grid.boundary)
+        white_nb = neighbor_counts(cells == CellState.WHITE, final.boundary)
         grey = cells == CellState.GREY
         # any grey cell without a white neighbor would still be flipping
         assert np.all(white_nb[grey] >= 1)
@@ -398,12 +421,20 @@ class TestRun:
         assert tr.converged_at == 0
         assert tr.counts.tolist() == [[24, 0, 1]]
 
-    def test_snapshots_at_multiples(self):
-        tr = run(SimulationConfig(width=9, height=9, rng_seed=2, snapshot_every=5))
-        steps = [s for s, _ in tr.snapshots]
-        assert steps[0] == 0
-        assert all(s % 5 == 0 for s in steps)
-        assert steps == sorted(steps)
+    # run hands its observer every recorded state, in step order, as a
+    # (height, width) view; snapshot_every is the CLI's, and changes nothing.
+    def test_observer_sees_every_state(self):
+        config = SimulationConfig(width=9, height=7, rng_seed=2, snapshot_every=5)
+        seen = []
+
+        def observe(t, r, cells):
+            assert r == 0 and cells.shape == (7, 9)
+            seen.append((t, count_states(Grid(cells.copy()))))
+
+        tr = run(config, observe)
+        assert [t for t, _ in seen] == list(range(tr.steps + 1))
+        assert [list(c) for _, c in seen] == tr.counts.tolist()
+        assert np.array_equal(run(replace(config, snapshot_every=None)).counts, tr.counts)
 
     def test_innovation_frozen_single_seed(self):
         # threshold 1 needs two adopted neighbors; one seed can never spread
@@ -472,35 +503,36 @@ class TestEnsemble:
                          rule_params=InnovationRuleParams(threshold=0.9)),
         SimulationConfig(width=6, height=6, rng_seed=5, rule_params=NewsRuleParams(adoption_threshold=8)),
     ], ids=["news-cut", "news-torus-snapshots", "innovation-cut", "fixed-at-step-0"])
-    def test_batched_runs_match_single_runs(self, cfg):
+    def test_batched_runs_match_single_runs(self, observed, cfg):
         runs = 10
         ens = run_ensemble(cfg, runs)
         seeds = derive_run_seeds(cfg.rng_seed, runs)
+        batched = {seed: observed[seed] for seed in seeds}
         for tr, seed in zip(ens.trajectories, seeds):
             alone = run(replace(cfg, rng_seed=seed))
             np.testing.assert_array_equal(tr.counts, alone.counts)
             assert tr.converged_at == alone.converged_at
             assert tr.black_extinct_at == alone.black_extinct_at
-            assert tr.final_grid == alone.final_grid
-            assert [t for t, _ in tr.snapshots] == [t for t, _ in alone.snapshots]
-            assert all(a == b for (_, a), (_, b) in zip(tr.snapshots, alone.snapshots))
+            assert [t for t, _ in batched[seed]] == list(range(tr.steps + 1))
+            assert batched[seed] == observed[seed]
         if cfg.rule_params == NewsRuleParams(adoption_threshold=8):
             assert ens.converged_steps == [0] * runs
         else:  # max_steps cut some runs, not all
             assert 0 < len(ens.unconverged) < runs
 
     @pytest.mark.parametrize("runs,jobs", [(7, 3), (2, 4)], ids=["runs-not-divisible", "jobs-above-runs"])
-    def test_jobs_split_does_not_change_results(self, runs, jobs):
+    def test_jobs_split_does_not_change_results(self, observed, runs, jobs):
         cfg = SimulationConfig(width=12, height=12, rng_seed=17, max_steps=60)
         a = run_ensemble(cfg, runs, jobs=1)
+        final = {seed: observed[seed][-1] for seed in a.run_seeds}
         b = run_ensemble(cfg, runs, jobs=jobs)
         np.testing.assert_array_equal(a.mean_fractions, b.mean_fractions)
         assert a.converged_steps == b.converged_steps
         assert [t.black_extinct_at for t in a.trajectories] == [t.black_extinct_at for t in b.trajectories]
         assert a.run_seeds == b.run_seeds
-        for ta, tb in zip(a.trajectories, b.trajectories):
+        for ta, tb, seed in zip(a.trajectories, b.trajectories, a.run_seeds):
             np.testing.assert_array_equal(ta.counts, tb.counts)
-            assert ta.final_grid == tb.final_grid
+            assert final[seed] == observed[seed][-1]
 
     def test_parallelism_does_not_change_results(self):
         cfg = SimulationConfig(width=20, height=20, rng_seed=13)
@@ -549,9 +581,9 @@ class TestMemory:
     # small arrays, the near cells' adoption test and numpy's cast buffers.
     @pytest.mark.parametrize("runs,size,steps", [(1, 300, 120), (20, 40, 40)],
                              ids=["300x300-field", "20-run-40x40-stack"])
-    def test_census_and_step_allocate_little(self, runs, size, steps):
+    def test_census_and_step_allocate_little(self, observed, runs, size, steps):
         config = SimulationConfig(width=size, height=size, rng_seed=1, max_steps=steps)
-        cells = np.stack([tr.final_grid.cells for tr in run_ensemble(config, runs).trajectories])
+        cells = np.stack([observed[seed][-1][1].cells for seed in run_ensemble(config, runs).run_seeds])
         params, boundary = config.rule_params, config.boundary
         rngs = [make_rng(seed) for seed in range(runs)]
         buffers = _Buffers.new(cells.shape)
@@ -568,20 +600,20 @@ class TestMemory:
         assert n_white > 10_000 // runs  # a state mid-spread, not an empty field
         assert peak <= 8 * n_white + 64 * 1024
 
-    # The run loop swaps two cell buffers, so every grid it hands out must be
-    # a copy of its own.
-    def test_outputs_share_no_memory(self):
-        config = SimulationConfig(width=11, height=9, rng_seed=6, max_steps=30, snapshot_every=4)
-        single = run(config)
-        outputs = {"run": [single.final_grid.cells, *(g.cells for _, g in single.snapshots)]}
-        for jobs in (1, 2):
-            ens = run_ensemble(config, 5, jobs=jobs)
-            outputs[f"jobs={jobs}"] = [a for tr in ens.trajectories
-                                       for a in (tr.final_grid.cells, *(g.cells for _, g in tr.snapshots))]
-        for name, arrays in outputs.items():
-            assert len(arrays) > 5
-            for a, b in itertools.combinations(arrays, 2):
-                assert not np.shares_memory(a, b), name
+    # Snapshots are written as the run passes them, so a run that writes one
+    # per step holds a few fields, not one per step: holding all 222 of this
+    # run's snapshots until it ends peaks at about 243 bytes per cell.
+    def test_snapshots_are_not_held(self, tmp_path):
+        argv = ["simulate", "--width", "200", "--height", "200", "--seed", "1", "--snapshot-every", "1"]
+        assert main(argv + ["--outdir", str(tmp_path / "warm")]) == EXIT_OK  # fills lazy caches
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--outdir", str(tmp_path / "out")]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "out").glob("snapshot_*.txt"))) > 200
+        assert peak <= 48 * 200 * 200 + 256 * 1024
 
     @pytest.mark.parametrize("shape", [(6, 7), (3, 6, 7)], ids=["grid", "stack"])
     def test_step_without_buffers_returns_new_cells(self, shape):
@@ -624,9 +656,10 @@ class TestTracedBoundary:
     @pytest.mark.parametrize("params,boundary", [(NewsRuleParams(), Boundary.BOUNDED),
                                                  (InnovationRuleParams(threshold=0.9), Boundary.TOROIDAL)],
                              ids=["news", "innovation"])
-    def test_step_and_draws_are_seen_at_the_module_names(self, monkeypatch, params, boundary, how):
-        config = SimulationConfig(width=9, height=8, rng_seed=3, max_steps=60, snapshot_every=1,
+    def test_step_and_draws_are_seen_at_the_module_names(self, observed, params, boundary, how):
+        config = SimulationConfig(width=9, height=8, rng_seed=3, max_steps=60,
                                   boundary=boundary, rule_params=params)
+        seeds = [3] if how == "run" else derive_run_seeds(3, 5)
 
         def execute():
             if how == "run":
@@ -634,6 +667,7 @@ class TestTracedBoundary:
             return run_ensemble(config, 5, jobs=int(how[-1])).trajectories
 
         expected = execute()
+        expected_states = {seed: observed[seed] for seed in seeds}
         lock = threading.Lock()
         stepped, drawn = [], []
         real_step, real_make_rng = engine.step, engine.make_rng
@@ -643,18 +677,19 @@ class TestTracedBoundary:
                 stepped.append(args[0].cells.copy())
             return real_step(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "step", recording_step)
-        monkeypatch.setattr(engine, "make_rng", lambda seed: CountingRng(real_make_rng(seed), drawn, lock))
-        traced = execute()
-        monkeypatch.undo()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "step", recording_step)
+            mp.setattr(engine, "make_rng", lambda seed: CountingRng(real_make_rng(seed), drawn, lock))
+            traced = execute()
 
-        for tr, alone in zip(traced, expected, strict=True):
+        for tr, alone, seed in zip(traced, expected, seeds, strict=True):
             assert np.array_equal(tr.counts, alone.counts)
-            assert tr.converged_at == alone.converged_at and tr.final_grid == alone.final_grid
-            assert tr.snapshots == alone.snapshots
+            assert tr.converged_at == alone.converged_at
+            assert observed[seed] == expected_states[seed]
         code_0 = sum(int(np.count_nonzero(cells == 0)) for cells in stepped)
         assert sum(drawn) == code_0 > 0
         grids = sorted(g.tobytes() for cells in stepped for g in cells.reshape(-1, *cells.shape[-2:]))
-        states = sorted(g.cells.tobytes() for tr in expected for t, g in tr.snapshots if t < tr.steps)
+        states = sorted(g.cells.tobytes() for tr, seed in zip(expected, seeds)
+                        for t, g in expected_states[seed] if t < tr.steps)
         assert len(states) == sum(tr.steps for tr in expected) > 0
         assert grids == states
