@@ -44,7 +44,7 @@ from .model import (
     fit_model,
     reference_model,
 )
-from .rules import MODELS, InnovationRuleParams, NewsRuleParams
+from .rules import MODELS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -333,7 +333,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_config_flags(sp: argparse.ArgumentParser, snapshots: bool) -> None:
-    config, news, innovation = SimulationConfig(), NewsRuleParams(), InnovationRuleParams()
+    config = SimulationConfig()
     sp.add_argument("--width", type=_positive_int, default=config.width)
     sp.add_argument("--height", type=_positive_int, default=config.height)
     sp.add_argument("--seed-row", type=int, default=None, help="seed cell row (default: center)")
@@ -342,12 +342,13 @@ def _add_config_flags(sp: argparse.ArgumentParser, snapshots: bool) -> None:
     sp.add_argument("--seed", type=int, default=config.rng_seed, help="RNG seed")
     sp.add_argument("--max-steps", type=_positive_int, default=config.max_steps)
     sp.add_argument("--model", choices=list(MODELS), default=config.rule_params.name)
-    sp.add_argument("--adoption-threshold", type=float, default=news.adoption_threshold)
-    sp.add_argument("--boost-factor", type=float, default=news.boost_factor)
-    sp.add_argument("--boost-below", type=int, default=news.boost_below)
-    # Each rule flag's dest is the name of the rule parameter it sets.
+    # Each rule flag's dest is the name of the rule parameter it sets; one
+    # left out takes the default of the model's rule parameter class.
+    sp.add_argument("--adoption-threshold", type=float, default=None)
+    sp.add_argument("--boost-factor", type=float, default=None)
+    sp.add_argument("--boost-below", type=int, default=None)
     sp.add_argument("--innovation-threshold", dest="threshold", metavar="INNOVATION_THRESHOLD",
-                    type=float, default=innovation.threshold)
+                    type=float, default=None)
     if snapshots:
         sp.add_argument("--snapshot-every", type=_positive_int, default=config.snapshot_every)
         sp.add_argument("--snapshot-format", choices=SNAPSHOT_FORMATS, default=SNAPSHOT_FORMATS[0])
@@ -360,7 +361,12 @@ def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser)
         parser.error("--seed-row and --seed-col must be given together")
     seed_position = None if args.seed_row is None else (args.seed_row, args.seed_col)
     cls = MODELS[args.model]
-    params = cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    given = {f.name: getattr(args, f.name) for model in MODELS.values() for f in fields(model)
+             if getattr(args, f.name) is not None}
+    stray = sorted(given.keys() - {f.name for f in fields(cls)})
+    if stray:
+        raise ValueError(f"--model {cls.name} takes no rule parameter {' or '.join(map(repr, stray))}")
+    params = cls(**given)
     return SimulationConfig(
         width=args.width,
         height=args.height,

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .analytics import normalize
-from .grid import Boundary, Grid, new_grid
+from .grid import Boundary, Grid
 # Re-exported because benchmarks/workloads.py imports step_reference from here.
 from .reference import step_reference  # noqa: F401
 from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams, cutoffs
@@ -100,9 +100,11 @@ class SimulationConfig:
         return self.width * self.height
 
     def initial_grid(self) -> Grid:
-        return new_grid(
-            self.width, self.height, self.seed_position, self.boundary, int(self.rule_params.seed_state)
-        )
+        """Code-0 cells (white / not adopted) and one seed cell; ``__post_init__`` checked its place."""
+        r, c = (self.height // 2, self.width // 2) if self.seed_position is None else self.seed_position
+        cells = np.zeros((self.height, self.width), dtype=np.uint8)
+        cells[r, c] = int(self.rule_params.seed_state)
+        return Grid(cells, self.boundary)
 
 
 @dataclass

@@ -1,35 +1,19 @@
-"""Lattice data model: cell states, grid storage, ASCII text.
+"""The model-free lattice: boundary modes, grid storage, ASCII text.
 
-Cells live on a rectangular lattice stored row-major as small integer codes.
-Two state alphabets share the same storage: the three-state news model
-(white / grey / black) and the two-state innovation model (not adopted /
-adopted). Both start as a field of code 0 (white / not adopted) with one
-seed cell, made by :func:`new_grid`. A grid's boundary mode tells whether
-cell neighborhoods are truncated at its edges or wrap around them; the
-stepper in :mod:`newsca.engine` reads them. Grids are written and read as
-ASCII text by :func:`grid_to_text` and :func:`grid_from_text`.
+Cells live on a rectangular lattice stored row-major as small integer
+codes. What the codes mean, and how each is written, is the model's
+business (:mod:`newsca.rules`); the initial field is built by
+:meth:`newsca.engine.SimulationConfig.initial_grid`. A grid's boundary mode
+tells whether cell neighborhoods are truncated at its edges or wrap around
+them. Grids are written and read as ASCII text, in the alphabet the caller
+passes, by :func:`grid_to_text` and :func:`grid_from_text`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 import numpy as np
-
-
-class CellState(IntEnum):
-    """News-model cell state."""
-
-    WHITE = 0  # no information: never reached, or forgotten
-    GREY = 1   # stale news, retained as information
-    BLACK = 2  # fresh news
-
-
-class AdoptionState(IntEnum):
-    """Innovation-model cell state. ADOPTED is absorbing."""
-
-    NOT_ADOPTED = 0
-    ADOPTED = 1
 
 
 class Boundary(Enum):
@@ -37,11 +21,6 @@ class Boundary(Enum):
 
     BOUNDED = "bounded"
     TOROIDAL = "toroidal"
-
-
-# ASCII serialization alphabets (one character per cell).
-NEWS_CHARS = {CellState.WHITE: ".", CellState.GREY: "o", CellState.BLACK: "#"}
-ADOPTION_CHARS = {AdoptionState.NOT_ADOPTED: ".", AdoptionState.ADOPTED: "#"}
 
 
 @dataclass
@@ -79,32 +58,6 @@ class Grid:
         return self.boundary is other.boundary and np.array_equal(self.cells, other.cells)
 
 
-def new_grid(
-    width: int,
-    height: int,
-    seed_position: tuple[int, int] | None = None,
-    boundary: Boundary = Boundary.BOUNDED,
-    seed_state: int = CellState.BLACK,
-) -> Grid:
-    """Grid of code-0 cells (white / not adopted) with one seed cell.
-
-    ``seed_state`` is the seed's code: ``CellState.BLACK`` for a news grid,
-    ``AdoptionState.ADOPTED`` for an innovation grid. ``seed_position`` is
-    (row, col); ``None`` seeds the grid center, which maximizes room for
-    symmetric growth.
-    """
-    if width < 1 or height < 1:
-        raise ValueError(f"grid dimensions must be positive, got {width}x{height}")
-    if seed_position is None:
-        seed_position = (height // 2, width // 2)
-    r, c = seed_position
-    if not (0 <= r < height and 0 <= c < width):
-        raise ValueError(f"seed position {seed_position} out of bounds for {width}x{height}")
-    cells = np.zeros((height, width), dtype=np.uint8)
-    cells[r, c] = seed_state
-    return Grid(cells, boundary)
-
-
 def render_rows(cells: np.ndarray, tokens: dict, sep: str = "") -> str:
     """The rows of a (height, width) code array as ASCII text.
 
@@ -132,16 +85,15 @@ def render_rows(cells: np.ndarray, tokens: dict, sep: str = "") -> str:
     return (data[data != 0] if size > 1 else data).tobytes().decode("ascii")
 
 
-def grid_to_text(grid: Grid, chars: dict | None = None) -> str:
+def grid_to_text(grid: Grid, chars: dict) -> str:
     """Serialize a grid as ASCII: a "<width> <height> <boundary>" header line,
-    then one row per line ('.'=white, 'o'=grey, '#'=black for news grids)."""
-    chars = NEWS_CHARS if chars is None else chars
+    then one row per line, each cell written as ``chars[code]``, its model's
+    alphabet (``rule_params.chars``)."""
     return f"{grid.width} {grid.height} {grid.boundary.value}\n" + render_rows(grid.cells, chars)
 
 
-def grid_from_text(text: str, chars: dict | None = None) -> Grid:
-    """Parse the ASCII serialization produced by :func:`grid_to_text`."""
-    chars = NEWS_CHARS if chars is None else chars
+def grid_from_text(text: str, chars: dict) -> Grid:
+    """Parse the ASCII serialization :func:`grid_to_text` writes in the alphabet ``chars``."""
     rev = {v: int(k) for k, v in chars.items()}
     lines = [ln for ln in text.splitlines() if ln]
     if not lines:

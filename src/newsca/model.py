@@ -83,7 +83,9 @@ class ModelFit:
 
 def _sigmoid(t: np.ndarray, c, tau, gamma) -> np.ndarray:
     # Unvalidated parameters: the fit's search probes points LogisticParams rejects.
-    z = gamma * (t - tau)
+    # A steep curve's exponent may pass the double range; as +-inf it saturates cleanly.
+    with np.errstate(over="ignore"):
+        z = gamma * (t - tau)
     e = np.exp(-np.abs(z))
     return np.where(z >= 0, c / (1.0 + e), c * e / (1.0 + e))
 

@@ -18,8 +18,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .grid import AdoptionState, Boundary, CellState, Grid
-from .rules import InnovationRuleParams, NewsRuleParams
+from .grid import Boundary, Grid
+from .rules import AdoptionState, CellState, InnovationRuleParams, NewsRuleParams
 
 # Row-major offset order; fixed so seeded runs are bit-reproducible.
 MOORE_OFFSETS: tuple[tuple[int, int], ...] = (

@@ -1,26 +1,40 @@
-"""The two models' rule parameters and their adoption tests.
+"""The two models: their cell states, alphabets, rule parameters and adoption tests.
 
-Each model is described by its rule parameter class: its name, seed state,
+Everything that tells one model from the other lives here; the lattice in
+:mod:`newsca.grid` knows no model. Each model is described by its rule
+parameter class: its name, its cell states and the seed cell's state, its
 ASCII alphabet, whether its states go stale, and its adoption test, written
 once as the scalar ``adopts(m, p)`` over a seed-state neighbor count ``m``
-and a draw ``p``. The per-cell oracle applies that test directly;
-:func:`cutoffs` turns it into the exact cutoff table that
-:func:`newsca.engine.step` compares draws with, for either model.
+and a draw ``p``. Both models code the empty cell (white / not adopted) as
+0. The per-cell oracle applies the test directly; :func:`cutoffs` turns it
+into the exact cutoff table that :func:`newsca.engine.step` compares draws
+with, for either model.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
-from .grid import ADOPTION_CHARS, NEWS_CHARS, AdoptionState, CellState
-
 # The largest value ``rng.random()`` returns. Adoption tests are monotone in
 # the draw, so a cell that does not adopt at this draw can never adopt.
 MAX_DRAW = float(np.nextafter(1.0, 0.0))
+
+
+class CellState(IntEnum):
+    """News-model cell state."""
+
+    WHITE = 0  # no information: never reached, or forgotten
+    GREY = 1   # stale news, retained as information
+    BLACK = 2  # fresh news
+
+
+# News-model ASCII alphabet (one character per cell).
+NEWS_CHARS = {CellState.WHITE: ".", CellState.GREY: "o", CellState.BLACK: "#"}
 
 
 @dataclass(frozen=True)
@@ -63,6 +77,17 @@ class NewsRuleParams:
         """
         p_eff = p * self.boost_factor if m < self.boost_below else p
         return p_eff * m > self.adoption_threshold
+
+
+class AdoptionState(IntEnum):
+    """Innovation-model cell state. ADOPTED is absorbing."""
+
+    NOT_ADOPTED = 0
+    ADOPTED = 1
+
+
+# Innovation-model ASCII alphabet (one character per cell).
+ADOPTION_CHARS = {AdoptionState.NOT_ADOPTED: ".", AdoptionState.ADOPTED: "#"}
 
 
 @dataclass(frozen=True)

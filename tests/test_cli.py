@@ -4,6 +4,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -93,6 +94,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "series.csv").exists()
+
+    # Each model's rule parameter class supplies its defaults, so a flag of
+    # the other model would be silently dropped from the run and its manifest.
+    @pytest.mark.parametrize("argv,model,names", [
+        (["simulate", "--model", "innovation", "--boost-factor", "7", "--adoption-threshold", "3"],
+         "innovation", ["'adoption_threshold'", "'boost_factor'"]),
+        (["simulate", "--model", "news", "--innovation-threshold", "0.5"], "news", ["'threshold'"]),
+        (["simulate", "--innovation-threshold", "0.5"], "news", ["'threshold'"]),
+        (["ensemble", "--model", "innovation", "--boost-below", "0"], "innovation", ["'boost_below'"]),
+    ], ids=["news-flags-for-innovation", "innovation-flag-for-news", "innovation-flag-for-default",
+            "ensemble"])
+    def test_rule_flag_of_another_model_is_usage_error(self, tmp_path, capsys, argv, model, names):
+        assert main([*argv, "--outdir", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"--model {model}" in err and all(name in err for name in names)
+        assert not any(tmp_path.iterdir())
 
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--seed", "-1", "--outdir", str(tmp_path)]) == EXIT_USAGE
@@ -282,6 +300,26 @@ class TestEvalModel:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "model_series.csv").exists()
+
+    # A valid but steep curve's exponent passes the double range and saturates
+    # to 0 or c: the values are exact, so no numpy warning is due.
+    @pytest.mark.parametrize("flag,expected", [
+        ("--grey-gamma", "step,grey_frac,white_frac,black_frac\n"
+                         "0,0,0.9949803618067864,0.005019638193213642\n"
+                         "1,0,0.99356688593971598,0.0064331140602839898\n"
+                         "2,0,0.99175979302705508,0.0082402069729448843\n"
+                         "3,0,0.98945227971756589,0.010547720282434106\n"),
+        ("--white-gamma", "step,grey_frac,white_frac,black_frac\n"
+                          "0,0.0082402069729448843,1,-0.0082402069729448843\n"
+                          "1,0.0095567620980837042,1,-0.0095567620980837042\n"
+                          "2,0.011080523769954791,1,-0.011080523769954791\n"
+                          "3,0.012843024986795803,1,-0.012843024986795803\n"),
+    ], ids=["grey-gamma", "white-gamma"])
+    def test_steep_curve_raises_no_warning(self, tmp_path, flag, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["eval-model", flag, "1e308", "--t-max", "3", "--outdir", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "model_series.csv").read_text() == expected
 
     def test_step_range_above_max_cells_is_usage_error(self, tmp_path, capsys):
         # Refused before anything is allocated or written: np.arange over

@@ -20,7 +20,6 @@ from newsca import (
     SimulationConfig,
     derive_run_seeds,
     make_rng,
-    new_grid,
     run,
     run_ensemble,
     step,
@@ -120,7 +119,7 @@ class TestStep:
     def test_center_seed_adoption_pattern(self):
         # The 8 whites around a black center each see m=1 and adopt iff
         # their boosted draw clears the threshold: 1.5 p > 1, so p > 2/3.
-        grid = new_grid(3, 3, (1, 1))
+        grid = SimulationConfig(width=3, height=3, seed_position=(1, 1)).initial_grid()
         seed = 1234
         out = step(grid, make_rng(seed), NewsRuleParams())
         draws = make_rng(seed).random(8)  # row-major over the white cells

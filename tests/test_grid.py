@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,13 +8,15 @@ from hypothesis.extra.numpy import arrays
 
 from newsca import (
     ADOPTION_CHARS,
+    NEWS_CHARS,
     AdoptionState,
     Boundary,
     CellState,
     Grid,
+    InnovationRuleParams,
+    SimulationConfig,
     grid_from_text,
     grid_to_text,
-    new_grid,
 )
 from newsca.engine import _block_sums, _Buffers
 from newsca.reference import MOORE_OFFSETS, count_adoption, count_states, neighborhood
@@ -25,34 +29,41 @@ news_grids = arrays(
 boundaries = st.sampled_from([Boundary.BOUNDED, Boundary.TOROIDAL])
 
 
+def initial_grid(width, height, seed_position=None, **config):
+    """The initial field of a ``width`` x ``height`` config, news unless ``config`` says otherwise."""
+    return SimulationConfig(width=width, height=height, seed_position=seed_position, **config).initial_grid()
+
+
 class TestNewGrid:
+    """The new field a config starts from: code 0 everywhere but one seed cell."""
+
     def test_default_field(self):
-        grid = new_grid(40, 40, (20, 20))
+        grid = initial_grid(40, 40, (20, 20))
         assert count_states(grid) == (1599, 0, 1)
         assert grid.cells[20, 20] == CellState.BLACK
 
     def test_default_seed_is_center(self):
-        grid = new_grid(40, 40)
+        grid = initial_grid(40, 40)
         assert grid.cells[20, 20] == CellState.BLACK
 
     def test_degenerate_single_cell(self):
-        grid = new_grid(1, 1, (0, 0))
+        grid = initial_grid(1, 1, (0, 0))
         assert count_states(grid) == (0, 0, 1)
 
     def test_three_by_three_center(self):
-        grid = new_grid(3, 3, (1, 1))
+        grid = initial_grid(3, 3, (1, 1))
         assert count_states(grid) == (8, 0, 1)
         assert grid.cells[1, 1] == CellState.BLACK
 
     @pytest.mark.parametrize("width,height", [(0, 5), (5, 0), (0, 0), (-1, 3)])
     def test_zero_dimension_rejected(self, width, height):
         with pytest.raises(ValueError):
-            new_grid(width, height, (0, 0))
+            initial_grid(width, height, (0, 0))
 
     @pytest.mark.parametrize("pos", [(-1, 0), (0, -1), (3, 0), (0, 3), (40, 40)])
     def test_out_of_bounds_seed_rejected(self, pos):
         with pytest.raises(ValueError):
-            new_grid(3, 3, pos)
+            initial_grid(3, 3, pos)
 
     @given(
         w=st.integers(1, 20),
@@ -62,29 +73,29 @@ class TestNewGrid:
     def test_initial_counts_property(self, w, h, data):
         r = data.draw(st.integers(0, h - 1))
         c = data.draw(st.integers(0, w - 1))
-        assert count_states(new_grid(w, h, (r, c))) == (w * h - 1, 0, 1)
+        assert count_states(initial_grid(w, h, (r, c))) == (w * h - 1, 0, 1)
 
     def test_adoption_grid(self):
-        grid = new_grid(5, 4, (2, 3), seed_state=AdoptionState.ADOPTED)
+        grid = initial_grid(5, 4, (2, 3), rule_params=InnovationRuleParams())
         assert count_adoption(grid) == (19, 1)
         assert grid.cells[2, 3] == AdoptionState.ADOPTED
 
 
 class TestNeighborhood:
     def test_bounded_corner_has_three(self):
-        grid = new_grid(3, 3, (1, 1))
+        grid = initial_grid(3, 3, (1, 1))
         assert len(neighborhood(grid, (0, 0))) == 3
 
     def test_bounded_edge_has_five(self):
-        grid = new_grid(3, 3, (1, 1))
+        grid = initial_grid(3, 3, (1, 1))
         assert len(neighborhood(grid, (0, 1))) == 5
 
     def test_toroidal_corner_has_eight(self):
-        grid = new_grid(3, 3, (1, 1), boundary=Boundary.TOROIDAL)
+        grid = initial_grid(3, 3, (1, 1), boundary=Boundary.TOROIDAL)
         assert len(neighborhood(grid, (0, 0))) == 8
 
     def test_interior_fixed_offset_order(self):
-        grid = new_grid(3, 3, (1, 1))
+        grid = initial_grid(3, 3, (1, 1))
         grid.cells[0, 1] = CellState.GREY
         grid.cells[2, 2] = CellState.BLACK
         grid.cells[1, 1] = CellState.WHITE
@@ -93,7 +104,7 @@ class TestNeighborhood:
         assert list(nb) == [0, 1, 0, 0, 0, 0, 0, 2]
 
     def test_toroidal_wraparound_positions(self):
-        grid = new_grid(3, 3, (1, 1), boundary=Boundary.TOROIDAL)
+        grid = initial_grid(3, 3, (1, 1), boundary=Boundary.TOROIDAL)
         grid.cells[:] = CellState.WHITE
         grid.cells[2, 2] = CellState.BLACK  # wraps to the (-1,-1) slot of (0,0)
         nb = neighborhood(grid, (0, 0))
@@ -101,7 +112,7 @@ class TestNeighborhood:
         assert np.count_nonzero(nb == CellState.BLACK) == 1
 
     def test_out_of_bounds_position_raises(self):
-        grid = new_grid(3, 3, (1, 1))
+        grid = initial_grid(3, 3, (1, 1))
         with pytest.raises(IndexError):
             neighborhood(grid, (3, 0))
         with pytest.raises(IndexError):
@@ -149,18 +160,18 @@ class TestCounting:
 
 class TestAsciiSerialization:
     def test_header_and_chars(self):
-        grid = new_grid(3, 2, (0, 2))
+        grid = initial_grid(3, 2, (0, 2))
         grid.cells[1, 0] = CellState.GREY
-        text = grid_to_text(grid)
+        text = grid_to_text(grid, NEWS_CHARS)
         assert text == "3 2 bounded\n..#\no..\n"
 
     @given(cells=news_grids, boundary=boundaries)
     def test_round_trip(self, cells, boundary):
         grid = Grid(cells, boundary)
-        assert grid_from_text(grid_to_text(grid)) == grid
+        assert grid_from_text(grid_to_text(grid, NEWS_CHARS), NEWS_CHARS) == grid
 
     def test_adoption_round_trip(self):
-        grid = new_grid(4, 3, (1, 1), boundary=Boundary.TOROIDAL, seed_state=AdoptionState.ADOPTED)
+        grid = initial_grid(4, 3, (1, 1), boundary=Boundary.TOROIDAL, rule_params=InnovationRuleParams())
         text = grid_to_text(grid, ADOPTION_CHARS)
         assert text.splitlines()[0] == "4 3 toroidal"
         assert grid_from_text(text, ADOPTION_CHARS) == grid
@@ -171,7 +182,13 @@ class TestAsciiSerialization:
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
-            grid_from_text(text)
+            grid_from_text(text, NEWS_CHARS)
+
+
+    # The lattice knows no model, so the caller names the alphabet every time.
+    @pytest.mark.parametrize("codec", [grid_to_text, grid_from_text])
+    def test_alphabet_has_no_default(self, codec):
+        assert inspect.signature(codec).parameters["chars"].default is inspect.Parameter.empty
 
 
 class TestGridType:
@@ -182,7 +199,7 @@ class TestGridType:
             Grid(np.zeros((0, 3), dtype=np.uint8))
 
     def test_equality_includes_boundary(self):
-        a = new_grid(3, 3, (1, 1), Boundary.BOUNDED)
-        b = new_grid(3, 3, (1, 1), Boundary.TOROIDAL)
+        a = initial_grid(3, 3, (1, 1), boundary=Boundary.BOUNDED)
+        b = initial_grid(3, 3, (1, 1), boundary=Boundary.TOROIDAL)
         assert a != b
         assert a == Grid(a.cells.copy(), a.boundary)

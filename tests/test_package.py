@@ -17,7 +17,7 @@ PUBLIC = {
     "LogisticParams", "MAX_CELLS", "ModelFit", "NEWS_CHARS", "NewsRuleParams", "SimulationConfig",
     "Trajectory", "cross_point", "derive_run_seeds", "eval_black", "eval_grey", "eval_white",
     "fit_logistic", "fit_model", "grid_from_text", "grid_to_text", "logistic", "make_rng",
-    "new_grid", "normalize", "reference_model", "run", "run_ensemble", "stabilization_ratio",
+    "normalize", "reference_model", "run", "run_ensemble", "stabilization_ratio",
     "step",
 }
 

@@ -54,6 +54,13 @@ class TestOracleIndependence:
                         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
         assert "adopts" not in engine_calls
 
+    # The lattice is shared by both models; what tells them apart lives in rules.
+    def test_grid_knows_no_model(self):
+        tree = parse("grid")
+        assert imported_from(tree, "rules") == []
+        assert named_in(tree).isdisjoint({"CellState", "AdoptionState", "NEWS_CHARS", "ADOPTION_CHARS",
+                                          "NewsRuleParams", "InnovationRuleParams"})
+
     def test_neighbor_counts_reads_neighborhoods(self):
         func = next(node for node in ast.walk(parse("reference"))
                     if isinstance(node, ast.FunctionDef) and node.name == "neighbor_counts")
