@@ -24,6 +24,15 @@ Run ``r`` draws ``rngs[r].random(n_r)`` for its ``n_r`` code-0 cells; they
 are drawn in run order into one buffer and applied to the code-0 cells of
 the flattened stack, which come run by run and row-major within each run,
 so every run consumes and produces exactly what it would stepped alone.
+A cell's next state reads only its 3x3 block, so at state ``t`` every cell
+that is not code 0 lies within Chebyshev distance ``t`` of the seed cell.
+While the cells within distance ``t + 1`` make up at most half of the field
+and, on a torus, reach no edge, the census, the fixed-point test and the
+step read and write only that crop (:func:`_light_cone`); the code-0 cells
+outside it are counted, not scanned. Each run still draws one double for
+every code-0 cell, so a cell in the crop reads the draw at its index in
+the stack less the cells before it that are not code 0, all of which lie
+in the crop before it.
 The draws and the next cells go into the same buffer set, made once per
 stack, so a step allocates little beyond the index of its code-0 cells.
 The kernel hands numpy cell codes as plain ints, never as enum members,
@@ -99,9 +108,14 @@ class SimulationConfig:
     def field_size(self) -> int:
         return self.width * self.height
 
+    @property
+    def seed_cell(self) -> tuple[int, int]:
+        """(row, column) of the seed cell; ``__post_init__`` checked its place."""
+        return (self.height // 2, self.width // 2) if self.seed_position is None else self.seed_position
+
     def initial_grid(self) -> Grid:
-        """Code-0 cells (white / not adopted) and one seed cell; ``__post_init__`` checked its place."""
-        r, c = (self.height // 2, self.width // 2) if self.seed_position is None else self.seed_position
+        """Code-0 cells (white / not adopted) and one seed cell."""
+        r, c = self.seed_cell
         cells = np.zeros((self.height, self.width), dtype=np.uint8)
         cells[r, c] = int(self.rule_params.seed_state)
         return Grid(cells, self.boundary)
@@ -203,7 +217,10 @@ class _Buffers:
     the gathered sums of the code-0 cells, and ``across`` for the mask of
     those with a seed-state neighbor; it writes the draws into ``draws``,
     with room for one per cell, and the new cells into ``spare``, which the
-    run loop swaps with the old cells.
+    run loop swaps with the old cells. ``spare`` starts all code 0.
+
+    ``box`` is the crop of the field, (rows, columns), that the census
+    covers, or None for the whole field; :meth:`cropped` says what it holds.
     """
 
     white: np.ndarray
@@ -214,6 +231,7 @@ class _Buffers:
     block: np.ndarray
     spare: np.ndarray
     draws: np.ndarray
+    box: tuple[slice, slice] | None = None
 
     @classmethod
     def new(cls, shape: tuple[int, int, int]) -> "_Buffers":
@@ -221,7 +239,31 @@ class _Buffers:
         return cls(np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint8),
                    np.empty((runs, 3), dtype=np.uint32), np.zeros((runs, h + 2, w + 2), dtype=np.uint8),
                    np.empty((runs, h + 2, w), dtype=np.uint8), np.empty(shape, dtype=np.uint8),
-                   np.empty(shape, dtype=np.uint8), np.empty((runs, h * w)))
+                   np.zeros(shape, dtype=np.uint8), np.empty((runs, h * w)))
+
+    def cropped(self, box: tuple[slice, slice]) -> "_Buffers":
+        """This set with the census of the crop ``box`` of each grid: ``white``,
+        ``plane``, ``block``, ``halo`` and ``across`` become crop-shaped views
+        of the front of this set's, with a zero halo rim, while ``rows``,
+        ``spare`` and ``draws`` are this set's and still cover whole grids.
+
+        Every cell outside the crop must be code 0 in the old grids and in
+        ``spare``; then :func:`_census`, :func:`_fixed` and :func:`step`
+        read and write only the crop, and are exact.
+        """
+        runs, (h, w) = len(self.rows), (box[0].stop - box[0].start, box[1].stop - box[1].start)
+
+        def front(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+            return a.reshape(-1)[:runs * rows * cols].reshape(runs, rows, cols)
+
+        halo = front(self.halo, h + 2, w + 2)
+        halo.fill(0)  # an earlier, smaller crop left cells where this rim lies
+        return _Buffers(front(self.white, h, w), front(self.plane, h, w), self.rows, halo,
+                        front(self.across, h + 2, w), front(self.block, h, w), self.spare, self.draws, box)
+
+    def first(self, k: int) -> "_Buffers":
+        """Views of the first ``k`` slots of each buffer, on the same crop."""
+        return _Buffers(*(getattr(self, name)[:k] for name in self.__slots__ if name != "box"), self.box)
 
     def keep(self, mask: np.ndarray) -> "_Buffers":
         """Move the census of the ``k`` grids ``mask`` keeps, in order, into
@@ -229,7 +271,7 @@ class _Buffers:
         k = int(np.count_nonzero(mask))
         for a in (self.rows, self.white, self.block):
             a[:k] = a[mask]
-        return _Buffers(*(getattr(self, name)[:k] for name in self.__slots__))
+        return self.first(k)
 
 
 def _block_sums(plane: np.ndarray, boundary: Boundary, buffers: _Buffers) -> np.ndarray:
@@ -266,7 +308,15 @@ def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: 
     in between, all written into ``buffers.rows``. The counts are exact in
     uint32, as MAX_CELLS < 2**32. The seed state is compared as a plain int:
     numpy compares with an enum member through a loop many times slower.
+    On a set :meth:`_Buffers.cropped` made, only the crop is read, and the
+    code-0 cells outside it are added to the white column.
     """
+    box = buffers.box
+    if box is not None:
+        # The crop's halo rim stays zero, as if bounded: the cells beyond it
+        # are code 0, so they hold no seed state, and a code-0 cell on its
+        # edge weighs 16 on its own, so it never reads as stale.
+        field, cells, boundary = cells[0].size, cells[:, box[0], box[1]], Boundary.BOUNDED
     white = np.equal(cells, 0, out=buffers.white)
     plane = buffers.plane
     np.equal(cells, int(params.seed_state), out=plane.view(bool))
@@ -275,6 +325,8 @@ def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: 
     np.add.reduce(plane.reshape(per_run), axis=1, dtype=np.uint32, out=rows[:, 2])
     np.subtract(cells[0].size, rows[:, 0], out=rows[:, 1])
     rows[:, 1] -= rows[:, 2]
+    if box is not None:
+        rows[:, 0] += field - cells[0].size
     if params.stale:
         plane += np.multiply(white.view(np.uint8), _WHITE, out=buffers.block)
     _block_sums(plane, boundary, buffers)
@@ -296,21 +348,24 @@ def step(grid: Grid, rng: np.random.Generator | Sequence[np.random.Generator], p
     of a stack consumes and changes exactly as if it were stepped alone.
     The run loop passes the stack's ``buffers``, which already hold the
     census of ``grid``; the new grid is written into their ``spare`` cells.
-    Without them the step takes the census into a new set, so the new grid
-    never shares memory with ``grid``.
+    If the set is cropped, only the crop of ``spare`` is written, and the
+    rest of it must already be code 0. Without buffers the step takes the
+    census of the whole field into a new set, so the new grid never shares
+    memory with ``grid``.
     """
     cells = grid.cells
     stack, rngs = (cells, rng) if cells.ndim == 3 else (cells[None], (rng,))
     if buffers is None:
         buffers = _Buffers.new(stack.shape)
         _census(stack, grid.boundary, params, buffers)
-    rows, white, block = buffers.rows, buffers.white, buffers.block
+    rows, white, block, box = buffers.rows, buffers.white, buffers.block, buffers.box
     new, scratch = buffers.spare, buffers.plane
+    old, out = (stack, new) if box is None else (stack[:, box[0], box[1]], new[:, box[0], box[1]])
     if params.stale:
         # One state staler is one code lower: black (2) to grey (1), grey to white (0).
-        np.subtract(stack, np.less(block, _WHITE, out=scratch.view(bool)), out=new)
+        np.subtract(old, np.less(block, _WHITE, out=scratch.view(bool)), out=out)
     else:
-        np.copyto(new, stack)
+        np.copyto(out, old)
     where = white.reshape(-1).nonzero()[0]  # grid by grid, each in row-major order
     if where.size:
         draws = buffers.draws.reshape(-1)
@@ -320,13 +375,22 @@ def step(grid: Grid, rng: np.random.Generator | Sequence[np.random.Generator], p
                 g.random(n, out=draws[a:a + n])
                 a += n
         # mode="clip" lets take write into ``out`` directly; every index is in range.
-        seed_nb = block.reshape(-1).take(where, out=scratch.reshape(-1)[:a], mode="clip")
+        seed_nb = block.reshape(-1).take(where, out=scratch.reshape(-1)[:where.size], mode="clip")
         seed_nb &= _WHITE - 1
         # Only cells with a seed-state neighbor can adopt. Rebinding ``where``
         # frees the index of every code-0 cell before the adoption test.
-        near = np.not_equal(seed_nb, 0, out=buffers.across.reshape(-1)[:a].view(bool)).nonzero()[0]
-        where = where[near]
-        fires = draws[near] >= cutoffs(params).take(seed_nb[near])
+        near = np.not_equal(seed_nb, 0, out=buffers.across.reshape(-1)[:where.size].view(bool)).nonzero()[0]
+        where, seed_nb = where[near], seed_nb[near]
+        if box is not None:
+            r, i, j = np.unravel_index(where, white.shape)
+            cell = np.ravel_multi_index((r, i + box[0].start, j + box[1].start), stack.shape)
+            # ``near`` ranks a cell among the crop's code-0 cells. The cells
+            # before it in the stack that are not code 0 all lie in the crop,
+            # before it in crop order, so its draw is its index in the stack
+            # less that count, its crop index less that rank.
+            near += cell - where
+            where = cell
+        fires = draws[near] >= cutoffs(params).take(seed_nb)
         new.reshape(-1)[where[fires]] = int(params.seed_state)
     return Grid(new.reshape(cells.shape), grid.boundary)
 
@@ -363,6 +427,29 @@ def _fixed(buffers: _Buffers, params: RuleParams) -> np.ndarray:
     return ~change.reshape(len(rows), -1).any(axis=1)
 
 
+def _light_cone(config: SimulationConfig, t: int) -> tuple[slice, slice] | None:
+    """The crop, (rows, columns), that state ``t`` of a run of ``config`` is
+    stepped on, or None if it takes the whole field.
+
+    A cell's next state reads only its 3x3 block, so at state ``t`` every
+    cell that is not code 0 lies within Chebyshev distance ``t`` of the seed
+    cell. The crop holds the rows and columns within distance ``t + 1``,
+    clipped to a bounded field, so every cell outside it, and every cell on
+    its edge, is code 0. It serves while it holds at most half of the
+    field's cells and, on a toroidal field, reaches no edge, where it would
+    wrap; as it only grows, it never serves again after that.
+    """
+    h, w = config.height, config.width
+    (r, c), d = config.seed_cell, t + 1
+    top, bottom, left, right = r - d, r + d + 1, c - d, c + d + 1
+    if config.boundary is Boundary.TOROIDAL and (top < 0 or left < 0 or bottom > h or right > w):
+        return None
+    top, bottom, left, right = max(top, 0), min(bottom, h), max(left, 0), min(right, w)
+    if 2 * (bottom - top) * (right - left) > h * w:
+        return None
+    return slice(top, bottom), slice(left, right)
+
+
 def _run_stack(config: SimulationConfig, seeds: list[int],
                observe: Callable[[int, int, np.ndarray], None] | None = None) -> list[Trajectory]:
     """One run of ``config`` per seed, all stepped together as one stack.
@@ -376,17 +463,23 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
     within a step in run order, with ``r`` the run's index in ``seeds`` and
     ``cells`` a (height, width) view of its state in the stack, which the
     run loop overwrites once the call returns.
+
+    While the seed's light cone covers little of the field
+    (:func:`_light_cone`), a state's census, fixed-point test and step
+    read and write only the crop, from a cropped view of the stack's
+    buffer set; every run still draws one double per code-0 cell.
     """
     params, boundary = config.rule_params, config.boundary
     rngs = [make_rng(seed) for seed in seeds]
     cells = np.repeat(config.initial_grid().cells[None], len(seeds), axis=0)
-    buffers = _Buffers.new(cells.shape)
+    whole = _Buffers.new(cells.shape)
     live = np.arange(len(seeds))  # the run of each grid in the stack
     counts: list[list[list[int]]] = [[] for _ in seeds]
     converged_at: list[int | None] = [None] * len(seeds)
 
-    t = 0
+    t, box = 0, _light_cone(config, 0)
     while True:
+        buffers = whole if box is None else whole.cropped(box)
         _census(cells, boundary, params, buffers)
         for k, (r, row) in enumerate(zip(live.tolist(), buffers.rows.tolist())):
             counts[r].append(row)
@@ -401,10 +494,14 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
             keep = ~fixed
             cells, live = cells[keep], live[keep]
             rngs = [g for g, f in zip(rngs, fixed) if not f]
-            buffers = buffers.keep(keep)
+            buffers, whole = buffers.keep(keep), whole.first(len(live))
         new = step(Grid(cells, boundary), rngs, params, buffers).cells
-        cells, buffers.spare = new, cells
+        cells, whole.spare = new, cells
         t += 1
+        if box is not None:
+            box = _light_cone(config, t)
+            if box is None:
+                whole.halo.fill(0)  # the crops left cells in its front
 
     return [Trajectory(counts=np.array(rows, dtype=np.int64), converged_at=converged_at[r])
             for r, rows in enumerate(counts)]

@@ -271,20 +271,28 @@ class TestStep:
     # large field and a large stack are counted. When runs leave the stack,
     # keep moves the census of those that stay, here runs 3, 4 and 20, to
     # the front of the set, in order, as a fresh census of them would be.
-    @pytest.mark.parametrize("runs,size,steps", [(1, 300, 120), (25, 40, 40)],
-                             ids=["300x300-field", "25-run-40x40-stack"])
+    # The state at step 12 of the stack is counted on its light cone's crop.
+    @pytest.mark.parametrize("runs,size,steps", [(1, 300, 120), (25, 40, 40), (25, 40, 12)],
+                             ids=["300x300-field", "25-run-40x40-stack", "25-run-40x40-light-cone"])
     def test_census_rows_match_count_states(self, observed, runs, size, steps):
         config = SimulationConfig(width=size, height=size, rng_seed=1, max_steps=steps)
         params, boundary = config.rule_params, config.boundary
         cells = np.stack([observed[seed][-1][1].cells for seed in run_ensemble(config, runs).run_seeds])
-        buffers = _Buffers.new(cells.shape)
-        _census(cells, boundary, params, buffers)
+        box = engine._light_cone(config, steps)
+        assert (box is not None) == (steps == 12)
+
+        def census_of(stack):
+            buffers = _Buffers.new(stack.shape)
+            buffers = buffers if box is None else buffers.cropped(box)
+            _census(stack, boundary, params, buffers)
+            return buffers
+
+        buffers = census_of(cells)
         census, stack = buffers, cells
         if runs > 1:
             mask = np.isin(np.arange(runs), [3, 4, 20])
             census, stack = buffers.keep(mask), cells[mask]
-            fresh = _Buffers.new(stack.shape)
-            _census(stack, boundary, params, fresh)
+            fresh = census_of(stack)
             for name in ("rows", "white", "block"):
                 kept = getattr(census, name)
                 assert np.array_equal(kept, getattr(fresh, name)), name
@@ -472,6 +480,62 @@ class TestRun:
             SimulationConfig(width=100_000, height=100_000)
 
 
+class TestLightCone:
+    # While the seed's light cone, grown by one cell, covers at most half the
+    # field and, on a torus, reaches no edge, the run loop takes each state's
+    # census and step on that crop of the field (engine._light_cone). Each
+    # field below is cropped for its first 10 states, except a torus seeded
+    # on an edge or in a corner, where the crop would wrap at once; the 13
+    # steps go on past the crop. Every observed state, of one run or of each
+    # run of a stack, must be the per-cell oracle's replay of its seed.
+    @pytest.mark.parametrize("size,seed_position", [((30, 30), None), ((22, 21), (10, 21)), ((16, 16), (15, 0))],
+                             ids=["centre", "edge", "corner"])
+    @pytest.mark.parametrize("params,boundary,runs", [
+        (NewsRuleParams(), Boundary.BOUNDED, 5),
+        (InnovationRuleParams(threshold=0.9), Boundary.BOUNDED, 1),
+        (NewsRuleParams(), Boundary.TOROIDAL, 1),
+        (InnovationRuleParams(threshold=0.9), Boundary.TOROIDAL, 5),
+    ], ids=["news-bounded-5-runs", "innovation-bounded-1-run", "news-torus-1-run", "innovation-torus-5-runs"])
+    def test_cropped_states_match_reference(self, observed, size, seed_position, params, boundary, runs):
+        width, height = size
+        config = SimulationConfig(width=width, height=height, seed_position=seed_position, boundary=boundary,
+                                  rng_seed=6, max_steps=13, rule_params=params)
+        wraps = boundary is Boundary.TOROIDAL and seed_position is not None
+        assert [engine._light_cone(config, t) is not None for t in range(14)] == [not wraps] * 10 + [False] * 4
+        for seed in run_ensemble(config, runs).run_seeds:
+            assert [t for t, _ in observed[seed]] == list(range(14))
+            grid, rng = config.initial_grid(), make_rng(seed)
+            for t, state in observed[seed]:
+                assert state == grid, (seed, t)
+                grid = step_reference(grid, t, rng, params)
+
+    # The fact the crop rests on: a cell's next state reads only its 3x3
+    # block, so at state t every cell that is not code 0 lies within
+    # Chebyshev distance t of the seed cell, measured around a torus.
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), model=st.sampled_from([NewsRuleParams, InnovationRuleParams]), boundary=boundaries,
+           shape=st.tuples(st.integers(1, 24), st.integers(1, 24)), runs=st.integers(1, 3),
+           seed=st.integers(0, 2**32))
+    def test_cells_stay_in_the_light_cone(self, data, model, boundary, shape, runs, seed):
+        height, width = shape
+        row, col = data.draw(st.integers(0, height - 1)), data.draw(st.integers(0, width - 1))
+        # Low thresholds spread the news as fast as the rule allows.
+        config = SimulationConfig(width=width, height=height, seed_position=(row, col), boundary=boundary,
+                                  rng_seed=seed, max_steps=30, rule_params=model(data.draw(st.floats(0.01, 2.0))))
+        dr, dc = np.abs(np.arange(height) - row)[:, None], np.abs(np.arange(width) - col)[None, :]
+        if boundary is Boundary.TOROIDAL:
+            dr, dc = np.minimum(dr, height - dr), np.minimum(dc, width - dc)
+        distance = np.maximum(dr, dc)
+        seen = []
+
+        def observe(t, r, cells):
+            assert (distance[cells != 0] <= t).all(), (t, r)
+            seen.append(t)
+
+        engine._run_stack(config, derive_run_seeds(seed, runs), observe)
+        assert seen
+
+
 class TestEnsemble:
     def test_single_run_mean_equals_that_run(self):
         cfg = SimulationConfig(width=12, height=12, rng_seed=5)
@@ -578,14 +642,19 @@ class TestMemory:
     # A step that writes into its stack's buffers allocates at most the
     # index of the stack's code-0 cells (8 bytes each) and a little more:
     # small arrays, the near cells' adoption test and numpy's cast buffers.
-    @pytest.mark.parametrize("runs,size,steps", [(1, 300, 120), (20, 40, 40)],
-                             ids=["300x300-field", "20-run-40x40-stack"])
+    # The state at step 20 of a 300x300 field is stepped on its light cone's
+    # crop, as the run loop steps it; its other code-0 cells are not indexed.
+    @pytest.mark.parametrize("runs,size,steps", [(1, 300, 120), (1, 300, 20), (20, 40, 40)],
+                             ids=["300x300-field", "300x300-light-cone", "20-run-40x40-stack"])
     def test_census_and_step_allocate_little(self, observed, runs, size, steps):
         config = SimulationConfig(width=size, height=size, rng_seed=1, max_steps=steps)
         cells = np.stack([observed[seed][-1][1].cells for seed in run_ensemble(config, runs).run_seeds])
         params, boundary = config.rule_params, config.boundary
         rngs = [make_rng(seed) for seed in range(runs)]
-        buffers = _Buffers.new(cells.shape)
+        buffers, box = _Buffers.new(cells.shape), engine._light_cone(config, steps)
+        assert (box is not None) == (steps == 20)
+        if box is not None:
+            buffers = buffers.cropped(box)
         _census(cells, boundary, params, buffers)
         step(Grid(cells, boundary), rngs, params, buffers)  # fills lazy caches
         tracemalloc.start()
@@ -649,16 +718,14 @@ class TestTracedBoundary:
     # when the run loop steps every state but a run's last exactly once
     # through that name, drawing one double per code-0 cell of the grids it
     # passes from generators made by that name, and outputs are unchanged.
-    # The news runs leave their stacks at different steps, some at a fixed
-    # point and some at max_steps.
-    @pytest.mark.parametrize("how", ["run", "jobs=1", "jobs=2"])
-    @pytest.mark.parametrize("params,boundary", [(NewsRuleParams(), Boundary.BOUNDED),
-                                                 (InnovationRuleParams(threshold=0.9), Boundary.TOROIDAL)],
-                             ids=["news", "innovation"])
-    def test_step_and_draws_are_seen_at_the_module_names(self, observed, params, boundary, how):
-        config = SimulationConfig(width=9, height=8, rng_seed=3, max_steps=60,
-                                  boundary=boundary, rule_params=params)
-        seeds = [3] if how == "run" else derive_run_seeds(3, 5)
+    each_way = pytest.mark.parametrize("how", ["run", "jobs=1", "jobs=2"])
+    each_model = pytest.mark.parametrize("params,boundary", [(NewsRuleParams(), Boundary.BOUNDED),
+                                                            (InnovationRuleParams(threshold=0.9), Boundary.TOROIDAL)],
+                                         ids=["news", "innovation"])
+
+    @staticmethod
+    def check(observed, config, how):
+        seeds = [config.rng_seed] if how == "run" else derive_run_seeds(config.rng_seed, 5)
 
         def execute():
             if how == "run":
@@ -692,3 +759,23 @@ class TestTracedBoundary:
                         for t, g in expected_states[seed] if t < tr.steps)
         assert len(states) == sum(tr.steps for tr in expected) > 0
         assert grids == states
+
+    # The news runs leave their stacks at different steps, some at a fixed
+    # point and some at max_steps.
+    @each_way
+    @each_model
+    def test_step_and_draws_are_seen_at_the_module_names(self, observed, params, boundary, how):
+        self.check(observed, SimulationConfig(width=9, height=8, rng_seed=3, max_steps=60,
+                                              boundary=boundary, rule_params=params), how)
+
+    # Seeded off centre, this field is stepped on its light cone's crop for
+    # its first 16 states when bounded, 10 on a torus; the tracer still sees
+    # each of those states whole.
+    @each_way
+    @each_model
+    def test_cropped_states_are_seen_whole(self, observed, params, boundary, how):
+        config = SimulationConfig(width=41, height=37, seed_position=(10, 30), rng_seed=3, max_steps=60,
+                                  boundary=boundary, rule_params=params)
+        n = 16 if boundary is Boundary.BOUNDED else 10
+        assert [engine._light_cone(config, t) is not None for t in range(20)] == [True] * n + [False] * (20 - n)
+        self.check(observed, config, how)
