@@ -23,9 +23,12 @@ from newsca import (
     SimulationConfig,
     eval_grey,
     eval_white,
+    grid_from_text,
     grid_to_text,
+    make_rng,
     reference_model,
 )
+from newsca.reference import count_adoption, count_states, step_reference
 from newsca.rules import MODELS
 from newsca.cli import (
     EXIT_FIT_FAILURE,
@@ -47,6 +50,20 @@ from newsca.cli import (
 def read_csv_rows(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+PGM_CODES = {"255": 0, "128": 1, "0": 2}  # white, grey and black, as a P2 reader sees them
+
+
+def read_snapshot(path, config):
+    """The grid a snapshot file shows; PGM levels are read through ``PGM_CODES``, not the writer's table."""
+    text = path.read_text()
+    if path.suffix == ".txt":
+        return grid_from_text(text, config.rule_params.chars)
+    lines = text.splitlines()
+    assert lines[:3] == ["P2", f"{config.width} {config.height}", "255"], path
+    return Grid(np.array([[PGM_CODES[v] for v in line.split()] for line in lines[3:]], dtype=np.uint8),
+                config.boundary)
 
 
 class TestSimulate:
@@ -185,6 +202,40 @@ class TestSimulate:
         assert lines[2] == "255"
         values = {int(v) for line in lines[3:] for v in line.split()}
         assert values <= {0, 128, 255}
+
+    # The 37x23 field is stepped on its light cone's crop for its first 9
+    # states, and the 41x21 field, seeded on its right edge, for 19. The
+    # toroidal runs start in a corner, so their spread wraps every edge; 0.3
+    # is inexact in binary, so each of its cutoffs depends on how p * m rounds.
+    @pytest.mark.parametrize("flags,every,config", [
+        (["--width", "37", "--height", "23"], 5, SimulationConfig(width=37, height=23)),
+        (["--width", "37", "--height", "23", "--snapshot-format", "pgm"], 5,
+         SimulationConfig(width=37, height=23)),
+        (["--width", "41", "--height", "21", "--seed-row", "10", "--seed-col", "40"], 3,
+         SimulationConfig(width=41, height=21, seed_position=(10, 40))),
+        *[(["--model", "innovation", "--innovation-threshold", str(p), "--boundary", "toroidal",
+            "--width", "23", "--height", "15", "--seed-row", "0", "--seed-col", "0"], 3,
+           SimulationConfig(width=23, height=15, seed_position=(0, 0), boundary=Boundary.TOROIDAL,
+                            rule_params=InnovationRuleParams(threshold=p))) for p in (0.9, 0.3)],
+    ], ids=["37x23-ascii", "37x23-pgm", "41x21-right-edge", "23x15-torus-0.9", "23x15-torus-0.3"])
+    def test_snapshots_replay_reference_and_match_series(self, tmp_path, flags, every, config):
+        argv = ["simulate", *flags, "--seed", "2", "--max-steps", "20", "--snapshot-every", str(every)]
+        assert main(argv + ["--outdir", str(tmp_path)]) in (EXIT_OK, EXIT_NO_CONVERGENCE)
+        _, rows = read_csv_rows(tmp_path / "series.csv")
+        ext = "pgm" if "pgm" in flags else "txt"
+        names = sorted(p.name for p in tmp_path.glob("snapshot_*"))
+        assert names == [f"snapshot_{t:06d}.{ext}" for t in range(0, len(rows), every)]
+        grid, rng, params = config.initial_grid(), make_rng(2), config.rule_params
+        for t, row in enumerate(rows):
+            if t % every == 0:
+                assert read_snapshot(tmp_path / f"snapshot_{t:06d}.{ext}", config) == grid, t
+            if params.name == "news":
+                counts = count_states(grid)
+            else:
+                not_adopted, adopted = count_adoption(grid)
+                counts = (not_adopted, 0, adopted)
+            assert tuple(int(v) for v in row[1:4]) == counts, t
+            grid = step_reference(grid, t, rng, params)
 
     def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -342,7 +393,9 @@ class TestFit:
         assert params["grey"]["params"]["c"] == pytest.approx(0.75, rel=1e-3)
         assert params["grey"]["params"]["tau"] == pytest.approx(30.0, rel=1e-3)
         assert params["grey"]["params"]["gamma"] == pytest.approx(0.15, rel=1e-3)
+        assert params["white"]["params"]["c"] == pytest.approx(0.75, rel=1e-3)
         assert params["white"]["params"]["tau"] == pytest.approx(20.0, rel=1e-3)
+        assert params["white"]["params"]["gamma"] == pytest.approx(0.25, rel=1e-3)
         assert params["black_rmse"] <= 1e-6
         for curve in ("grey", "white"):
             assert type(params[curve]["nfev"]) is int and params[curve]["nfev"] >= 1
