@@ -61,16 +61,8 @@ SNAPSHOT_FORMATS = ("ascii", "pgm")
 PGM_LEVELS = {".": 255, "o": 128, "#": 0}
 
 
-class CsvFormatError(ValueError):
-    """Malformed series CSV; carries the 1-based offending line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class ManifestError(ValueError):
-    """Malformed manifest: invalid JSON, or a missing, extra or invalid entry."""
+class InputError(ValueError):
+    """Malformed input file: a manifest or series CSV; the message names the file."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +108,11 @@ def _check_fields(cls, d: dict, what: str) -> None:
     """``d`` holds exactly the fields of ``cls``, each of its annotated type."""
     names = sorted(f.name for f in fields(cls))
     if sorted(d) != names:
-        raise ManifestError(f"{what} must hold {names}, got {sorted(d)}")
+        raise InputError(f"{what} must hold {names}, got {sorted(d)}")
     hints = get_type_hints(cls)
     for name in names:
         if not _conforms(d[name], hints[name]):
-            raise ManifestError(f"{what} entry {name!r} must be {_shape(hints[name])}, got {d[name]!r}")
+            raise InputError(f"{what} entry {name!r} must be {_shape(hints[name])}, got {d[name]!r}")
 
 
 def config_from_dict(d: dict) -> SimulationConfig:
@@ -128,11 +120,11 @@ def config_from_dict(d: dict) -> SimulationConfig:
     must hold exactly the fields of SimulationConfig and of the named model,
     each of its annotated type."""
     if type(d) is not dict:
-        raise ManifestError("config must be a JSON object")
+        raise InputError("config must be a JSON object")
     d = dict(d)
     model = d.pop("model")
     if type(model) is not str or model not in MODELS:
-        raise ManifestError(f"config entry 'model' must be one of {sorted(MODELS)}, got {model!r}")
+        raise InputError(f"config entry 'model' must be one of {sorted(MODELS)}, got {model!r}")
     cls = MODELS[model]
     _check_fields(SimulationConfig, d, "config")
     _check_fields(cls, d["rule_params"], f"rule_params of model {cls.name!r}")
@@ -158,26 +150,28 @@ def build_manifest(command: str, config: SimulationConfig | None = None, **extra
 
 
 def save_manifest(path: Path, manifest: dict) -> None:
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    """Write a JSON output: a manifest, summary.json or fit_params.json. A
+    non-finite value raises rather than writing NaN."""
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
     """(config, contents) of a manifest written by ``command`` with this
-    package's generator; raises ManifestError if it is malformed or was
+    package's generator; raises InputError if it is malformed or was
     written by another command or generator, whose rerun here would be
     another experiment."""
     try:
         manifest = json.loads(path.read_text())
         if type(manifest) is not dict:
-            raise ManifestError("the manifest must be a JSON object")
+            raise InputError("the manifest must be a JSON object")
         for key, want in (("command", command), ("rng", GENERATOR_NAME)):
             if manifest[key] != want:
-                raise ManifestError(f"{key} must be {want!r}, got {manifest[key]!r}")
+                raise InputError(f"{key} must be {want!r}, got {manifest[key]!r}")
         return config_from_dict(manifest["config"]), manifest
     except KeyError as exc:
-        raise ManifestError(f"{path}: missing key {exc}") from None
+        raise InputError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ManifestError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -271,46 +265,52 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     from normalization. Every value must be finite, the white and grey
     fractions within [0, 1], the three fractions of a row, when the black
     one is given, must sum to 1 within 1e-6, and the steps must strictly
-    increase; a CsvFormatError names the first line that breaks a rule, or
-    that is not UTF-8. Black is not range-checked: a model's black curve
-    may dip just below 0.
+    increase; an InputError names the file and the first line that breaks a
+    rule, is not UTF-8 or is not CSV. Black is not range-checked: a model's
+    black curve may dip just below 0.
     """
+    def bad(message: str, line: int | None = None) -> InputError:
+        """The error at ``line``, by default the physical line the reader's last row ended on."""
+        return InputError(f"{path}: line {reader.line_num if line is None else line}: {message}")
+
     data = path.read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CsvFormatError(data.count(b"\n", 0, exc.start) + 1,
-                             f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+        raise bad(f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}",
+                  data.count(b"\n", 0, exc.start) + 1) from None
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(1, "empty file") from None
-        names = [h.strip() for h in header]
-        if "step" not in names:
-            raise CsvFormatError(1, "missing 'step' column")
-        if "white_frac" not in names or "grey_frac" not in names:
-            raise CsvFormatError(1, "missing 'white_frac' or 'grey_frac' column")
-        columns = [names.index(name) for name in ("step", "white_frac", "grey_frac", "black_frac")
-                   if name in names]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                values = [float(row[i]) for i in columns]
-            except (ValueError, IndexError) as exc:
-                raise CsvFormatError(lineno, f"unparseable row: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise CsvFormatError(lineno, f"non-finite value in row {row}")
-            if not (0 <= values[1] <= 1 and 0 <= values[2] <= 1):
-                raise CsvFormatError(lineno, f"white or grey fraction outside [0, 1] in row {row}")
-            if len(values) == 4 and abs(sum(values[1:]) - 1) > 1e-6:
-                raise CsvFormatError(lineno, f"fractions sum to {sum(values[1:])!r}, not 1, in row {row}")
-            if rows and values[0] <= rows[-1][0]:
-                raise CsvFormatError(lineno, f"step {values[0]:g} does not follow step {rows[-1][0]:g}")
-            rows.append(values)
+            header = next(reader, None)
+            if header is None:
+                raise bad("empty file", 1)
+            names = [h.strip() for h in header]
+            if "step" not in names:
+                raise bad("missing 'step' column")
+            if "white_frac" not in names or "grey_frac" not in names:
+                raise bad("missing 'white_frac' or 'grey_frac' column")
+            columns = [names.index(name) for name in ("step", "white_frac", "grey_frac", "black_frac")
+                       if name in names]
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    values = [float(row[i]) for i in columns]
+                except (ValueError, IndexError) as exc:
+                    raise bad(f"unparseable row: {exc}") from None
+                if not all(map(math.isfinite, values)):
+                    raise bad(f"non-finite value in row {row}")
+                if not (0 <= values[1] <= 1 and 0 <= values[2] <= 1):
+                    raise bad(f"white or grey fraction outside [0, 1] in row {row}")
+                if len(values) == 4 and abs(sum(values[1:]) - 1) > 1e-6:
+                    raise bad(f"fractions sum to {sum(values[1:])!r}, not 1, in row {row}")
+                if rows and values[0] <= rows[-1][0]:
+                    raise bad(f"step {values[0]:g} does not follow step {rows[-1][0]:g}")
+                rows.append(values)
+        except csv.Error as exc:  # such as a field above the csv module's size limit
+            raise bad(str(exc)) from None
     steps, white, grey, *black = np.array(rows).reshape(-1, len(columns)).T.copy()
     return steps, white, grey, black[0] if black else 1.0 - white - grey
 
@@ -319,28 +319,21 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 # argument parsing
 
 class _Parser(argparse.ArgumentParser):
-    # Usage mistakes exit 1, not argparse's default 2 (2 is reserved for I/O).
+    # A usage mistake is one line, like every other error, and exits 1, not
+    # argparse's default 2 (2 is reserved for I/O); --help shows the usage.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _add_config_flags(sp: argparse.ArgumentParser, snapshots: bool) -> None:
     config = SimulationConfig()
-    sp.add_argument("--width", type=_positive_int, default=config.width)
-    sp.add_argument("--height", type=_positive_int, default=config.height)
+    sp.add_argument("--width", type=int, default=config.width)
+    sp.add_argument("--height", type=int, default=config.height)
     sp.add_argument("--seed-row", type=int, default=None, help="seed cell row (default: center)")
     sp.add_argument("--seed-col", type=int, default=None, help="seed cell column (default: center)")
     sp.add_argument("--boundary", choices=[b.value for b in Boundary], default=config.boundary.value)
     sp.add_argument("--seed", type=int, default=config.rng_seed, help="RNG seed")
-    sp.add_argument("--max-steps", type=_positive_int, default=config.max_steps)
+    sp.add_argument("--max-steps", type=int, default=config.max_steps)
     sp.add_argument("--model", choices=list(MODELS), default=config.rule_params.name)
     # Each rule flag's dest is the name of the rule parameter it sets; one
     # left out takes the default of the model's rule parameter class.
@@ -350,15 +343,15 @@ def _add_config_flags(sp: argparse.ArgumentParser, snapshots: bool) -> None:
     sp.add_argument("--innovation-threshold", dest="threshold", metavar="INNOVATION_THRESHOLD",
                     type=float, default=None)
     if snapshots:
-        sp.add_argument("--snapshot-every", type=_positive_int, default=config.snapshot_every)
+        sp.add_argument("--snapshot-every", type=int, default=config.snapshot_every)
         sp.add_argument("--snapshot-format", choices=SNAPSHOT_FORMATS, default=SNAPSHOT_FORMATS[0])
     sp.add_argument("--from-manifest", type=Path, default=None,
                     help="load the full configuration from a manifest file (other config flags are ignored)")
 
 
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SimulationConfig:
+def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     if (args.seed_row is None) != (args.seed_col is None):
-        parser.error("--seed-row and --seed-col must be given together")
+        raise ValueError("--seed-row and --seed-col must be given together")
     seed_position = None if args.seed_row is None else (args.seed_row, args.seed_col)
     cls = MODELS[args.model]
     given = {f.name: getattr(args, f.name) for model in MODELS.values() for f in fields(model)
@@ -393,15 +386,15 @@ def _fit_result_dict(fit: FitResult) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     if args.from_manifest is not None:
         config, manifest_in = load_manifest(args.from_manifest, "simulate")
         snapshot_format = manifest_in.get("snapshot_format", SNAPSHOT_FORMATS[0])
         if snapshot_format not in SNAPSHOT_FORMATS:
-            raise ManifestError(f"{args.from_manifest}: snapshot_format must be one of "
-                                f"{list(SNAPSHOT_FORMATS)}, got {snapshot_format!r}")
+            raise InputError(f"{args.from_manifest}: snapshot_format must be one of "
+                             f"{list(SNAPSHOT_FORMATS)}, got {snapshot_format!r}")
     else:
-        config = _config_from_args(args, parser)
+        config = _config_from_args(args)
         snapshot_format = args.snapshot_format
     outdir = _resolve_outdir(args)
 
@@ -434,22 +427,23 @@ def cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return EXIT_OK
 
 
-def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_ensemble(args: argparse.Namespace) -> int:
     if args.from_manifest is not None:
         config, manifest_in = load_manifest(args.from_manifest, "ensemble")
         runs = manifest_in.get("runs")
         if type(runs) is not int:
-            raise ManifestError(f"{args.from_manifest}: runs must be a positive integer, got {runs!r}")
+            raise InputError(f"{args.from_manifest}: runs must be a positive integer, got {runs!r}")
         try:
             check_runs(config, runs)
         except ValueError as exc:
-            raise ManifestError(f"{args.from_manifest}: {exc}") from None
+            raise InputError(f"{args.from_manifest}: {exc}") from None
         if config.snapshot_every is not None:  # ensemble writes no snapshots
-            raise ManifestError(f"{args.from_manifest}: config entry 'snapshot_every' must be null "
-                                f"for ensemble, got {config.snapshot_every!r}")
+            raise InputError(f"{args.from_manifest}: config entry 'snapshot_every' must be null "
+                             f"for ensemble, got {config.snapshot_every!r}")
     else:
-        config = _config_from_args(args, parser)
+        config = _config_from_args(args)
         runs = args.runs
+    check_runs(config, runs, args.jobs)
     outdir = _resolve_outdir(args)
 
     result = run_ensemble(config, runs, jobs=args.jobs)
@@ -481,7 +475,7 @@ def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         "cross_point": {"step": cp.step, "level": cp.level, "spread": cp.spread},
         "manifest": manifest,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    save_manifest(outdir / "summary.json", summary)
 
     print(f"ensemble: {runs} runs of {config.width}x{config.height} "
           f"{config.boundary.value} base_seed={config.rng_seed} jobs={args.jobs}")
@@ -499,9 +493,9 @@ def cmd_ensemble(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return EXIT_OK
 
 
-def cmd_eval_model(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_eval_model(args: argparse.Namespace) -> int:
     if args.t_max < args.t_min:
-        parser.error("--t-max must be >= --t-min")
+        raise ValueError("--t-max must be >= --t-min")
     if args.t_max - args.t_min >= MAX_CELLS:
         raise ValueError(f"--t-min {args.t_min} to --t-max {args.t_max} is more than "
                          f"MAX_CELLS = {MAX_CELLS} steps")
@@ -523,8 +517,7 @@ def cmd_eval_model(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return EXIT_OK
 
 
-def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    del parser
+def cmd_fit(args: argparse.Namespace) -> int:
     steps, white, grey, black = read_series_csv(args.input)
     outdir = _resolve_outdir(args)
 
@@ -536,8 +529,7 @@ def cmd_fit(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         "white": _fit_result_dict(fit.white),
         "black_rmse": fit.black_rmse,
     }
-    # allow_nan=False: a non-finite value raises rather than writing NaN.
-    (outdir / "fit_params.json").write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    save_manifest(outdir / "fit_params.json", payload)
     manifest = build_manifest("fit", input=str(args.input))
     save_manifest(outdir / "manifest.json", manifest)
 
@@ -570,11 +562,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ensemble", help="run many seeded simulations and aggregate")
     _add_config_flags(sp, snapshots=False)
-    sp.add_argument("--runs", type=_positive_int, default=100)
-    sp.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                    help="step the runs as N blocks, each on its own thread; the outputs are identical "
-                         "for any N. More jobs pay only on large stacks: in the README's figures, "
-                         "100 runs are slower with 2 jobs than with 1")
+    sp.add_argument("--runs", type=int, default=100)
+    sp.add_argument("--jobs", type=int, default=1, metavar="N",
+                    help="step the runs as N blocks on at most as many threads as there are CPUs; the "
+                         "outputs are identical for any N. More jobs pay only on large stacks: in the "
+                         "README's figures, 100 runs are slower with 2 jobs than with 1")
     sp.add_argument("--outdir", default=None)
     sp.set_defaults(func=cmd_ensemble)
 
@@ -606,13 +598,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        return args.func(args, parser)
-    except SystemExit as exc:  # parser.error inside a command
-        return int(exc.code or 0)
-    except (CsvFormatError, csv.Error) as exc:  # csv.Error: a field above the csv module's size limit
-        print(f"error: {args.input if hasattr(args, 'input') else ''}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ManifestError, OSError) as exc:
+        return args.func(args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -45,6 +45,7 @@ kernel is checked against the per-cell oracle in :mod:`newsca.reference`.
 """
 from __future__ import annotations
 
+import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -521,11 +522,13 @@ def run(config: SimulationConfig, observe: Callable[[int, int, np.ndarray], None
     return _run_stack(config, [config.rng_seed], observe)[0]
 
 
-def check_runs(config: SimulationConfig, runs: int) -> None:
-    """Raise ValueError unless ``runs`` is at least 1 and ``runs`` fields of
-    ``config`` hold at most MAX_CELLS cells together."""
+def check_runs(config: SimulationConfig, runs: int, jobs: int = 1) -> None:
+    """Raise ValueError unless ``jobs`` and ``runs`` are at least 1 and
+    ``runs`` fields of ``config`` hold at most MAX_CELLS cells together."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if runs < 1:
-        raise ValueError("runs must be >= 1")
+        raise ValueError(f"runs must be >= 1, got {runs}")
     if runs * config.field_size > MAX_CELLS:
         raise ValueError(f"{runs} runs of a {config.width}x{config.height} field exceed "
                          f"MAX_CELLS = {MAX_CELLS} cells")
@@ -537,15 +540,15 @@ def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1) -> Ensemble
     Per-run seeds come from :func:`derive_run_seeds` on ``config.rng_seed``;
     each run owns a private generator. The runs are stepped as one stack, or
     with ``jobs > 1`` as that many contiguous blocks of runs, each block a
-    stack on its own thread; aggregation sums in run-index order, so the
-    result is identical for any ``jobs``.
+    stack, on at most one thread per CPU; aggregation sums in run-index
+    order, so the result is identical for any ``jobs``.
     """
-    check_runs(config, runs)
+    check_runs(config, runs, jobs)
     seeds = derive_run_seeds(config.rng_seed, runs)
     blocks = min(jobs, runs)
     if blocks > 1:
         parts = [seeds[i * runs // blocks:(i + 1) * runs // blocks] for i in range(blocks)]
-        with ThreadPoolExecutor(max_workers=blocks) as pool:
+        with ThreadPoolExecutor(max_workers=min(blocks, os.cpu_count() or 1)) as pool:
             trajectories = [tr for part in pool.map(lambda p: _run_stack(config, p), parts) for tr in part]
     else:
         trajectories = _run_stack(config, seeds)

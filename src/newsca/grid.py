@@ -27,7 +27,8 @@ class Boundary(Enum):
 class Grid:
     """Rectangular lattice of cell-state codes with a boundary mode.
 
-    ``cells`` is a (height, width) uint8 array; row-major iteration order is
+    ``cells`` is a (height, width) uint8 array, built from any array whose
+    values it holds exactly, bool masks included; row-major iteration order is
     the canonical cell order everywhere in this package. A (runs, height,
     width) array is a stack of equally shaped grids that
     :func:`newsca.engine.step` advances together; the other functions of
@@ -38,7 +39,10 @@ class Grid:
     boundary: Boundary = Boundary.BOUNDED
 
     def __post_init__(self) -> None:
-        self.cells = np.ascontiguousarray(self.cells, dtype=np.uint8)
+        cells = np.asarray(self.cells)
+        self.cells = np.ascontiguousarray(cells, dtype=np.uint8)
+        if cells.dtype != np.uint8 and not np.array_equal(self.cells, cells):
+            raise ValueError(f"cell codes must be integers in [0, 255], got {cells[self.cells != cells][0]}")
         if self.cells.ndim not in (2, 3):
             raise ValueError("cells must be a 2-D array or a 3-D stack of them")
         if 0 in self.cells.shape:

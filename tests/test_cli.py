@@ -88,6 +88,27 @@ class TestSimulate:
         code = main(["simulate", "--seed-row", "2", "--outdir", str(tmp_path)])
         assert code == EXIT_USAGE
 
+    # Whether argparse, the library or a command finds it, a usage mistake is
+    # one "error:" line on stderr, and it is found before the outdir is made.
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--width", "abc"],
+        ["simulate", "--width", "0"],
+        ["simulate", "--seed-row", "2"],
+        ["simulate", "--bogus"],
+        ["simulate", "--boundary", "x"],
+        ["ensemble", "--runs", "0"],
+        ["ensemble", "--jobs", "0"],
+        ["ensemble", "--runs", "100000000"],
+        ["eval-model", "--t-min", "5", "--t-max", "1"],
+    ], ids=["width-abc", "width-0", "seed-row-alone", "unknown-flag", "unknown-boundary",
+            "runs-0", "jobs-0", "runs-above-max-cells", "t-max-below-t-min"])
+    def test_usage_error_is_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--outdir", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_non_convergence_exit_code(self, tmp_path):
         code = main(["simulate", "--max-steps", "5", "--outdir", str(tmp_path)])
         assert code == EXIT_NO_CONVERGENCE
@@ -478,6 +499,19 @@ class TestFit:
         assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith(f"error: {csv_path}: ") and err.count("\n") == 1
+
+    def test_row_after_multiline_field_names_its_own_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "multi.csv"
+        csv_path.write_text('step,white_frac,grey_frac,note\n0,0.9,0.1,"two\nlines"\n1,oops,0.2,x\n')
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error: {csv_path}: line 4: ")
+
+    def test_header_field_above_csv_size_limit_names_line_1(self, tmp_path, capsys):
+        csv_path = tmp_path / "bighead.csv"
+        csv_path.write_text(f"step,{'x' * 200_000},white_frac,grey_frac\n0,1,0.9,0.1\n")
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {csv_path}: line 1: ") and err.count("\n") == 1
 
     def test_input_not_utf8_is_io_error(self, tmp_path, capsys):
         csv_path = tmp_path / "bin.csv"

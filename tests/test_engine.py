@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -630,6 +631,30 @@ class TestEnsemble:
         # Refused before any run is allocated: 1000 stacked 1000^2 fields would take 1 GB.
         with pytest.raises(ValueError, match="MAX_CELLS"):
             run_ensemble(SimulationConfig(width=1000, height=1000), 1000)
+
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_ensemble(SimulationConfig(width=8, height=8), 3, jobs=0)
+
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        # Six blocks on two CPUs share two threads; the blocks, and so the results, stay the same.
+        workers = []
+
+        class Recording(engine.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = SimulationConfig(width=8, height=8, rng_seed=3)
+        b = run_ensemble(cfg, 6, jobs=6)
+        assert workers == [2]
+        a = run_ensemble(cfg, 6, jobs=1)
+        np.testing.assert_array_equal(a.mean_fractions, b.mean_fractions)
+        assert a.converged_steps == b.converged_steps
+        for ta, tb in zip(a.trajectories, b.trajectories):
+            np.testing.assert_array_equal(ta.counts, tb.counts)
 
     def test_default_field_median_convergence_window(self):
         # deterministic for the fixed base seed: median lands mid-window

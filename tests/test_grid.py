@@ -203,3 +203,17 @@ class TestGridType:
         b = initial_grid(3, 3, (1, 1), boundary=Boundary.TOROIDAL)
         assert a != b
         assert a == Grid(a.cells.copy(), a.boundary)
+
+    # The uint8 cast would turn 300 into 44, -1 into 255 and 2.7 into 2; a bool mask casts exactly.
+    @pytest.mark.parametrize("cells,kept", [
+        (np.array([[300, 0], [0, 0]]), False),
+        (np.array([[-1, 0], [0, 0]]), False),
+        (np.array([[2.7, 0], [0, 0]]), False),
+        (np.array([[True, False], [False, True]]), True),
+    ], ids=["300", "-1", "2.7", "bool"])
+    def test_only_codes_the_uint8_cast_keeps_accepted(self, cells, kept):
+        if kept:
+            np.testing.assert_array_equal(Grid(cells).cells, cells)
+        else:
+            with pytest.raises(ValueError, match=r"cell codes must be integers in \[0, 255\]"):
+                Grid(cells)
