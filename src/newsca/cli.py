@@ -167,6 +167,8 @@ def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
         for key, want in (("command", command), ("rng", GENERATOR_NAME)):
             if manifest[key] != want:
                 raise InputError(f"{key} must be {want!r}, got {manifest[key]!r}")
+        if type(manifest["version"]) is not str:
+            raise InputError(f"version must be a string, got {manifest['version']!r}")
         return config_from_dict(manifest["config"]), manifest
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from None
@@ -266,8 +268,9 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     fractions within [0, 1], the three fractions of a row, when the black
     one is given, must sum to 1 within 1e-6, and the steps must strictly
     increase; an InputError names the file and the first line that breaks a
-    rule, is not UTF-8 or is not CSV. Black is not range-checked: a model's
-    black curve may dip just below 0.
+    rule, is not UTF-8 or is not CSV, or says that no row follows the
+    header. Black is not range-checked: a model's black curve may dip just
+    below 0.
     """
     def bad(message: str, line: int | None = None) -> InputError:
         """The error at ``line``, by default the physical line the reader's last row ended on."""
@@ -311,6 +314,8 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
                 rows.append(values)
         except csv.Error as exc:  # such as a field above the csv module's size limit
             raise bad(str(exc)) from None
+    if not rows:
+        raise InputError(f"{path}: no data rows after the header")
     steps, white, grey, *black = np.array(rows).reshape(-1, len(columns)).T.copy()
     return steps, white, grey, black[0] if black else 1.0 - white - grey
 
@@ -592,11 +597,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("a command is required: simulate, ensemble, eval-model or fit")
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "func", None) is None:
-        parser.print_help()
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (InputError, OSError) as exc:

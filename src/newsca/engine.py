@@ -11,12 +11,16 @@ One kernel steps every run. The live runs of an ensemble are stacked as
 one (runs, height, width) uint8 array, a single run being a stack of one.
 Each state's census is taken once into the stack's buffer set
 (:class:`_Buffers`), where both the fixed-point test and :func:`step` read
-it: the count rows, the white mask and one 3x3 block sum
-(:func:`_block_sums`, over a one-cell halo that wraps on toroidal grids),
-the cell itself included, of a packed uint8 plane, ``16 * white + black``
-for news and the adopted mask for innovation. At a code-0 cell the low
-four bits of the sum count its seed-state neighbors; for news a sum below
-16 marks a black or grey cell with no white neighbor, which goes stale.
+it: the count rows, the white mask and one 3x3 block sum, the cell itself
+included, of a packed uint8 plane, ``16 * white + black`` for news and the
+adopted mask for innovation. :func:`_block_sums` sums the flattened stack
+at offsets of one cell, then of one row, and takes out again the terms
+that crossed a row end or a grid's edge, or on toroidal grids swaps them
+for the wrapped ones. At a code-0 cell the low four bits of the sum count
+its seed-state neighbors; for news a sum below 16 marks a black or grey
+cell with no white neighbor, which goes stale. Where every count of
+seed-state neighbors can adopt, the fixed-point test reads most grids'
+verdicts from their count rows alone (:func:`_fixed`).
 Adoption, for either model, compares each draw with the model's exact
 cutoff table, :func:`newsca.rules.cutoffs`, instead of evaluating its rule,
 and only at code-0 cells with a seed-state neighbor, as no other can adopt.
@@ -38,8 +42,9 @@ stack, so a step allocates little beyond the index of its code-0 cells.
 The kernel hands numpy cell codes as plain ints, never as enum members,
 which numpy compares through a much slower loop. A run leaves the stack at
 its first fixed point or at ``max_steps``; then :meth:`_Buffers.keep` moves
-the census of the runs that stay to the front of the set. A run keeps only
-its count rows and the step it converged at; a caller that needs the
+the census of the runs that stay to the front of the set. The count rows
+of every state go into one table per stack, and a run keeps only its
+column of it and the step it converged at; a caller that needs the
 states passes an observer, which sees each one as the loop passes it. The
 kernel is checked against the per-cell oracle in :mod:`newsca.reference`.
 """
@@ -213,7 +218,7 @@ class _Buffers:
     They hold the census, which the fixed-point test and :func:`step` both
     read: ``rows``, the (white, grey, black) count rows in uint32,
     ``white``, the code-0 mask, and ``block``, the block sums of the packed
-    plane in ``plane``, taken through ``halo`` and ``across``
+    plane in ``plane``, summed along rows into ``across``
     (:func:`_block_sums`). The step reuses ``plane`` for the stale mask and
     the gathered sums of the code-0 cells, and ``across`` for the mask of
     those with a seed-state neighbor; it writes the draws into ``draws``,
@@ -227,7 +232,6 @@ class _Buffers:
     white: np.ndarray
     plane: np.ndarray
     rows: np.ndarray
-    halo: np.ndarray
     across: np.ndarray
     block: np.ndarray
     spare: np.ndarray
@@ -238,15 +242,14 @@ class _Buffers:
     def new(cls, shape: tuple[int, int, int]) -> "_Buffers":
         runs, h, w = shape
         return cls(np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint8),
-                   np.empty((runs, 3), dtype=np.uint32), np.zeros((runs, h + 2, w + 2), dtype=np.uint8),
-                   np.empty((runs, h + 2, w), dtype=np.uint8), np.empty(shape, dtype=np.uint8),
-                   np.zeros(shape, dtype=np.uint8), np.empty((runs, h * w)))
+                   np.empty((runs, 3), dtype=np.uint32), np.empty(shape, dtype=np.uint8),
+                   np.empty(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8), np.empty((runs, h * w)))
 
     def cropped(self, box: tuple[slice, slice]) -> "_Buffers":
         """This set with the census of the crop ``box`` of each grid: ``white``,
-        ``plane``, ``block``, ``halo`` and ``across`` become crop-shaped views
-        of the front of this set's, with a zero halo rim, while ``rows``,
-        ``spare`` and ``draws`` are this set's and still cover whole grids.
+        ``plane``, ``block`` and ``across`` become crop-shaped views of the
+        front of this set's, while ``rows``, ``spare`` and ``draws`` are this
+        set's and still cover whole grids.
 
         Every cell outside the crop must be code 0 in the old grids and in
         ``spare``; then :func:`_census`, :func:`_fixed` and :func:`step`
@@ -257,10 +260,8 @@ class _Buffers:
         def front(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
             return a.reshape(-1)[:runs * rows * cols].reshape(runs, rows, cols)
 
-        halo = front(self.halo, h + 2, w + 2)
-        halo.fill(0)  # an earlier, smaller crop left cells where this rim lies
-        return _Buffers(front(self.white, h, w), front(self.plane, h, w), self.rows, halo,
-                        front(self.across, h + 2, w), front(self.block, h, w), self.spare, self.draws, box)
+        return _Buffers(front(self.white, h, w), front(self.plane, h, w), self.rows, front(self.across, h, w),
+                        front(self.block, h, w), self.spare, self.draws, box)
 
     def first(self, k: int) -> "_Buffers":
         """Views of the first ``k`` slots of each buffer, on the same crop."""
@@ -275,29 +276,42 @@ class _Buffers:
         return self.first(k)
 
 
-def _block_sums(plane: np.ndarray, boundary: Boundary, buffers: _Buffers) -> np.ndarray:
-    """Per-cell sum of the 3x3 block of a uint8 (runs, height, width)
-    ``plane`` centred on the cell, the cell itself included, written into
-    ``buffers.block`` and returned.
+def _sum_of_three(src: np.ndarray, dst: np.ndarray, boundary: Boundary) -> None:
+    """``dst[o, i, j] = src[o, i - 1, j] + src[o, i, j] + src[o, i + 1, j]``
+    for uint8 (outer, n, inner) arrays, ``i +- 1`` wrapping around on a toroidal
+    ``boundary`` and dropped past an edge on a bounded one.
 
-    The plane is copied into ``buffers.halo``, whose one-cell rim holds
-    zeros on bounded grids and the opposite edges on toroidal ones; the
-    blocks are summed along rows into ``buffers.across``, then along
-    columns, in uint8, so each sum must stay below 256. A set may serve call
-    after call on one boundary: a bounded halo's rim stays zero, a toroidal
-    one's is rewritten.
+    Both arrays are summed flat, at offsets of +-inner, so a term from
+    across an edge of axis 1, which lies in the next or previous ``o``, is
+    subtracted again, and on a torus the wrapped term added instead. uint8
+    arithmetic wraps modulo 256, so the result is exact while every true sum
+    stays below 256.
     """
-    halo, across, out = buffers.halo, buffers.across, buffers.block
-    halo[..., 1:-1, 1:-1] = plane
+    k, s, d = src.shape[2], src.reshape(-1), dst.reshape(-1)
+    np.add(s[k:], s[:-k], out=d[k:])
+    d[:k] = s[:k]
+    d[:-k] += s[k:]
+    dst[1:, 0] -= src[:-1, -1]
+    dst[:-1, -1] -= src[1:, 0]
     if boundary is Boundary.TOROIDAL:
-        # Rows first, then whole columns, so the corners wrap too.
-        halo[..., 0, :], halo[..., -1, :] = halo[..., -2, :], halo[..., 1, :]
-        halo[..., 0], halo[..., -1] = halo[..., -2], halo[..., 1]
-    np.add(halo[..., :-2], halo[..., 1:-1], out=across)
-    across += halo[..., 2:]
-    np.add(across[..., :-2, :], across[..., 1:-1, :], out=out)
-    out += across[..., 2:, :]
-    return out
+        dst[:, 0] += src[:, -1]
+        dst[:, -1] += src[:, 0]
+
+
+def _block_sums(plane: np.ndarray, boundary: Boundary, buffers: _Buffers) -> np.ndarray:
+    """Per-cell sum of the 3x3 block of a uint8 or bool (runs, height,
+    width) ``plane`` centred on the cell, the cell itself included, written
+    into ``buffers.block`` and returned.
+
+    The flattened stack is summed along rows into ``buffers.across``, then
+    along columns (:func:`_sum_of_three`), in uint8, so each sum must stay
+    below 256.
+    """
+    p = plane.view(np.uint8)  # numpy adds bools as a logical or
+    runs, h, w = p.shape
+    _sum_of_three(p.reshape(runs * h, w, 1), buffers.across.reshape(runs * h, w, 1), boundary)
+    _sum_of_three(buffers.across, buffers.block, boundary)
+    return buffers.block
 
 
 def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: _Buffers) -> None:
@@ -307,23 +321,26 @@ def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: 
     innovation: the code-0 and seed-state cells counted from their masks,
     by one reduction each over the whole stack, and the rest of the field
     in between, all written into ``buffers.rows``. The counts are exact in
-    uint32, as MAX_CELLS < 2**32. The seed state is compared as a plain int:
-    numpy compares with an enum member through a loop many times slower.
+    uint32, as MAX_CELLS < 2**32, and are summed in uint16, which is faster,
+    where a grid, or its crop, holds fewer than 2**16 cells. The seed state
+    is compared as a plain int: numpy compares with an enum member through
+    a loop many times slower.
     On a set :meth:`_Buffers.cropped` made, only the crop is read, and the
     code-0 cells outside it are added to the white column.
     """
     box = buffers.box
     if box is not None:
-        # The crop's halo rim stays zero, as if bounded: the cells beyond it
-        # are code 0, so they hold no seed state, and a code-0 cell on its
-        # edge weighs 16 on its own, so it never reads as stale.
+        # The crop is summed as if bounded: the cells beyond it are code 0,
+        # so they hold no seed state, and a code-0 cell on its edge weighs
+        # 16 on its own, so it never reads as stale.
         field, cells, boundary = cells[0].size, cells[:, box[0], box[1]], Boundary.BOUNDED
     white = np.equal(cells, 0, out=buffers.white)
     plane = buffers.plane
     np.equal(cells, int(params.seed_state), out=plane.view(bool))
     rows, per_run = buffers.rows, (len(cells), -1)
-    np.add.reduce(white.view(np.uint8).reshape(per_run), axis=1, dtype=np.uint32, out=rows[:, 0])
-    np.add.reduce(plane.reshape(per_run), axis=1, dtype=np.uint32, out=rows[:, 2])
+    acc = np.uint16 if cells[0].size < 2**16 else np.uint32
+    np.add.reduce(white.view(np.uint8).reshape(per_run), axis=1, dtype=acc, out=rows[:, 0])
+    np.add.reduce(plane.reshape(per_run), axis=1, dtype=acc, out=rows[:, 2])
     np.subtract(cells[0].size, rows[:, 0], out=rows[:, 1])
     rows[:, 1] -= rows[:, 2]
     if box is not None:
@@ -412,17 +429,31 @@ def _fixed(buffers: _Buffers, params: RuleParams) -> np.ndarray:
 
     No cell can change when every cell that would go stale has a code-0
     neighbor and no code-0 cell can adopt from its seed-state neighbors,
-    even at the largest draw.
+    even at the largest draw. Where every count of seed-state neighbors
+    from 1 to 8 can adopt, the count rows decide most grids, with no pass
+    over their cells. A news grid with a black cell can change: the black
+    cell has a white neighbor, which can adopt, or goes stale. The Moore
+    lattice is connected on either boundary, so an innovation grid, whose
+    cells hold only two states, has a code-0 cell next to an adopted one
+    unless it lacks either; it is fixed exactly then. Only news grids with
+    no black cell, where nothing adopts, take the test of their cells;
+    where some count can never adopt, every grid does.
     """
     always, can = _adoptable(params)
     rows, white, block = buffers.rows, buffers.white, buffers.block
-    if params.stale and always and rows[:, 2].all():
-        # In every grid a black cell's white neighbor can adopt, or the cell goes stale.
-        return np.zeros(len(rows), dtype=bool)
+    if always and not params.stale:
+        return (rows[:, 0] == 0) | (rows[:, 2] == 0)
+    if always:
+        test = rows[:, 2] == 0
+        fixed = np.zeros_like(test)
+        if test.any():
+            # With no black cell, a block sum below 16 marks a grey cell with no white neighbor.
+            fixed[test] = ~(block[test] < _WHITE).reshape(-1, block[0].size).any(axis=1)
+        return fixed
     seed_nb = block & (_WHITE - 1)  # count of seed-state neighbors at code-0 cells
     # Only code-0 cells read the table; clipping the other cells' counts, which
     # reach 9 where a whole block is seed-state, keeps their lookups in range.
-    change = white & (seed_nb != 0 if always else can.take(seed_nb, mode="clip"))
+    change = white & can.take(seed_nb, mode="clip")
     if params.stale:
         change |= block < _WHITE
     return ~change.reshape(len(rows), -1).any(axis=1)
@@ -475,16 +506,19 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
     cells = np.repeat(config.initial_grid().cells[None], len(seeds), axis=0)
     whole = _Buffers.new(cells.shape)
     live = np.arange(len(seeds))  # the run of each grid in the stack
-    counts: list[list[list[int]]] = [[] for _ in seeds]
+    # table[t, r] is the count row of run r's state t, written while the run is live.
+    table = np.empty((min(config.max_steps + 1, 64), len(seeds), 3), dtype=np.int64)
     converged_at: list[int | None] = [None] * len(seeds)
 
     t, box = 0, _light_cone(config, 0)
     while True:
         buffers = whole if box is None else whole.cropped(box)
         _census(cells, boundary, params, buffers)
-        for k, (r, row) in enumerate(zip(live.tolist(), buffers.rows.tolist())):
-            counts[r].append(row)
-            if observe is not None:
+        if t == len(table):
+            table = np.concatenate((table, np.empty_like(table)))
+        table[t, live] = buffers.rows
+        if observe is not None:
+            for k, r in enumerate(live.tolist()):
                 observe(t, r, cells[k])
         fixed = _fixed(buffers, params)
         if fixed.any() or t == config.max_steps:
@@ -501,11 +535,10 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
         t += 1
         if box is not None:
             box = _light_cone(config, t)
-            if box is None:
-                whole.halo.fill(0)  # the crops left cells in its front
 
-    return [Trajectory(counts=np.array(rows, dtype=np.int64), converged_at=converged_at[r])
-            for r, rows in enumerate(counts)]
+    # A run that is not converged left the stack at max_steps.
+    return [Trajectory(counts=table[:(config.max_steps if c is None else c) + 1, r].copy(), converged_at=c)
+            for r, c in enumerate(converged_at)]
 
 
 def run(config: SimulationConfig, observe: Callable[[int, int, np.ndarray], None] | None = None) -> Trajectory:

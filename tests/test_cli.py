@@ -448,6 +448,17 @@ class TestFit:
         assert main(["fit", "--input", str(csv_path),
                      "--outdir", str(tmp_path / "out")]) == EXIT_FIT_FAILURE
 
+    # With no data row there is nothing to fit: the input is at fault (exit 2), not the fit (exit 4).
+    @pytest.mark.parametrize("text", ["step,white_frac,grey_frac,black_frac\n",
+                                      "step,white_frac,grey_frac,black_frac\n\n\n"],
+                             ids=["header-only", "header-and-blank-lines"])
+    def test_header_without_data_rows_is_io_error(self, tmp_path, capsys, text):
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text(text)
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {csv_path}: no data rows after the header\n"
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_csv_names_line(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text(
@@ -635,12 +646,15 @@ class TestManifestRoundTrip:
         (lambda m: m["config"].update(model=["news"]), "config entry 'model'"),
         (lambda m: m["config"].update(rule_params=3), "config entry 'rule_params' must be a JSON object"),
         (lambda m: m["config"].update(snapshot_every=1), "config entry 'snapshot_every' must be null"),
+        (lambda m: m.pop("version"), "missing key 'version'"),
+        (lambda m: m.update(version=None), "version must be a string, got None"),
+        (lambda m: m.update(version=1), "version must be a string, got 1"),
     ], ids=["missing-config-key", "extra-config-key", "missing-rule-key", "extra-rule-key",
             "unknown-model", "missing-runs", "invalid-json", "width-float", "max-steps-bool",
             "seed-position-float", "snapshot-every-string", "boost-below-float", "unknown-boundary",
             "field-above-max-cells", "runs-above-max-cells", "other-command", "missing-command",
             "other-generator", "manifest-list", "manifest-null", "config-list", "model-list",
-            "rule-params-int", "snapshot-every-set"])
+            "rule-params-int", "snapshot-every-set", "missing-version", "version-null", "version-int"])
     def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit, names):
         path = tmp_path / "manifest.json"
         assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",
@@ -840,9 +854,11 @@ class TestSnapshotWriters:
 
 
 class TestTopLevel:
-    def test_no_command_shows_help(self, capsys):
+    def test_no_command_is_one_line_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
-        assert "simulate" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a command is required: simulate, ensemble, eval-model or fit\n"
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK

@@ -332,6 +332,33 @@ class TestStep:
         frozen = is_fixed(grid, params)
         assert frozen == (step(grid, max_draws(), params) == grid)
 
+    # A stack's fixed-point test decides most grids from their count rows
+    # and tests the rest cell by cell, all at once; each grid must get the
+    # verdict it gets alone, which is that of a step at the largest draws.
+    # Each grid takes its cells from its own subset of the model's codes,
+    # so a stack mixes grids with and without black (adopted) and code-0
+    # cells. Under the second and fifth parameter sets some counts never
+    # adopt (m = 1 and 2, and m = 1), so every grid is tested cell by cell.
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), params=st.sampled_from([
+               NewsRuleParams(), NewsRuleParams(adoption_threshold=2.0, boost_below=0),
+               InnovationRuleParams(), InnovationRuleParams(threshold=0.9), InnovationRuleParams(threshold=1.5)]),
+           boundary=boundaries, runs=st.integers(1, 4),
+           shape=st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                           st.sampled_from([(1, 7), (7, 1), (2, 2)])))
+    def test_stacked_fixed_point_test_matches_each_grid_alone(self, data, params, boundary, runs, shape):
+        top = int(params.seed_state)
+        grids = []
+        for _ in range(runs):
+            codes = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=top + 1, unique=True))
+            grids.append(data.draw(arrays(np.uint8, shape, elements=st.sampled_from(codes))))
+        cells = np.stack(grids)
+        buffers = _Buffers.new(cells.shape)
+        _census(cells, boundary, params, buffers)
+        alone = [is_fixed(Grid(g, boundary), params) for g in grids]
+        assert _fixed(buffers, params).tolist() == alone
+        assert alone == [step(Grid(g, boundary), max_draws(), params) == Grid(g, boundary) for g in grids]
+
     @settings(max_examples=30, deadline=None)
     @given(cells=news_cells, boundary=boundaries, seed=st.integers(0, 2**32))
     def test_conservation_through_steps(self, cells, boundary, seed):
@@ -720,16 +747,21 @@ class TestMemory:
 
 
 class CountingRng:
-    """Generator stand-in that adds the number of doubles each ``random``
-    call returns to ``drawn``, under ``lock``, as runs may draw on threads."""
+    """Generator stand-in that counts the draws of each ``random`` call as
+    the benchmark's tracer does, from its ``size`` argument, 1 when it is
+    absent, and adds the count to ``drawn``, under ``lock``, as runs may draw
+    on threads. The count must equal the doubles the call returns, so a call
+    that fills ``out`` without giving its size fails."""
 
     def __init__(self, generator, drawn, lock):
         self._generator, self._drawn, self._lock = generator, drawn, lock
 
-    def random(self, *args, **kwargs):
-        out = self._generator.random(*args, **kwargs)
+    def random(self, size=None, *args, **kwargs):
+        out = self._generator.random(size, *args, **kwargs)
+        n = 1 if size is None else size if isinstance(size, int) else math.prod(size)
+        assert n == np.size(out), f"a call counted as {n} draws returned {np.size(out)} doubles"
         with self._lock:
-            self._drawn.append(np.size(out))
+            self._drawn.append(n)
         return out
 
     def __getattr__(self, name):
