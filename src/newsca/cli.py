@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -178,11 +179,14 @@ def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
 
 # ---------------------------------------------------------------------------
 # file formats
+#
+# The CSV writers format Python numbers from one ``tolist()`` per array, not
+# numpy scalars indexed one at a time: the text is the same, made in less time.
 
 def write_series_csv(path: Path, counts: np.ndarray, fractions: np.ndarray) -> None:
     """Per-step counts plus their fractions (from :func:`normalize`) to 9 significant digits."""
     lines = ["step,white,grey,black,white_frac,grey_frac,black_frac"]
-    for t, ((w, g, b), (fw, fg, fb)) in enumerate(zip(counts, fractions)):
+    for t, ((w, g, b), (fw, fg, fb)) in enumerate(zip(counts.tolist(), fractions.tolist())):
         lines.append(f"{t},{w},{g},{b},{fw:.9g},{fg:.9g},{fb:.9g}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -190,7 +194,7 @@ def write_series_csv(path: Path, counts: np.ndarray, fractions: np.ndarray) -> N
 def write_mean_series_csv(path: Path, mean_fractions: np.ndarray) -> None:
     """Ensemble-mean fractions at full precision (they feed the fitter)."""
     lines = ["step,white_frac,grey_frac,black_frac"]
-    for t, (w, g, b) in enumerate(mean_fractions):
+    for t, (w, g, b) in enumerate(mean_fractions.tolist()):
         lines.append(f"{t},{w:.17g},{g:.17g},{b:.17g}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -198,12 +202,10 @@ def write_mean_series_csv(path: Path, mean_fractions: np.ndarray) -> None:
 def write_convergence_csv(path: Path, result: EnsembleResult) -> None:
     lines = ["run,seed,converged_at,black_extinct_at,steps,final_white_frac,final_grey_frac,final_black_frac"]
     finals = normalize([tr.counts[-1] for tr in result.trajectories], result.config.field_size)
-    for i, (tr, (fw, fg, fb)) in enumerate(zip(result.trajectories, finals)):
+    for i, (tr, seed, (fw, fg, fb)) in enumerate(zip(result.trajectories, result.run_seeds, finals.tolist())):
         conv = "" if tr.converged_at is None else tr.converged_at
         ext = "" if tr.black_extinct_at is None else tr.black_extinct_at
-        lines.append(
-            f"{i},{result.run_seeds[i]},{conv},{ext},{tr.steps},{fw:.9g},{fg:.9g},{fb:.9g}"
-        )
+        lines.append(f"{i},{seed},{conv},{ext},{tr.steps},{fw:.9g},{fg:.9g},{fb:.9g}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -232,12 +234,11 @@ def write_fit_series_csv(
     """Side-by-side simulated and modeled triples."""
     mg, mw, mb = _model_curves(steps, model)
     lines = ["step,white_sim,grey_sim,black_sim,white_model,grey_model,black_model"]
-    for i, t in enumerate(map(float, steps)):
+    columns = np.column_stack((steps, white, grey, black, mw, mg, mb))
+    for t, w, g, b, w_model, g_model, b_model in columns.tolist():
         # Whole steps as integers, others as the shortest text that parses back to them.
-        lines.append(
-            f"{int(t) if t.is_integer() else t!r},{white[i]:.17g},{grey[i]:.17g},{black[i]:.17g},"
-            f"{mw[i]:.17g},{mg[i]:.17g},{mb[i]:.17g}"
-        )
+        lines.append(f"{int(t) if t.is_integer() else t!r},{w:.17g},{g:.17g},{b:.17g},"
+                     f"{w_model:.17g},{g_model:.17g},{b_model:.17g}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -330,51 +331,72 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-def _add_config_flags(sp: argparse.ArgumentParser, snapshots: bool) -> None:
-    config = SimulationConfig()
-    sp.add_argument("--width", type=int, default=config.width)
-    sp.add_argument("--height", type=int, default=config.height)
-    sp.add_argument("--seed-row", type=int, default=None, help="seed cell row (default: center)")
-    sp.add_argument("--seed-col", type=int, default=None, help="seed cell column (default: center)")
-    sp.add_argument("--boundary", choices=[b.value for b in Boundary], default=config.boundary.value)
-    sp.add_argument("--seed", type=int, default=config.rng_seed, help="RNG seed")
-    sp.add_argument("--max-steps", type=int, default=config.max_steps)
-    sp.add_argument("--model", choices=list(MODELS), default=config.rule_params.name)
-    # Each rule flag's dest is the name of the rule parameter it sets; one
-    # left out takes the default of the model's rule parameter class.
-    sp.add_argument("--adoption-threshold", type=float, default=None)
-    sp.add_argument("--boost-factor", type=float, default=None)
-    sp.add_argument("--boost-below", type=int, default=None)
-    sp.add_argument("--innovation-threshold", dest="threshold", metavar="INNOVATION_THRESHOLD",
-                    type=float, default=None)
-    if snapshots:
-        sp.add_argument("--snapshot-every", type=int, default=config.snapshot_every)
-        sp.add_argument("--snapshot-format", choices=SNAPSHOT_FORMATS, default=SNAPSHOT_FORMATS[0])
-    sp.add_argument("--from-manifest", type=Path, default=None,
-                    help="load the full configuration from a manifest file (other config flags are ignored)")
+# Runs of an ensemble when --runs is left out.
+DEFAULT_RUNS = 100
+
+
+def _add_config_flags(sp: argparse.ArgumentParser, command: str) -> None:
+    """The flags of a run's configuration, and --from-manifest, which stands
+    for all of them. Each flag defaults to None, so one left out is told from
+    one given: :func:`_config_from_args` fills the first from SimulationConfig,
+    and :func:`_refuse_config_flags` refuses the second beside a manifest."""
+    flags = [
+        sp.add_argument("--width", type=int),
+        sp.add_argument("--height", type=int),
+        sp.add_argument("--seed-row", type=int, help="seed cell row (default: center)"),
+        sp.add_argument("--seed-col", type=int, help="seed cell column (default: center)"),
+        sp.add_argument("--boundary", choices=[b.value for b in Boundary]),
+        sp.add_argument("--seed", type=int, help="RNG seed"),
+        sp.add_argument("--max-steps", type=int),
+        sp.add_argument("--model", choices=list(MODELS)),
+        # Each rule flag's dest is the name of the rule parameter it sets; one
+        # left out takes the default of the model's rule parameter class.
+        sp.add_argument("--adoption-threshold", type=float),
+        sp.add_argument("--boost-factor", type=float),
+        sp.add_argument("--boost-below", type=int),
+        sp.add_argument("--innovation-threshold", dest="threshold", metavar="INNOVATION_THRESHOLD",
+                        type=float),
+    ]
+    if command == "simulate":
+        flags.append(sp.add_argument("--snapshot-every", type=int))
+        flags.append(sp.add_argument("--snapshot-format", choices=SNAPSHOT_FORMATS,
+                                     help=f"(default: {SNAPSHOT_FORMATS[0]})"))
+    else:
+        flags.append(sp.add_argument("--runs", type=int, help=f"(default: {DEFAULT_RUNS})"))
+    sp.add_argument("--from-manifest", type=Path,
+                    help="load the full configuration from a manifest file; "
+                         "no other config flag may be given with it")
+    sp.set_defaults(config_flags=[(flag.dest, flag.option_strings[0]) for flag in flags])
+
+
+def _refuse_config_flags(args: argparse.Namespace) -> None:
+    """A manifest holds the whole configuration, so a config flag beside it is a usage error."""
+    given = [name for dest, name in args.config_flags if getattr(args, dest) is not None]
+    if given:
+        raise ValueError(f"--from-manifest takes no config flag, got {', '.join(given)}")
 
 
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     if (args.seed_row is None) != (args.seed_col is None):
         raise ValueError("--seed-row and --seed-col must be given together")
     seed_position = None if args.seed_row is None else (args.seed_row, args.seed_col)
-    cls = MODELS[args.model]
+    cls = MODELS[args.model or SimulationConfig().rule_params.name]
     given = {f.name: getattr(args, f.name) for model in MODELS.values() for f in fields(model)
              if getattr(args, f.name) is not None}
     stray = sorted(given.keys() - {f.name for f in fields(cls)})
     if stray:
         raise ValueError(f"--model {cls.name} takes no rule parameter {' or '.join(map(repr, stray))}")
-    params = cls(**given)
-    return SimulationConfig(
-        width=args.width,
-        height=args.height,
-        seed_position=seed_position,
-        boundary=Boundary(args.boundary),
-        rng_seed=args.seed,
-        max_steps=args.max_steps,
-        rule_params=params,
-        snapshot_every=getattr(args, "snapshot_every", None),
-    )
+    # A flag left out is None and takes the default of its SimulationConfig field.
+    flags = {
+        "width": args.width,
+        "height": args.height,
+        "boundary": None if args.boundary is None else Boundary(args.boundary),
+        "rng_seed": args.seed,
+        "max_steps": args.max_steps,
+        "snapshot_every": getattr(args, "snapshot_every", None),
+    }
+    return SimulationConfig(seed_position=seed_position, rule_params=cls(**given),
+                            **{name: value for name, value in flags.items() if value is not None})
 
 
 def _resolve_outdir(args: argparse.Namespace) -> Path:
@@ -393,6 +415,7 @@ def _fit_result_dict(fit: FitResult) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.from_manifest is not None:
+        _refuse_config_flags(args)
         config, manifest_in = load_manifest(args.from_manifest, "simulate")
         snapshot_format = manifest_in.get("snapshot_format", SNAPSHOT_FORMATS[0])
         if snapshot_format not in SNAPSHOT_FORMATS:
@@ -400,7 +423,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                              f"{list(SNAPSHOT_FORMATS)}, got {snapshot_format!r}")
     else:
         config = _config_from_args(args)
-        snapshot_format = args.snapshot_format
+        snapshot_format = args.snapshot_format or SNAPSHOT_FORMATS[0]
     outdir = _resolve_outdir(args)
 
     every, snapshot_paths = config.snapshot_every, []
@@ -434,6 +457,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
     if args.from_manifest is not None:
+        _refuse_config_flags(args)
         config, manifest_in = load_manifest(args.from_manifest, "ensemble")
         runs = manifest_in.get("runs")
         if type(runs) is not int:
@@ -447,7 +471,7 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
                              f"for ensemble, got {config.snapshot_every!r}")
     else:
         config = _config_from_args(args)
-        runs = args.runs
+        runs = DEFAULT_RUNS if args.runs is None else args.runs
     check_runs(config, runs, args.jobs)
     outdir = _resolve_outdir(args)
 
@@ -555,19 +579,23 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and reused by
+    each call of :func:`main`, so callers must not change it. argparse looks
+    up ``sys.stdout`` and ``sys.stderr`` only when it prints, so --help,
+    --version and usage errors go to the streams in force at each call."""
     parser = _Parser(prog="newsca", description=__doc__)
     parser.add_argument("--version", action="version", version=f"newsca {__version__}")
     sub = parser.add_subparsers(dest="command")
 
     sp = sub.add_parser("simulate", help="run one simulation and write its series")
-    _add_config_flags(sp, snapshots=True)
+    _add_config_flags(sp, "simulate")
     sp.add_argument("--outdir", default=None)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("ensemble", help="run many seeded simulations and aggregate")
-    _add_config_flags(sp, snapshots=False)
-    sp.add_argument("--runs", type=int, default=100)
+    _add_config_flags(sp, "ensemble")
     sp.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="step the runs as N blocks on at most as many threads as there are CPUs; the "
                          "outputs are identical for any N. More jobs pay only on large stacks: in the "

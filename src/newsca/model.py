@@ -5,8 +5,9 @@ the white fraction the complement of another, and the black fraction is
 their normalized difference, so the three curves sum to 1 identically.
 Fitting recovers (C, tau, gamma) per curve from sampled series: a
 data-derived initial guess is refined by Levenberg-Marquardt least squares
-on the residuals, with the sigmoid's closed-form Jacobian, and the final
-Jacobian gives each parameter's standard error.
+on the residuals (MINPACK's lmder, called through scipy's leastsq), with the
+sigmoid's closed-form Jacobian, and the Jacobian at the solution gives each
+parameter's standard error.
 """
 from __future__ import annotations
 
@@ -19,6 +20,18 @@ import numpy as np
 FIT_TOLERANCE = 1e-12
 # A fit this close to the data (fractions) reproduces it, even one flat at every sample.
 EXACT_RMSE = 1e-9
+# Residual evaluations a fit may take: 100 per parameter, MINPACK's budget for lmder.
+MAX_NFEV = 300
+# (success, message) of each exit code ``ier`` of MINPACK's lmder that these
+# tolerances can produce; the messages are those scipy's least_squares reports.
+_MINPACK_STOPS = {
+    0: (False, "Improper input parameters status returned from `leastsq`"),
+    1: (True, "`ftol` termination condition is satisfied."),
+    2: (True, "`xtol` termination condition is satisfied."),
+    3: (True, "Both `ftol` and `xtol` termination conditions are satisfied."),
+    4: (True, "`gtol` termination condition is satisfied."),
+    5: (False, "The maximum number of function evaluations is exceeded."),
+}
 
 
 @dataclass(frozen=True)
@@ -87,7 +100,7 @@ def _sigmoid(t: np.ndarray, c, tau, gamma) -> np.ndarray:
     with np.errstate(over="ignore"):
         z = gamma * (t - tau)
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, c / (1.0 + e), c * e / (1.0 + e))
+    return np.where(z >= 0, c, c * e) / (1.0 + e)
 
 
 def _sigmoid_jacobian(t: np.ndarray, c, tau, gamma) -> np.ndarray:
@@ -158,7 +171,14 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     (``shape="falling"``) to samples ``values`` at steps ``t``.
 
     Starts from a guess read off the data and refines it by
-    Levenberg-Marquardt (MINPACK's ``lmder``) with the closed-form Jacobian.
+    Levenberg-Marquardt (MINPACK's ``lmder`` through ``scipy.optimize.leastsq``)
+    with the closed-form Jacobian: step bound factor 100, variables scaled by
+    the Jacobian's column norms and at most ``MAX_NFEV`` residual
+    evaluations. That is the call ``least_squares(method="lm",
+    x_scale="jac")`` makes, and fits match it bit for bit; passing each
+    setting keeps a fit off the defaults of ``least_squares``, whose
+    ``x_scale`` changed in scipy 1.16.
+
     Degenerate input (fewer than 4 points, or a constant series) yields a
     failure result rather than an exception, and so does a saturated fit:
     one that misses the data while fewer than 3 samples lie off its
@@ -183,19 +203,25 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
         return _failure("step spacing too extreme for a finite initial guess")
     # Imported here, not at module level: scipy.optimize takes most of the
     # package's import time, and only a fit needs it.
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
-    res = least_squares(
+    def jac(p):
+        return _sigmoid_jacobian(t, *p)
+
+    x, _, info, _, ier = leastsq(
         lambda p: _sigmoid(t, *p) - target,
         guess,
-        jac=lambda p: _sigmoid_jacobian(t, *p),
-        method="lm",
-        xtol=FIT_TOLERANCE,
+        Dfun=jac,
+        full_output=True,
         ftol=FIT_TOLERANCE,
+        xtol=FIT_TOLERANCE,
         gtol=FIT_TOLERANCE,
+        maxfev=MAX_NFEV,
     )
-    c, tau, gamma = (float(v) for v in res.x)
-    rmse = math.sqrt(2.0 * res.cost / len(y))
+    cost = 0.5 * float(np.dot(info["fvec"], info["fvec"]))
+    success, message = _MINPACK_STOPS[ier]
+    c, tau, gamma = (float(v) for v in x)
+    rmse = math.sqrt(2.0 * cost / len(y))
     problem = None
     if not 0 < c <= 1 + 1e-9 or not 0 < gamma < math.inf or not math.isfinite(tau):
         problem = "search left the valid parameter domain"
@@ -206,11 +232,11 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     return FitResult(
         params=LogisticParams(c=min(c, 1.0), tau=tau, gamma=gamma) if ok else None,
         rmse=rmse,
-        iterations=int(res.njev),
-        converged=ok and bool(res.success),
-        message=problem or str(res.message),
-        nfev=int(res.nfev),
-        stderr=_standard_errors(res.jac, res.cost, len(y)) if ok else None,
+        iterations=int(info["njev"]),
+        converged=ok and success,
+        message=problem or message,
+        nfev=int(info["nfev"]),
+        stderr=_standard_errors(jac(x), cost, len(y)) if ok else None,
     )
 
 

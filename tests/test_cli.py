@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from newsca import (
+    __version__,
     AnalyticModel,
     Boundary,
     Grid,
@@ -38,6 +39,7 @@ from newsca.cli import (
     EXIT_USAGE,
     PGM_LEVELS,
     build_manifest,
+    build_parser,
     config_from_dict,
     config_to_dict,
     main,
@@ -322,6 +324,37 @@ class TestEnsemble:
         code = main(["ensemble", "--runs", "2", "--max-steps", "5",
                      "--outdir", str(tmp_path)])
         assert code == EXIT_NO_CONVERGENCE
+
+    @pytest.mark.parametrize("command,flags,names", [
+        ("ensemble", ["--width", "30", "--runs", "7"], "--width, --runs"),
+        ("ensemble", ["--wid", "30"], "--width"),  # an abbreviation names the flag it stands for
+        ("ensemble", ["--innovation-threshold", "0.5", "--model", "news"], "--model, --innovation-threshold"),
+        ("simulate", ["--seed-row", "1", "--snapshot-every", "2", "--snapshot-format", "pgm"],
+         "--seed-row, --snapshot-every, --snapshot-format"),
+        ("simulate", ["--seed", "0", "--max-steps", "1000"], "--seed, --max-steps"),  # even at its default
+    ])
+    def test_config_flag_with_manifest_is_usage_error(self, tmp_path, capsys, command, flags, names):
+        a, b = tmp_path / "a", tmp_path / "b"
+        runs = ["--runs", "3"] if command == "ensemble" else []
+        assert main([command, "--width", "8", "--height", "8", *runs, "--outdir", str(a)]) == EXIT_OK
+        capsys.readouterr()
+        code = main([command, "--from-manifest", str(a / "manifest.json"), *flags, "--outdir", str(b)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --from-manifest takes no config flag, got {names}\n"
+        assert not b.exists()
+
+    def test_runs_default_to_100(self, tmp_path):
+        assert main(["ensemble", "--width", "4", "--height", "4", "--outdir", str(tmp_path)]) == EXIT_OK
+        assert json.loads((tmp_path / "manifest.json").read_text())["runs"] == 100
+
+    def test_manifest_rerun_takes_jobs_and_outdir(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["ensemble", "--width", "8", "--height", "8", "--seed", "5", "--runs", "4",
+                     "--outdir", str(a)]) == EXIT_OK
+        assert main(["ensemble", "--from-manifest", str(a / "manifest.json"), "--jobs", "2",
+                     "--outdir", str(b)]) == EXIT_OK
+        for name in ("mean_series.csv", "convergence.csv", "manifest.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestEvalModel:
@@ -866,3 +899,18 @@ class TestTopLevel:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_one_parser_prints_to_each_call_s_streams(self, capsys):
+        build_parser.cache_clear()
+        first_out, first_err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(first_out), contextlib.redirect_stderr(first_err):
+            assert main(["frobnicate"]) == EXIT_USAGE
+        assert main(["--version"]) == EXIT_OK
+        assert main(["--help"]) == EXIT_OK
+        assert main(["simulate", "--width"]) == EXIT_USAGE
+        assert build_parser.cache_info().misses == 1  # built by the first call, reused by the others
+        assert first_out.getvalue() == ""
+        assert first_err.getvalue().startswith("error: argument command: invalid choice: 'frobnicate'")
+        out, err = capsys.readouterr()
+        assert out.startswith(f"newsca {__version__}\nusage: newsca ")
+        assert err == "error: argument --width: expected one argument\n"

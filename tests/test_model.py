@@ -17,7 +17,14 @@ from newsca import (
     logistic,
     reference_model,
 )
-from newsca.model import _sigmoid, _sigmoid_jacobian
+from newsca import SimulationConfig, run_ensemble
+from newsca.model import (
+    FIT_TOLERANCE,
+    _initial_guess,
+    _sigmoid,
+    _sigmoid_jacobian,
+    _standard_errors,
+)
 from shapes import is_unimodal
 
 mp.mp.dps = 50
@@ -249,6 +256,74 @@ class TestFitUncertainty:
 
     def test_failed_fit_has_no_stderr(self):
         assert fit_logistic(np.arange(20.0), np.full(20, 0.5)).stderr is None
+
+
+def _old_sigmoid(t, c, tau, gamma):
+    """``_sigmoid`` as first written, one division per branch."""
+    with np.errstate(over="ignore"):
+        z = gamma * (t - tau)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, c / (1.0 + e), c * e / (1.0 + e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(-2.0, 2.0), tau=st.floats(-1e300, 1e300), gamma=st.floats(-1e300, 1e300),
+       t=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20))
+def test_sigmoid_is_bit_identical_to_the_first_formula(c, tau, gamma, t):
+    t = np.array(t)
+    with np.errstate(invalid="ignore"):  # gamma 0 times an infinite difference
+        np.testing.assert_array_equal(_sigmoid(t, c, tau, gamma), _old_sigmoid(t, c, tau, gamma))
+
+
+def _capped_series():
+    """The early tail of a curve whose midpoint lies beyond the last sample:
+    the search creeps along a flat valley until its evaluation budget ends."""
+    t = np.arange(121.0)
+    return t, logistic(t, LogisticParams(0.6, 300.0, 0.05)), "rising"
+
+
+def _ensemble_mean_series():
+    mean = run_ensemble(SimulationConfig(width=16, height=16, rng_seed=3), 8).mean_fractions
+    return np.arange(len(mean), dtype=float), mean[:, 1], "rising"
+
+
+class TestMinpackCall:
+    """fit_logistic calls MINPACK's lmder through leastsq, as
+    least_squares(method="lm", x_scale="jac") does through its wrappers; the
+    two agree bit for bit. The linear ramp and the capped tail also end
+    elsewhere under ``x_scale=1.0``, so they pin the scaling too."""
+
+    CURVES = {
+        "clean-rising": lambda: (np.arange(121.0), logistic(np.arange(121.0), reference_model().grey), "rising"),
+        "clean-falling": lambda: (np.arange(121.0), eval_white(np.arange(121.0), reference_model()), "falling"),
+        "noisy": lambda: (np.arange(121.0), np.clip(
+            logistic(np.arange(121.0), LogisticParams(0.7, 35.0, 0.2))
+            + np.random.default_rng(5).normal(0.0, 0.02, 121), 0.0, 1.0), "rising"),
+        "fractional-steps": lambda: (np.arange(40) * 1.5, 1.0 - logistic(
+            np.arange(40) * 1.5, LogisticParams(0.8, 25.0, 0.3)), "falling"),
+        "ensemble-mean": _ensemble_mean_series,
+        "linear-ramp": lambda: (np.arange(121.0), np.arange(121.0) / 200, "rising"),
+        "capped-at-maxfev": _capped_series,
+    }
+
+    @pytest.mark.parametrize("name", CURVES)
+    def test_matches_least_squares(self, name):
+        from scipy.optimize import least_squares
+
+        t, y, shape = self.CURVES[name]()
+        target = y if shape == "rising" else 1.0 - y
+        res = least_squares(lambda p: _sigmoid(t, *p) - target, _initial_guess(t, target),
+                            jac=lambda p: _sigmoid_jacobian(t, *p), method="lm", x_scale="jac",
+                            ftol=FIT_TOLERANCE, xtol=FIT_TOLERANCE, gtol=FIT_TOLERANCE)
+        fit = fit_logistic(t, y, shape)
+        c, tau, gamma = res.x
+        assert (fit.params.c, fit.params.tau, fit.params.gamma) == (min(c, 1.0), tau, gamma)
+        assert fit.rmse == np.sqrt(2.0 * res.cost / len(t))
+        assert (fit.nfev, fit.iterations) == (res.nfev, res.njev)
+        assert fit.stderr == _standard_errors(res.jac, res.cost, len(t))
+        assert (fit.converged, fit.message) == (res.success, res.message)
+        if name == "capped-at-maxfev":
+            assert fit.nfev == 300 and not fit.converged
 
 
 class TestFitModel:
