@@ -562,19 +562,22 @@ def cmd_fit(args: argparse.Namespace) -> int:
     manifest = build_manifest("fit", input=str(args.input))
     save_manifest(outdir / "manifest.json", manifest)
 
+    stopped = []
     for name, res in (("grey", fit.grey), ("white", fit.white)):
         if res.params is not None:
             print(f"{name}: c={res.params.c:.9g} tau={res.params.tau:.9g} "
                   f"gamma={res.params.gamma:.9g} rmse={res.rmse:.9g}")
+            if not res.converged:  # stopped at the evaluation budget
+                stopped.append(f"{name} fit did not converge ({res.message})")
         else:
             print(f"{name}: fit failed ({res.message})")
-    if fit.model is not None:
-        print(f"implied black rmse={fit.black_rmse:.9g}")
-        write_fit_series_csv(outdir / "fit_series.csv", steps, white, grey, black, fit.model)
-        print(f"wrote {outdir / 'fit_params.json'} and {outdir / 'fit_series.csv'}")
-        return EXIT_OK
-    print("error: fit failed; see fit_params.json", file=sys.stderr)
-    return EXIT_FIT_FAILURE
+    if fit.model is None or stopped:
+        print(f"error: {'; '.join(stopped) if fit.model else 'fit failed'}; see fit_params.json", file=sys.stderr)
+        return EXIT_FIT_FAILURE
+    print(f"implied black rmse={fit.black_rmse:.9g}")
+    write_fit_series_csv(outdir / "fit_series.csv", steps, white, grey, black, fit.model)
+    print(f"wrote {outdir / 'fit_params.json'} and {outdir / 'fit_series.csv'}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ verdicts from their count rows alone (:func:`_fixed`).
 Adoption, for either model, compares each draw with the model's exact
 cutoff table, :func:`newsca.rules.cutoffs`, instead of evaluating its rule,
 and only at code-0 cells with a seed-state neighbor, as no other can adopt.
-Run ``r`` draws ``rngs[r].random(n_r)`` for its ``n_r`` code-0 cells; they
-are drawn in run order into one buffer and applied to the code-0 cells of
+Run ``r`` draws its ``n_r`` code-0 cells' doubles by one call,
+``rngs[r].random((n_r,), out=...)``, and none if ``n_r`` is 0; numpy checks
+an int size given with ``out`` on a slower path than a tuple. The draws
+are made in run order into one buffer and applied to the code-0 cells of
 the flattened stack, which come run by run and row-major within each run,
 so every run consumes and produces exactly what it would stepped alone.
 A cell's next state reads only its 3x3 block, so at state ``t`` every cell
@@ -40,13 +42,16 @@ in the crop before it.
 The draws and the next cells go into the same buffer set, made once per
 stack, so a step allocates little beyond the index of its code-0 cells.
 The kernel hands numpy cell codes as plain ints, never as enum members,
-which numpy compares through a much slower loop. A run leaves the stack at
-its first fixed point or at ``max_steps``; then :meth:`_Buffers.keep` moves
-the census of the runs that stay to the front of the set. The count rows
-of every state go into one table per stack, and a run keeps only its
-column of it and the step it converged at; a caller that needs the
-states passes an observer, which sees each one as the loop passes it. The
-kernel is checked against the per-cell oracle in :mod:`newsca.reference`.
+which numpy compares through a much slower loop, and counts the per-state
+verdicts with ``np.count_nonzero`` rather than testing them with ``any``
+or ``all``, which numpy 2 runs through a Python wrapper. A run leaves the
+stack at its first fixed point or at ``max_steps``; then
+:meth:`_Buffers.keep` moves the census of the runs that stay to the front
+of the set. The count rows of every state go into one table per stack,
+and a run keeps only its column of it and the step it converged at; a
+caller that needs the states passes an observer, which sees each one as
+the loop passes it. The kernel is checked against the per-cell oracle in
+:mod:`newsca.reference`.
 """
 from __future__ import annotations
 
@@ -291,8 +296,9 @@ def _sum_of_three(src: np.ndarray, dst: np.ndarray, boundary: Boundary) -> None:
     np.add(s[k:], s[:-k], out=d[k:])
     d[:k] = s[:k]
     d[:-k] += s[k:]
-    dst[1:, 0] -= src[:-1, -1]
-    dst[:-1, -1] -= src[1:, 0]
+    if len(src) > 1:  # a one-grid stack's column pass has no edge to take out
+        dst[1:, 0] -= src[:-1, -1]
+        dst[:-1, -1] -= src[1:, 0]
     if boundary is Boundary.TOROIDAL:
         dst[:, 0] += src[:, -1]
         dst[:, -1] += src[:, 0]
@@ -390,7 +396,7 @@ def step(grid: Grid, rng: np.random.Generator | Sequence[np.random.Generator], p
         a = 0
         for g, n in zip(rngs, rows[:, 0].tolist()):
             if n:
-                g.random(n, out=draws[a:a + n])
+                g.random((n,), out=draws[a:a + n])
                 a += n
         # mode="clip" lets take write into ``out`` directly; every index is in range.
         seed_nb = block.reshape(-1).take(where, out=scratch.reshape(-1)[:where.size], mode="clip")
@@ -445,10 +451,11 @@ def _fixed(buffers: _Buffers, params: RuleParams) -> np.ndarray:
         return (rows[:, 0] == 0) | (rows[:, 2] == 0)
     if always:
         test = rows[:, 2] == 0
-        fixed = np.zeros_like(test)
-        if test.any():
-            # With no black cell, a block sum below 16 marks a grey cell with no white neighbor.
-            fixed[test] = ~(block[test] < _WHITE).reshape(-1, block[0].size).any(axis=1)
+        if not np.count_nonzero(test):
+            return test
+        fixed = np.zeros(len(test), dtype=bool)
+        # With no black cell, a block sum below 16 marks a grey cell with no white neighbor.
+        fixed[test] = ~(block[test] < _WHITE).reshape(-1, block[0].size).any(axis=1)
         return fixed
     seed_nb = block & (_WHITE - 1)  # count of seed-state neighbors at code-0 cells
     # Only code-0 cells read the table; clipping the other cells' counts, which
@@ -506,6 +513,7 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
     cells = np.repeat(config.initial_grid().cells[None], len(seeds), axis=0)
     whole = _Buffers.new(cells.shape)
     live = np.arange(len(seeds))  # the run of each grid in the stack
+    cols = slice(None)  # the table columns of the live runs; a slice, written faster, until one leaves
     # table[t, r] is the count row of run r's state t, written while the run is live.
     table = np.empty((min(config.max_steps + 1, 64), len(seeds), 3), dtype=np.int64)
     converged_at: list[int | None] = [None] * len(seeds)
@@ -516,18 +524,20 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
         _census(cells, boundary, params, buffers)
         if t == len(table):
             table = np.concatenate((table, np.empty_like(table)))
-        table[t, live] = buffers.rows
+        table[t, cols] = buffers.rows
         if observe is not None:
             for k, r in enumerate(live.tolist()):
                 observe(t, r, cells[k])
         fixed = _fixed(buffers, params)
-        if fixed.any() or t == config.max_steps:
+        done = np.count_nonzero(fixed)
+        if done or t == config.max_steps:
             for r in live[fixed].tolist():
                 converged_at[r] = t
-            if fixed.all() or t == config.max_steps:
+            if done == len(live) or t == config.max_steps:
                 break
             keep = ~fixed
             cells, live = cells[keep], live[keep]
+            cols = live
             rngs = [g for g, f in zip(rngs, fixed) if not f]
             buffers, whole = buffers.keep(keep), whole.first(len(live))
         new = step(Grid(cells, boundary), rngs, params, buffers).cells

@@ -29,6 +29,7 @@ from newsca import (
     make_rng,
     reference_model,
 )
+from newsca.model import MAX_NFEV
 from newsca.reference import count_adoption, count_states, step_reference
 from newsca.rules import MODELS
 from newsca.cli import (
@@ -598,6 +599,26 @@ class TestFit:
         params = json.loads((tmp_path / "out" / "fit_params.json").read_text())
         for curve in ("grey", "white"):
             assert params[curve]["params"] is None and reason in params[curve]["message"]
+
+    # The early tail of a curve whose midpoint lies past the last sample:
+    # both fits spend their 300 evaluations and stop unconverged, which is a
+    # fit failure, reported in fit_params.json and in one stderr line.
+    def test_fit_stopped_at_its_budget_is_fit_failure(self, tmp_path, capsys):
+        t = np.arange(121)
+        grey = (0.6 / (1 + np.exp(-0.05 * (t - 300)))).tolist()
+        csv_path = tmp_path / "late.csv"
+        csv_path.write_text("step,white_frac,grey_frac\n"
+                            + "".join(f"{k},{1 - 1.2 * g!r},{g!r}\n" for k, g in zip(t.tolist(), grey)))
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_FIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        params = json.loads((tmp_path / "out" / "fit_params.json").read_text())
+        for curve in ("grey", "white"):
+            assert params[curve]["params"] is not None and not params[curve]["converged"]
+            assert params[curve]["nfev"] == MAX_NFEV
+            assert f"{curve} fit did not converge ({params[curve]['message']})" in err
+        assert "function evaluations" in err
+        assert not (tmp_path / "out" / "fit_series.csv").exists()
 
     def test_missing_column_rejected(self, tmp_path):
         csv_path = tmp_path / "cols.csv"

@@ -749,9 +749,10 @@ class TestMemory:
 class CountingRng:
     """Generator stand-in that counts the draws of each ``random`` call as
     the benchmark's tracer does, from its ``size`` argument, 1 when it is
-    absent, and adds the count to ``drawn``, under ``lock``, as runs may draw
-    on threads. The count must equal the doubles the call returns, so a call
-    that fills ``out`` without giving its size fails."""
+    absent, and records the call in ``drawn`` as a (generator, count) pair,
+    under ``lock``, as runs may draw on threads. The count must equal the
+    doubles the call returns, so a call that fills ``out`` without giving its
+    size fails."""
 
     def __init__(self, generator, drawn, lock):
         self._generator, self._drawn, self._lock = generator, drawn, lock
@@ -761,11 +762,19 @@ class CountingRng:
         n = 1 if size is None else size if isinstance(size, int) else math.prod(size)
         assert n == np.size(out), f"a call counted as {n} draws returned {np.size(out)} doubles"
         with self._lock:
-            self._drawn.append(n)
+            self._drawn.append((self, n))
         return out
 
     def __getattr__(self, name):
         return getattr(self._generator, name)
+
+
+def calls_by_generator(calls):
+    """The draw counts of (generator, count) pairs, listed in order per generator."""
+    out = {}
+    for g, n in calls:
+        out.setdefault(g, []).append(n)
+    return out
 
 
 class TestTracedBoundary:
@@ -775,6 +784,8 @@ class TestTracedBoundary:
     # when the run loop steps every state but a run's last exactly once
     # through that name, drawing one double per code-0 cell of the grids it
     # passes from generators made by that name, and outputs are unchanged.
+    # Each grid with code-0 cells is drawn for by one call of its own
+    # generator, sized by those cells; a grid with none makes no call.
     each_way = pytest.mark.parametrize("how", ["run", "jobs=1", "jobs=2"])
     each_model = pytest.mark.parametrize("params,boundary", [(NewsRuleParams(), Boundary.BOUNDED),
                                                             (InnovationRuleParams(threshold=0.9), Boundary.TOROIDAL)],
@@ -792,13 +803,14 @@ class TestTracedBoundary:
         expected = execute()
         expected_states = {seed: observed[seed] for seed in seeds}
         lock = threading.Lock()
-        stepped, drawn = [], []
+        stepped, fed, drawn = [], [], []
         real_step, real_make_rng = engine.step, engine.make_rng
 
-        def recording_step(*args, **kwargs):
+        def recording_step(grid, rngs, *args, **kwargs):
             with lock:
-                stepped.append(args[0].cells.copy())
-            return real_step(*args, **kwargs)
+                stepped.append(grid.cells.copy())
+                fed.extend(zip(rngs, np.count_nonzero(grid.cells == 0, axis=(-2, -1)).tolist(), strict=True))
+            return real_step(grid, rngs, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "step", recording_step)
@@ -809,8 +821,8 @@ class TestTracedBoundary:
             assert np.array_equal(tr.counts, alone.counts)
             assert tr.converged_at == alone.converged_at
             assert observed[seed] == expected_states[seed]
-        code_0 = sum(int(np.count_nonzero(cells == 0)) for cells in stepped)
-        assert sum(drawn) == code_0 > 0
+        assert drawn
+        assert calls_by_generator(drawn) == calls_by_generator((g, n) for g, n in fed if n)
         grids = sorted(g.tobytes() for cells in stepped for g in cells.reshape(-1, *cells.shape[-2:]))
         states = sorted(g.cells.tobytes() for tr, seed in zip(expected, seeds)
                         for t, g in expected_states[seed] if t < tr.steps)
@@ -836,3 +848,15 @@ class TestTracedBoundary:
         n = 16 if boundary is Boundary.BOUNDED else 10
         assert [engine._light_cone(config, t) is not None for t in range(20)] == [True] * n + [False] * (20 - n)
         self.check(observed, config, how)
+
+    # The middle grid of this stack is all black and grey: its generator is
+    # not called, and each other grid's is called once for its white cells.
+    def test_grid_without_code_0_cells_makes_no_call(self):
+        cells = np.zeros((3, 5, 6), dtype=np.uint8)
+        cells[0, 2, 2] = cells[2, 0, 0] = CellState.BLACK
+        cells[1] = CellState.GREY
+        cells[1, 1::2] = CellState.BLACK
+        drawn, lock = [], threading.Lock()
+        rngs = [CountingRng(make_rng(s), drawn, lock) for s in range(3)]
+        step(Grid(cells), rngs, NewsRuleParams())
+        assert drawn == [(rngs[0], 29), (rngs[2], 29)]
