@@ -16,10 +16,8 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import asdict, fields, is_dataclass
-from enum import Enum
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -73,53 +71,17 @@ def config_to_dict(config: SimulationConfig) -> dict:
     return {**asdict(config), "boundary": config.boundary.value, "model": config.rule_params.name}
 
 
-def _conforms(value, kind) -> bool:
-    """Whether the JSON ``value`` fits a field annotated ``kind``: an int is
-    no bool, a float may be an int, a tuple is a list (or tuple) of its
-    items, an enum is one of its values and a dataclass is an object."""
-    if kind is float:
-        return type(value) in (int, float)
-    if get_origin(kind) is tuple:
-        items = get_args(kind)
-        return (type(value) in (list, tuple) and len(value) == len(items)
-                and all(map(_conforms, value, items)))
-    if get_args(kind):  # a union such as ``int | None``
-        return any(_conforms(value, k) for k in get_args(kind))
-    if is_dataclass(kind):
-        return type(value) is dict
-    if issubclass(kind, Enum):
-        return value in [member.value for member in kind]
-    return type(value) is kind
-
-
-def _shape(kind) -> str:
-    """The JSON shape of a field annotated ``kind``, as an error names it."""
-    if get_origin(kind) is tuple:  # seed_position, the only tuple field, holds ints
-        return f"a list of {len(get_args(kind))} integers"
-    if get_args(kind):
-        return " or ".join(dict.fromkeys(map(_shape, get_args(kind))))
-    if is_dataclass(kind):
-        return "a JSON object"
-    if issubclass(kind, Enum):
-        return f"one of {[member.value for member in kind]}"
-    return {int: "an integer", float: "a number", type(None): "null"}[kind]
-
-
 def _check_fields(cls, d: dict, what: str) -> None:
-    """``d`` holds exactly the fields of ``cls``, each of its annotated type."""
+    """``d`` holds exactly the fields of ``cls``; ``cls`` checks their values."""
     names = sorted(f.name for f in fields(cls))
     if sorted(d) != names:
         raise InputError(f"{what} must hold {names}, got {sorted(d)}")
-    hints = get_type_hints(cls)
-    for name in names:
-        if not _conforms(d[name], hints[name]):
-            raise InputError(f"{what} entry {name!r} must be {_shape(hints[name])}, got {d[name]!r}")
 
 
 def config_from_dict(d: dict) -> SimulationConfig:
-    """Inverse of :func:`config_to_dict`; the config and its ``rule_params``
-    must hold exactly the fields of SimulationConfig and of the named model,
-    each of its annotated type."""
+    """Inverse of :func:`config_to_dict`. The config and its ``rule_params``
+    must be JSON objects holding exactly the fields of SimulationConfig and
+    of the named model; those classes check each value, unconverted."""
     if type(d) is not dict:
         raise InputError("config must be a JSON object")
     d = dict(d)
@@ -128,13 +90,10 @@ def config_from_dict(d: dict) -> SimulationConfig:
         raise InputError(f"config entry 'model' must be one of {sorted(MODELS)}, got {model!r}")
     cls = MODELS[model]
     _check_fields(SimulationConfig, d, "config")
+    if type(d["rule_params"]) is not dict:
+        raise InputError(f"config entry 'rule_params' must be a JSON object, got {d['rule_params']!r}")
     _check_fields(cls, d["rule_params"], f"rule_params of model {cls.name!r}")
-    return SimulationConfig(**{
-        **d,
-        "seed_position": None if d["seed_position"] is None else tuple(d["seed_position"]),
-        "boundary": Boundary(d["boundary"]),
-        "rule_params": cls(**d["rule_params"]),
-    })
+    return SimulationConfig(**{**d, "rule_params": cls(**d["rule_params"])})
 
 
 def build_manifest(command: str, config: SimulationConfig | None = None, **extras) -> dict:
@@ -390,7 +349,7 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     flags = {
         "width": args.width,
         "height": args.height,
-        "boundary": None if args.boundary is None else Boundary(args.boundary),
+        "boundary": args.boundary,
         "rng_seed": args.seed,
         "max_steps": args.max_steps,
         "snapshot_every": getattr(args, "snapshot_every", None),
@@ -460,8 +419,6 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
         _refuse_config_flags(args)
         config, manifest_in = load_manifest(args.from_manifest, "ensemble")
         runs = manifest_in.get("runs")
-        if type(runs) is not int:
-            raise InputError(f"{args.from_manifest}: runs must be a positive integer, got {runs!r}")
         try:
             check_runs(config, runs)
         except ValueError as exc:

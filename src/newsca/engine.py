@@ -67,7 +67,7 @@ from .analytics import normalize
 from .grid import Boundary, Grid
 # Re-exported because benchmarks/workloads.py imports step_reference from here.
 from .reference import step_reference  # noqa: F401
-from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams, cutoffs
+from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams, cutoffs, require_number
 
 # Recorded in output manifests; changing the generator breaks reproducibility.
 GENERATOR_NAME = "numpy-pcg64"
@@ -83,11 +83,14 @@ MAX_CELLS = 2**26
 class SimulationConfig:
     """Full description of one simulation; equal configs give identical runs.
 
-    ``seed_position=None`` places the initial seed cell at the grid center.
-    ``rule_params`` selects the model: NewsRuleParams for the three-state
-    news automaton, InnovationRuleParams for the two-state adoption one.
-    ``snapshot_every`` is the step interval of ``newsca simulate``'s
-    snapshots; the engine does not read it.
+    ``seed_position=None`` places the initial seed cell at the grid center;
+    a list is stored as a tuple. ``boundary`` may be given by its value,
+    such as ``"toroidal"``. ``rule_params`` selects the model:
+    NewsRuleParams for the three-state news automaton, InnovationRuleParams
+    for the two-state adoption one. ``snapshot_every`` is the step interval
+    of ``newsca simulate``'s snapshots; the engine does not read it.
+    ``__post_init__`` checks the type of every field, then its range, and
+    raises ValueError naming the field; a bool is no integer.
     """
 
     width: int = 40
@@ -100,6 +103,20 @@ class SimulationConfig:
     snapshot_every: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("width", "height", "rng_seed", "max_steps"):
+            require_number(name, getattr(self, name), integral=True)
+        if self.snapshot_every is not None:
+            require_number("snapshot_every", self.snapshot_every, integral=True)
+        if self.seed_position is not None:
+            if not isinstance(self.seed_position, list | tuple) or len(self.seed_position) != 2:
+                raise ValueError(f"seed_position must be None or a pair of integers, got {self.seed_position!r}")
+            for i, v in enumerate(self.seed_position):
+                require_number(f"seed_position[{i}]", v, integral=True)
+            object.__setattr__(self, "seed_position", tuple(self.seed_position))
+        if type(self.boundary) is not Boundary:
+            object.__setattr__(self, "boundary", Boundary(self.boundary))
+        if not isinstance(self.rule_params, RuleParams):
+            raise ValueError(f"rule_params must be a NewsRuleParams or InnovationRuleParams, got {self.rule_params!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError("grid dimensions must be positive")
         if self.width * self.height > MAX_CELLS:
@@ -566,8 +583,10 @@ def run(config: SimulationConfig, observe: Callable[[int, int, np.ndarray], None
 
 
 def check_runs(config: SimulationConfig, runs: int, jobs: int = 1) -> None:
-    """Raise ValueError unless ``jobs`` and ``runs`` are at least 1 and
-    ``runs`` fields of ``config`` hold at most MAX_CELLS cells together."""
+    """Raise ValueError unless ``jobs`` and ``runs`` are integers of at least
+    1 and ``runs`` fields of ``config`` hold at most MAX_CELLS cells together."""
+    require_number("runs", runs, integral=True)
+    require_number("jobs", jobs, integral=True)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if runs < 1:

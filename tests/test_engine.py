@@ -28,7 +28,7 @@ from newsca import (
 from newsca.reference import count_states, neighbor_counts, step_reference
 from newsca import engine
 from newsca.cli import EXIT_OK, main
-from newsca.engine import _Buffers, _census, _fixed
+from newsca.engine import _Buffers, _census, _fixed, check_runs
 from newsca.rules import MAX_DRAW, cutoffs
 
 news_cells = arrays(
@@ -506,6 +506,67 @@ class TestRun:
             SimulationConfig(rng_seed=-1)
         with pytest.raises(ValueError, match="MAX_CELLS"):
             SimulationConfig(width=100_000, height=100_000)
+
+
+# A value of each kind a config field may be given wrongly: a bool is no
+# integer, and a float is none either.
+NOT_AN_INT = [True, 2.5, "2", None, [2], {"a": 2}]
+NOT_A_NUMBER = [True, "2", None, [2], {"a": 2}]
+FIELD_ERRORS = [
+    *[(SimulationConfig, name, v) for name in ("width", "height", "rng_seed", "max_steps") for v in NOT_AN_INT],
+    *[(SimulationConfig, "snapshot_every", v) for v in NOT_AN_INT if v is not None],
+    *[(SimulationConfig, "seed_position", v) for v in
+      (True, 2, 2.5, "ab", [2], (1, 2, 3), (1, 2.5), (True, 1), [1, "2"], [None, 1], {"a": 1, "b": 2})],
+    *[(SimulationConfig, "boundary", v) for v in (True, 2.5, "open", None, ["toroidal"], {"toroidal": 1})],
+    *[(SimulationConfig, "rule_params", v) for v in (True, 2.5, "news", None, [], {"threshold": 1.0})],
+    *[(NewsRuleParams, name, v) for name in ("adoption_threshold", "boost_factor") for v in NOT_A_NUMBER],
+    *[(NewsRuleParams, "boost_below", v) for v in NOT_AN_INT],
+    *[(InnovationRuleParams, "threshold", v) for v in NOT_A_NUMBER],
+]
+
+
+class TestFieldTypes:
+    """Each config class checks the type of every field it defines, whoever builds it."""
+
+    @pytest.mark.parametrize("cls,name,value", FIELD_ERRORS)
+    def test_wrong_type_names_the_field(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("name", ["runs", "jobs"])
+    @pytest.mark.parametrize("value", NOT_AN_INT)
+    def test_check_runs_wants_integers(self, name, value):
+        counts = {"runs": 2, "jobs": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            check_runs(SimulationConfig(width=4, height=4), **counts)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            run_ensemble(SimulationConfig(width=4, height=4), **counts)
+
+    def test_numpy_scalars_accepted(self):
+        params = NewsRuleParams(adoption_threshold=np.float64(1.0), boost_factor=np.float32(1.5),
+                                boost_below=np.int64(3))
+        assert params == NewsRuleParams()
+        assert InnovationRuleParams(threshold=np.float32(0.5)) == InnovationRuleParams(threshold=0.5)
+        ints = dict(width=9, height=7, rng_seed=4, max_steps=60, snapshot_every=5)
+        cfg = SimulationConfig(seed_position=(np.int64(3), np.int64(2)), rule_params=params,
+                               **{name: np.int64(v) for name, v in ints.items()})
+        plain = SimulationConfig(seed_position=(3, 2), **ints)
+        assert cfg == plain
+        check_runs(cfg, np.int64(3), np.int64(1))
+        np.testing.assert_array_equal(run(cfg).counts, run(plain).counts)
+
+    def test_seed_position_list_stored_as_tuple(self):
+        cfg = SimulationConfig(seed_position=[1, 2])
+        assert cfg.seed_position == (1, 2) and type(cfg.seed_position) is tuple
+        assert hash(cfg) == hash(SimulationConfig(seed_position=(1, 2)))
+
+    def test_boundary_given_by_its_value(self):
+        by_value = SimulationConfig(width=9, height=9, boundary="toroidal", rng_seed=2)
+        by_member = SimulationConfig(width=9, height=9, boundary=Boundary.TOROIDAL, rng_seed=2)
+        assert by_value.boundary is Boundary.TOROIDAL and by_value == by_member
+        a, b = run(by_value), run(by_member)
+        np.testing.assert_array_equal(a.counts, b.counts)
+        assert a.converged_at == b.converged_at
 
 
 class TestLightCone:

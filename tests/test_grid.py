@@ -14,9 +14,12 @@ from newsca import (
     CellState,
     Grid,
     InnovationRuleParams,
+    NewsRuleParams,
     SimulationConfig,
     grid_from_text,
     grid_to_text,
+    make_rng,
+    step,
 )
 from newsca.engine import _block_sums, _Buffers
 from newsca.reference import MOORE_OFFSETS, count_adoption, count_states, neighborhood
@@ -217,3 +220,19 @@ class TestGridType:
         else:
             with pytest.raises(ValueError, match=r"cell codes must be integers in \[0, 255\]"):
                 Grid(cells)
+
+    def test_boundary_given_by_its_value(self):
+        # A black corner cell reaches the opposite edges only on a torus.
+        cells = np.zeros((5, 5), dtype=np.uint8)
+        cells[0, 0] = CellState.BLACK
+        by_value = Grid(cells, "toroidal")
+        assert by_value.boundary is Boundary.TOROIDAL
+        assert by_value == Grid(cells, Boundary.TOROIDAL)
+        assert grid_to_text(by_value, NEWS_CHARS).startswith("5 5 toroidal\n")
+        assert (step(by_value, make_rng(3), NewsRuleParams())
+                == step(Grid(cells, Boundary.TOROIDAL), make_rng(3), NewsRuleParams()))
+
+    @pytest.mark.parametrize("boundary", ["open", None, True, 0, ["toroidal"], {"toroidal": 1}])
+    def test_unknown_boundary_rejected(self, boundary):
+        with pytest.raises(ValueError, match=r"^boundary must be one of \['bounded', 'toroidal'\]"):
+            Grid(np.zeros((2, 2), dtype=np.uint8), boundary)

@@ -61,6 +61,15 @@ class TestOracleIndependence:
         assert named_in(tree).isdisjoint({"CellState", "AdoptionState", "NEWS_CHARS", "ADOPTION_CHARS",
                                           "NewsRuleParams", "InnovationRuleParams"})
 
+    # What a config value may be is decided by the class that defines it; the
+    # CLI checks only the shape of its JSON files, not Python type hints.
+    def test_cli_reflects_on_no_type_hints(self):
+        tree = parse("cli")
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        assert "typing" not in modules
+        assert "is_dataclass" not in named_in(tree)
+
     def test_neighbor_counts_reads_neighborhoods(self):
         func = next(node for node in ast.walk(parse("reference"))
                     if isinstance(node, ast.FunctionDef) and node.name == "neighbor_counts")
