@@ -37,10 +37,8 @@ from .model import (
     AnalyticModel,
     FitResult,
     LogisticParams,
-    eval_black,
-    eval_grey,
-    eval_white,
     fit_model,
+    logistic,
     reference_model,
 )
 from .rules import MODELS
@@ -169,8 +167,10 @@ def write_convergence_csv(path: Path, result: EnsembleResult) -> None:
 
 
 def _model_curves(steps: np.ndarray, model: AnalyticModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grey, white, black) model fractions at ``steps``."""
-    return eval_grey(steps, model), eval_white(steps, model), eval_black(steps, model)
+    """(grey, white, black) model fractions at ``steps``, bit for bit those of
+    ``eval_grey``, ``eval_white`` and ``eval_black``, from one evaluation of each sigmoid."""
+    g, w = logistic(steps, model.grey), logistic(steps, model.white)
+    return g, 1.0 - w, w - g
 
 
 # Rows of model_series.csv formatted per write, so a long step range never sits in memory.
@@ -366,7 +366,13 @@ def _resolve_outdir(args: argparse.Namespace) -> Path:
 
 
 def _fit_result_dict(fit: FitResult) -> dict:
-    return {**asdict(fit), "rmse": fit.rmse if np.isfinite(fit.rmse) else None}
+    """``asdict(fit)`` without its deep copy, and a non-finite rmse as None."""
+    params = fit.params
+    return {
+        **{f.name: getattr(fit, f.name) for f in fields(fit)},
+        "params": None if params is None else {"c": params.c, "tau": params.tau, "gamma": params.gamma},
+        "rmse": fit.rmse if np.isfinite(fit.rmse) else None,
+    }
 
 
 # ---------------------------------------------------------------------------

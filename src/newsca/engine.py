@@ -67,7 +67,7 @@ from .analytics import normalize
 from .grid import Boundary, Grid
 # Re-exported because benchmarks/workloads.py imports step_reference from here.
 from .reference import step_reference  # noqa: F401
-from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams, cutoffs, require_number
+from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams, cutoffs, require_number, store_numbers
 
 # Recorded in output manifests; changing the generator breaks reproducibility.
 GENERATOR_NAME = "numpy-pcg64"
@@ -90,7 +90,8 @@ class SimulationConfig:
     for the two-state adoption one. ``snapshot_every`` is the step interval
     of ``newsca simulate``'s snapshots; the engine does not read it.
     ``__post_init__`` checks the type of every field, then its range, and
-    raises ValueError naming the field; a bool is no integer.
+    raises ValueError naming the field; a bool is no integer. A numpy
+    scalar is stored as the Python number it holds.
     """
 
     width: int = 40
@@ -103,16 +104,14 @@ class SimulationConfig:
     snapshot_every: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("width", "height", "rng_seed", "max_steps"):
-            require_number(name, getattr(self, name), integral=True)
+        store_numbers(self, ("width", "height", "rng_seed", "max_steps"), integral=True)
         if self.snapshot_every is not None:
-            require_number("snapshot_every", self.snapshot_every, integral=True)
+            store_numbers(self, ("snapshot_every",), integral=True)
         if self.seed_position is not None:
             if not isinstance(self.seed_position, list | tuple) or len(self.seed_position) != 2:
                 raise ValueError(f"seed_position must be None or a pair of integers, got {self.seed_position!r}")
-            for i, v in enumerate(self.seed_position):
-                require_number(f"seed_position[{i}]", v, integral=True)
-            object.__setattr__(self, "seed_position", tuple(self.seed_position))
+            object.__setattr__(self, "seed_position", tuple(
+                require_number(f"seed_position[{i}]", v, integral=True) for i, v in enumerate(self.seed_position)))
         if type(self.boundary) is not Boundary:
             object.__setattr__(self, "boundary", Boundary(self.boundary))
         if not isinstance(self.rule_params, RuleParams):

@@ -8,6 +8,14 @@ data-derived initial guess is refined by Levenberg-Marquardt least squares
 on the residuals (MINPACK's lmder, called through scipy's leastsq), with the
 sigmoid's closed-form Jacobian, and the Jacobian at the solution gives each
 parameter's standard error.
+
+Residual and Jacobian at one parameter point share one exponential:
+MINPACK asks for the Jacobian at the point of its last residual, and both
+are built from the sigmoid parts (mask, exp(-|z|), 1 + exp(-|z|)) the fit
+keeps for that point. The Jacobian at the solution then serves both the
+plateau check and the standard errors, so a fit takes at most one
+``np.exp`` per residual evaluation plus one, when the search ends on a
+rejected step.
 """
 from __future__ import annotations
 
@@ -94,20 +102,38 @@ class ModelFit:
     black_rmse: float | None
 
 
-def _sigmoid(t: np.ndarray, c, tau, gamma) -> np.ndarray:
+def _sigmoid_parts(t: np.ndarray, tau, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every sigmoid at (tau, gamma) is built from: with z = gamma (t - tau),
+    the mask ``z >= 0``, e = exp(-|z|) and 1 + e."""
     # Unvalidated parameters: the fit's search probes points LogisticParams rejects.
     # A steep curve's exponent may pass the double range; as +-inf it saturates cleanly.
     with np.errstate(over="ignore"):
         z = gamma * (t - tau)
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, c, c * e) / (1.0 + e)
+    return z >= 0, e, 1.0 + e
+
+
+def _scaled_sigmoid(c, parts) -> np.ndarray:
+    """The sigmoid of plateau ``c`` built from the parts at its (tau, gamma)."""
+    rising, e, denominator = parts
+    return np.where(rising, c, c * e) / denominator
+
+
+def _jacobian(t: np.ndarray, c, tau, gamma, parts) -> np.ndarray:
+    """(len(t), 3) partial derivatives of the sigmoid by (c, tau, gamma),
+    built from the parts at (tau, gamma)."""
+    s = _scaled_sigmoid(1.0, parts)
+    slope = c * s * (1.0 - s)
+    return np.column_stack((s, -gamma * slope, (t - tau) * slope))
+
+
+def _sigmoid(t: np.ndarray, c, tau, gamma) -> np.ndarray:
+    return _scaled_sigmoid(c, _sigmoid_parts(t, tau, gamma))
 
 
 def _sigmoid_jacobian(t: np.ndarray, c, tau, gamma) -> np.ndarray:
     """(len(t), 3) partial derivatives of ``_sigmoid`` by (c, tau, gamma)."""
-    s = _sigmoid(t, 1.0, tau, gamma)
-    slope = c * s * (1.0 - s)
-    return np.column_stack((s, -gamma * slope, (t - tau) * slope))
+    return _jacobian(t, c, tau, gamma, _sigmoid_parts(t, tau, gamma))
 
 
 def logistic(t, params: LogisticParams):
@@ -205,13 +231,21 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     # package's import time, and only a fit needs it.
     from scipy.optimize import leastsq
 
-    def jac(p):
-        return _sigmoid_jacobian(t, *p)
+    # MINPACK takes the Jacobian at the point of its last residual; both build
+    # on the sigmoid parts of the last (tau, gamma) evaluated, kept here.
+    last_point = last_parts = None
+
+    def parts(p):
+        nonlocal last_point, last_parts
+        point = (float(p[1]), float(p[2]))
+        if point != last_point:
+            last_point, last_parts = point, _sigmoid_parts(t, *point)
+        return last_parts
 
     x, _, info, _, ier = leastsq(
-        lambda p: _sigmoid(t, *p) - target,
+        lambda p: _scaled_sigmoid(p[0], parts(p)) - target,
         guess,
-        Dfun=jac,
+        Dfun=lambda p: _jacobian(t, *p, parts(p)),
         full_output=True,
         ftol=FIT_TOLERANCE,
         xtol=FIT_TOLERANCE,
@@ -222,12 +256,14 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     success, message = _MINPACK_STOPS[ier]
     c, tau, gamma = (float(v) for v in x)
     rmse = math.sqrt(2.0 * cost / len(y))
-    problem = None
+    problem = jac = None
     if not 0 < c <= 1 + 1e-9 or not 0 < gamma < math.inf or not math.isfinite(tau):
         problem = "search left the valid parameter domain"
-    elif rmse > EXACT_RMSE and (off := _samples_off_plateaus(t, tau, gamma)) < 3:
-        problem = (f"fitted curve saturated: {off} of {len(y)} samples lie off its plateaus, "
-                   f"too few for its 3 parameters, and it misses the data (rmse {rmse:.3g})")
+    else:
+        jac = _jacobian(t, *x, parts(x))
+        if rmse > EXACT_RMSE and (off := _samples_off_plateaus(jac[:, 0])) < 3:
+            problem = (f"fitted curve saturated: {off} of {len(y)} samples lie off its plateaus, "
+                       f"too few for its 3 parameters, and it misses the data (rmse {rmse:.3g})")
     ok = problem is None
     return FitResult(
         params=LogisticParams(c=min(c, 1.0), tau=tau, gamma=gamma) if ok else None,
@@ -236,14 +272,13 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
         converged=ok and success,
         message=problem or message,
         nfev=int(info["nfev"]),
-        stderr=_standard_errors(jac(x), cost, len(y)) if ok else None,
+        stderr=_standard_errors(jac, cost, len(y)) if ok else None,
     )
 
 
-def _samples_off_plateaus(t: np.ndarray, tau: float, gamma: float) -> int:
+def _samples_off_plateaus(s: np.ndarray) -> int:
     """How many samples tau and gamma act on: those at which the unit-plateau
-    sigmoid is not within rounding of 0 or 1."""
-    s = _sigmoid(t, 1.0, tau, gamma)
+    sigmoid ``s``, the Jacobian's first column, is not within rounding of 0 or 1."""
     return int(np.count_nonzero(s * (1.0 - s) > np.finfo(float).eps))
 
 

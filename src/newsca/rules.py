@@ -26,11 +26,21 @@ import numpy as np
 MAX_DRAW = float(np.nextafter(1.0, 0.0))
 
 
-def require_number(name: str, value, integral: bool = False) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a real number, or
-    with ``integral`` an integer. A bool is neither; numpy scalars are both."""
+def require_number(name: str, value, integral: bool = False):
+    """``value`` as a Python number; ValueError naming ``name`` unless it is a
+    real number, or with ``integral`` an integer. A bool is neither. A numpy
+    scalar is accepted and returned as the Python number it holds, so that
+    equal parameters hash alike and compute in double precision."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
         raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def store_numbers(obj, names: tuple[str, ...], integral: bool = False) -> None:
+    """Pass each field ``names`` of the frozen dataclass ``obj`` through
+    :func:`require_number` and store what it returns."""
+    for name in names:
+        object.__setattr__(obj, name, require_number(name, getattr(obj, name), integral))
 
 
 class CellState(IntEnum):
@@ -70,9 +80,8 @@ class NewsRuleParams:
     boost_below: int = 3
 
     def __post_init__(self) -> None:
-        require_number("adoption_threshold", self.adoption_threshold)
-        require_number("boost_factor", self.boost_factor)
-        require_number("boost_below", self.boost_below, integral=True)
+        store_numbers(self, ("adoption_threshold", "boost_factor"))
+        store_numbers(self, ("boost_below",), integral=True)
         if not 0 < self.adoption_threshold < math.inf:
             raise ValueError(f"adoption_threshold must be positive and finite, got {self.adoption_threshold}")
         if not 1 <= self.boost_factor < math.inf:
@@ -117,7 +126,7 @@ class InnovationRuleParams:
     threshold: float = 1.0
 
     def __post_init__(self) -> None:
-        require_number("threshold", self.threshold)
+        store_numbers(self, ("threshold",))
         if not 0 < self.threshold < math.inf:
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import threading
@@ -27,7 +28,7 @@ from newsca import (
 )
 from newsca.reference import count_states, neighbor_counts, step_reference
 from newsca import engine
-from newsca.cli import EXIT_OK, main
+from newsca.cli import EXIT_OK, config_to_dict, main
 from newsca.engine import _Buffers, _census, _fixed, check_runs
 from newsca.rules import MAX_DRAW, cutoffs
 
@@ -554,6 +555,30 @@ class TestFieldTypes:
         assert cfg == plain
         check_runs(cfg, np.int64(3), np.int64(1))
         np.testing.assert_array_equal(run(cfg).counts, run(plain).counts)
+
+    @pytest.mark.parametrize("given,plain", [
+        (NewsRuleParams(boost_factor=np.float32(1.5)), NewsRuleParams()),
+        (NewsRuleParams(adoption_threshold=np.float32(0.75), boost_below=np.int8(2)),
+         NewsRuleParams(adoption_threshold=0.75, boost_below=2)),
+        (InnovationRuleParams(threshold=np.float32(0.5)), InnovationRuleParams(threshold=0.5)),
+        (NewsRuleParams(boost_factor=np.float32(1.1)), NewsRuleParams(boost_factor=float(np.float32(1.1)))),
+    ], ids=["news-boost", "news-threshold-and-int8", "innovation", "float32-value"])
+    def test_numpy_scalars_stored_as_python_numbers(self, given, plain):
+        # A float32 parameter once compared equal to its double but hashed
+        # apart, and cutoffs computed its products in float32.
+        assert given == plain and hash(given) == hash(plain)
+        assert all(type(getattr(given, f)) is type(getattr(plain, f)) for f in vars(plain))
+        np.testing.assert_array_equal(cutoffs.__wrapped__(given), cutoffs.__wrapped__(plain))
+
+    def test_numpy_scalar_config_serialises_as_the_plain_one(self):
+        ints = dict(width=12, height=9, rng_seed=4, max_steps=60, snapshot_every=5)
+        cfg = SimulationConfig(seed_position=(np.int64(3), np.int32(2)),
+                               rule_params=NewsRuleParams(boost_factor=np.float64(2.0), boost_below=np.int64(2)),
+                               **{name: np.int64(v) for name, v in ints.items()})
+        plain = SimulationConfig(seed_position=(3, 2), rule_params=NewsRuleParams(boost_factor=2.0, boost_below=2),
+                                 **ints)
+        assert json.dumps(config_to_dict(cfg)) == json.dumps(config_to_dict(plain))
+        assert hash(cfg) == hash(plain)
 
     def test_seed_position_list_stored_as_tuple(self):
         cfg = SimulationConfig(seed_position=[1, 2])

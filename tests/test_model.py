@@ -325,6 +325,17 @@ class TestMinpackCall:
         if name == "capped-at-maxfev":
             assert fit.nfev == 300 and not fit.converged
 
+    @pytest.mark.parametrize("name", CURVES)
+    def test_each_point_takes_one_exponential(self, name, monkeypatch):
+        # A residual and the Jacobian at its point share one np.exp; only the
+        # solution may need one more, when the search ends on a rejected step.
+        t, y, shape = self.CURVES[name]()
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x: calls.append(1) or exp(x))
+        fit = fit_logistic(t, y, shape)
+        assert 0 < len(calls) <= fit.nfev + 1
+
 
 class TestFitModel:
     def test_joint_recovery_of_reference_model(self):
