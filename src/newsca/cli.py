@@ -38,7 +38,6 @@ from .model import (
     FitResult,
     LogisticParams,
     fit_model,
-    logistic,
     reference_model,
 )
 from .rules import MODELS
@@ -166,13 +165,6 @@ def write_convergence_csv(path: Path, result: EnsembleResult) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _model_curves(steps: np.ndarray, model: AnalyticModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grey, white, black) model fractions at ``steps``, bit for bit those of
-    ``eval_grey``, ``eval_white`` and ``eval_black``, from one evaluation of each sigmoid."""
-    g, w = logistic(steps, model.grey), logistic(steps, model.white)
-    return g, 1.0 - w, w - g
-
-
 # Rows of model_series.csv formatted per write, so a long step range never sits in memory.
 MODEL_CSV_CHUNK = 8192
 
@@ -184,14 +176,13 @@ def write_model_csv(path: Path, steps: Sequence[int], model: AnalyticModel) -> N
         for a in range(0, len(steps), MODEL_CSV_CHUNK):
             part = steps[a:a + MODEL_CSV_CHUNK]
             out.writelines(f"{int(t)},{g:.17g},{w:.17g},{b:.17g}\n"
-                           for t, g, w, b in zip(part, *_model_curves(part, model)))
+                           for t, g, w, b in zip(part, *model.curves(part)))
 
 
-def write_fit_series_csv(
-    path: Path, steps: np.ndarray, white, grey, black, model: AnalyticModel
-) -> None:
-    """Side-by-side simulated and modeled triples."""
-    mg, mw, mb = _model_curves(steps, model)
+def write_fit_series_csv(path: Path, steps: np.ndarray, white, grey, black, curves) -> None:
+    """Side-by-side simulated and modeled triples; ``curves`` holds the model's
+    (grey, white, black) at ``steps``, as ``ModelFit.curves`` gives them."""
+    mg, mw, mb = curves
     lines = ["step,white_sim,grey_sim,black_sim,white_model,grey_model,black_model"]
     columns = np.column_stack((steps, white, grey, black, mw, mg, mb))
     for t, w, g, b, w_model, g_model, b_model in columns.tolist():
@@ -538,7 +529,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         print(f"error: {'; '.join(stopped) if fit.model else 'fit failed'}; see fit_params.json", file=sys.stderr)
         return EXIT_FIT_FAILURE
     print(f"implied black rmse={fit.black_rmse:.9g}")
-    write_fit_series_csv(outdir / "fit_series.csv", steps, white, grey, black, fit.model)
+    write_fit_series_csv(outdir / "fit_series.csv", steps, white, grey, black, fit.curves)
     print(f"wrote {outdir / 'fit_params.json'} and {outdir / 'fit_series.csv'}")
     return EXIT_OK
 

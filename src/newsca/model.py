@@ -2,7 +2,8 @@
 
 The grey fraction follows an increasing sigmoid C / (1 + e^(-gamma (t - tau))),
 the white fraction the complement of another, and the black fraction is
-their normalized difference, so the three curves sum to 1 identically.
+their normalized difference, so the three curves sum to 1 identically;
+``AnalyticModel.curves`` builds all three from one evaluation of each sigmoid.
 Fitting recovers (C, tau, gamma) per curve from sampled series: a
 data-derived initial guess is refined by Levenberg-Marquardt least squares
 on the residuals (MINPACK's lmder, called through scipy's leastsq), with the
@@ -11,16 +12,17 @@ parameter's standard error.
 
 Residual and Jacobian at one parameter point share one exponential:
 MINPACK asks for the Jacobian at the point of its last residual, and both
-are built from the sigmoid parts (mask, exp(-|z|), 1 + exp(-|z|)) the fit
-keeps for that point. The Jacobian at the solution then serves both the
-plateau check and the standard errors, so a fit takes at most one
+are built from the sigmoid parts (t - tau, mask, exp(-|z|), 1 + exp(-|z|))
+the fit keeps for that point. The Jacobian at the solution then serves both
+the plateau check and the standard errors, so a fit takes at most one
 ``np.exp`` per residual evaluation plus one, when the search ends on a
-rejected step.
+rejected step. A joint fit's black residual and fitted curves share one
+more evaluation of each fitted sigmoid.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +74,12 @@ class AnalyticModel:
     grey: LogisticParams
     white: LogisticParams
 
+    def curves(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(grey, white, black) fractions at scalar or array ``t``, from one
+        evaluation of each sigmoid: ``g``, ``1 - w`` and ``w - g``."""
+        g, w = logistic(t, self.grey), logistic(t, self.white)
+        return g, 1.0 - w, w - g
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -94,46 +102,42 @@ class FitResult:
 
 @dataclass(frozen=True)
 class ModelFit:
-    """Joint grey + white fit with the implied black curve's residual."""
+    """Joint grey + white fit with the implied black curve's residual; ``curves``
+    holds the model's (grey, white, black) at the fitted steps, None without a model."""
 
     model: AnalyticModel | None
     grey: FitResult
     white: FitResult
     black_rmse: float | None
+    curves: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
 
-def _sigmoid_parts(t: np.ndarray, tau, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What every sigmoid at (tau, gamma) is built from: with z = gamma (t - tau),
-    the mask ``z >= 0``, e = exp(-|z|) and 1 + e."""
+def _sigmoid_parts(t: np.ndarray, tau, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What every sigmoid at (tau, gamma) is built from: d = t - tau and, with
+    z = gamma d, the mask ``z >= 0``, e = exp(-|z|) and 1 + e."""
     # Unvalidated parameters: the fit's search probes points LogisticParams rejects.
-    # A steep curve's exponent may pass the double range; as +-inf it saturates cleanly.
+    # Extreme steps or a steep curve may pass the double range; as +-inf they saturate cleanly.
     with np.errstate(over="ignore"):
-        z = gamma * (t - tau)
+        d = t - tau
+        z = gamma * d
     e = np.exp(-np.abs(z))
-    return z >= 0, e, 1.0 + e
+    return d, z >= 0, e, 1.0 + e
 
 
 def _scaled_sigmoid(c, parts) -> np.ndarray:
     """The sigmoid of plateau ``c`` built from the parts at its (tau, gamma)."""
-    rising, e, denominator = parts
+    _, rising, e, denominator = parts
     return np.where(rising, c, c * e) / denominator
 
 
-def _jacobian(t: np.ndarray, c, tau, gamma, parts) -> np.ndarray:
+def _jacobian(c, gamma, parts) -> np.ndarray:
     """(len(t), 3) partial derivatives of the sigmoid by (c, tau, gamma),
     built from the parts at (tau, gamma)."""
     s = _scaled_sigmoid(1.0, parts)
     slope = c * s * (1.0 - s)
-    return np.column_stack((s, -gamma * slope, (t - tau) * slope))
-
-
-def _sigmoid(t: np.ndarray, c, tau, gamma) -> np.ndarray:
-    return _scaled_sigmoid(c, _sigmoid_parts(t, tau, gamma))
-
-
-def _sigmoid_jacobian(t: np.ndarray, c, tau, gamma) -> np.ndarray:
-    """(len(t), 3) partial derivatives of ``_sigmoid`` by (c, tau, gamma)."""
-    return _jacobian(t, c, tau, gamma, _sigmoid_parts(t, tau, gamma))
+    # An infinite t - tau meets a zero slope only where the curve is flat; the product is NaN.
+    with np.errstate(invalid="ignore"):
+        return np.column_stack((s, -gamma * slope, parts[0] * slope))
 
 
 def logistic(t, params: LogisticParams):
@@ -142,7 +146,8 @@ def logistic(t, params: LogisticParams):
     Never overflows: the exponential is only ever taken of a non-positive
     argument, saturating cleanly to 0 or ``c`` for extreme ``t``.
     """
-    out = _sigmoid(np.asarray(t, dtype=float), params.c, params.tau, params.gamma)
+    t = np.asarray(t, dtype=float)
+    out = _scaled_sigmoid(params.c, _sigmoid_parts(t, params.tau, params.gamma))
     return float(out) if out.ndim == 0 else out
 
 
@@ -163,7 +168,7 @@ def eval_black(t, model: AnalyticModel):
     sigmoids. Signed by design: some parameterizations dip slightly below
     zero near the origin, and the value is reported as computed.
     """
-    return logistic(t, model.white) - logistic(t, model.grey)
+    return model.curves(t)[2]
 
 
 def reference_model() -> AnalyticModel:
@@ -242,16 +247,19 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
             last_point, last_parts = point, _sigmoid_parts(t, *point)
         return last_parts
 
-    x, _, info, _, ier = leastsq(
-        lambda p: _scaled_sigmoid(p[0], parts(p)) - target,
-        guess,
-        Dfun=lambda p: _jacobian(t, *p, parts(p)),
-        full_output=True,
-        ftol=FIT_TOLERANCE,
-        xtol=FIT_TOLERANCE,
-        gtol=FIT_TOLERANCE,
-        maxfev=MAX_NFEV,
-    )
+    # leastsq also forms the covariance of its solution, which the fit discards;
+    # under an extreme slope that product may overflow or turn invalid.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, _, info, _, ier = leastsq(
+            lambda p: _scaled_sigmoid(p[0], parts(p)) - target,
+            guess,
+            Dfun=lambda p: _jacobian(p[0], p[2], parts(p)),
+            full_output=True,
+            ftol=FIT_TOLERANCE,
+            xtol=FIT_TOLERANCE,
+            gtol=FIT_TOLERANCE,
+            maxfev=MAX_NFEV,
+        )
     cost = 0.5 * float(np.dot(info["fvec"], info["fvec"]))
     success, message = _MINPACK_STOPS[ier]
     c, tau, gamma = (float(v) for v in x)
@@ -260,7 +268,7 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     if not 0 < c <= 1 + 1e-9 or not 0 < gamma < math.inf or not math.isfinite(tau):
         problem = "search left the valid parameter domain"
     else:
-        jac = _jacobian(t, *x, parts(x))
+        jac = _jacobian(c, gamma, parts(x))
         if rmse > EXACT_RMSE and (off := _samples_off_plateaus(jac[:, 0])) < 3:
             problem = (f"fitted curve saturated: {off} of {len(y)} samples lie off its plateaus, "
                        f"too few for its 3 parameters, and it misses the data (rmse {rmse:.3g})")
@@ -299,9 +307,9 @@ def _standard_errors(jac: np.ndarray, cost: float, n: int) -> tuple[float, float
 def fit_model(t, grey_values, white_values) -> ModelFit:
     """Fit grey (rising) and white (falling) independently; imply black.
 
-    The black curve of the fitted model is compared against the residual
-    series ``1 - grey - white``, giving ``black_rmse``. Per-curve failures
-    propagate into the result without blocking the other curve.
+    The black one of the fitted model's ``curves`` at ``t`` is compared against
+    the residual series ``1 - grey - white``, giving ``black_rmse``. Per-curve
+    failures propagate into the result without blocking the other curve.
     """
     t = np.asarray(t, dtype=float)
     grey_values = np.asarray(grey_values, dtype=float)
@@ -313,7 +321,7 @@ def fit_model(t, grey_values, white_values) -> ModelFit:
     if grey_fit.params is None or white_fit.params is None:
         return ModelFit(model=None, grey=grey_fit, white=white_fit, black_rmse=None)
     model = AnalyticModel(grey=grey_fit.params, white=white_fit.params)
-    black_series = 1.0 - grey_values - white_values
-    residual = eval_black(t, model) - black_series
+    curves = model.curves(t)
+    residual = curves[2] - (1.0 - grey_values - white_values)
     black_rmse = float(np.sqrt(np.mean(residual**2)))
-    return ModelFit(model=model, grey=grey_fit, white=white_fit, black_rmse=black_rmse)
+    return ModelFit(model=model, grey=grey_fit, white=white_fit, black_rmse=black_rmse, curves=curves)

@@ -1,5 +1,15 @@
-"""Shape checks on fraction series that the acceptance and model tests share."""
+"""Shape checks on fraction series, and a strategy drawing such series, that the tests share."""
 import numpy as np
+from hypothesis import strategies as st
+
+
+@st.composite
+def extreme_series(draw):
+    """(steps, grey, white): 4 to 30 strictly increasing steps within +-1.79e308,
+    so that differences of steps may pass the double range, with fractions in [0, 1]."""
+    steps = sorted(draw(st.lists(st.floats(-1.79e308, 1.79e308), min_size=4, max_size=30, unique=True)))
+    fractions = st.lists(st.floats(0.0, 1.0), min_size=len(steps), max_size=len(steps))
+    return steps, draw(fractions), draw(fractions)
 
 
 def moving_average(values, window: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from newsca import (
     make_rng,
     reference_model,
 )
+import newsca.model
 from newsca.model import MAX_NFEV
 from newsca.reference import count_adoption, count_states, step_reference
 from newsca.rules import MODELS
@@ -48,6 +49,7 @@ from newsca.cli import (
     write_model_csv,
     write_pgm,
 )
+from shapes import extreme_series
 
 
 def read_csv_rows(path):
@@ -459,6 +461,26 @@ class TestFit:
         assert header[:4] == ["step", "white_sim", "grey_sim", "black_sim"]
         assert len(rows) == 121
         assert (fit_dir / "manifest.json").exists()
+
+    def test_each_fitted_sigmoid_evaluated_once(self, tmp_path, monkeypatch):
+        # np.exp calls inside fit_logistic are the search's; the rest, one per
+        # fitted sigmoid, serve both black_rmse and fit_series.csv.
+        assert main(["eval-model", "--outdir", str(tmp_path / "model")]) == EXIT_OK
+        calls, searching = [], []
+        exp, fit_logistic = np.exp, newsca.model.fit_logistic
+
+        def counted_fit(*args, **kwargs):
+            searching.append(True)
+            try:
+                return fit_logistic(*args, **kwargs)
+            finally:
+                searching.pop()
+
+        monkeypatch.setattr(np, "exp", lambda x: calls.append("search" if searching else "outside") or exp(x))
+        monkeypatch.setattr(newsca.model, "fit_logistic", counted_fit)
+        assert main(["fit", "--input", str(tmp_path / "model" / "model_series.csv"),
+                     "--outdir", str(tmp_path / "fit")]) == EXIT_OK
+        assert "search" in calls and calls.count("outside") == 2
 
     def test_fractional_steps_kept_in_fit_series(self, tmp_path):
         t = np.arange(0, 120.5, 0.5)
@@ -872,6 +894,22 @@ class TestMangledInputs:
             code, err = run_quietly(["fit", "--input", str(path), "--outdir", str(Path(tmp) / "out")])
         assert code in (EXIT_IO, EXIT_FIT_FAILURE)
         self.assert_one_error_line(err)
+
+    # Steps whose differences pass the double range; some of these fits succeed.
+    @settings(max_examples=50, deadline=None)
+    @given(series=extreme_series())
+    def test_series_at_extreme_steps(self, series):
+        steps, grey, white = series
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "series.csv"
+            path.write_text("step,white_frac,grey_frac\n"
+                            + "".join(f"{t!r},{w!r},{g!r}\n" for t, w, g in zip(steps, white, grey)))
+            code, err = run_quietly(["fit", "--input", str(path), "--outdir", str(Path(tmp) / "out")])
+        assert code in (EXIT_OK, EXIT_FIT_FAILURE)
+        if code == EXIT_OK:
+            assert err == ""
+        else:
+            self.assert_one_error_line(err)
 
     def assert_manifest_refused(self, command, text):
         with tempfile.TemporaryDirectory() as tmp:
