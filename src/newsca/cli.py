@@ -220,8 +220,9 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     one is given, must sum to 1 within 1e-6, and the steps must strictly
     increase; an InputError names the file and the first line that breaks a
     rule, is not UTF-8 or is not CSV, or says that no row follows the
-    header. Black is not range-checked: a model's black curve may dip just
-    below 0.
+    header. A leading UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes,
+    is dropped. Black is not range-checked: a model's black curve may dip
+    just below 0.
     """
     def bad(message: str, line: int | None = None) -> InputError:
         """The error at ``line``, by default the physical line the reader's last row ended on."""
@@ -229,7 +230,7 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
     data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise bad(f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}",
                   data.count(b"\n", 0, exc.start) + 1) from None
@@ -287,20 +288,21 @@ DEFAULT_RUNS = 100
 
 def _add_config_flags(sp: argparse.ArgumentParser, command: str) -> None:
     """The flags of a run's configuration, and --from-manifest, which stands
-    for all of them. Each flag defaults to None, so one left out is told from
-    one given: :func:`_config_from_args` fills the first from SimulationConfig,
-    and :func:`_refuse_config_flags` refuses the second beside a manifest."""
+    for all of them. Each flag's dest is the field it sets, of SimulationConfig
+    or of a rule parameter class, but for --seed-row and --seed-col (the
+    ``seed_position`` pair), --model, --runs and --snapshot-format. Each
+    defaults to None, so one left out is told from one given:
+    :func:`_run_config` fills the first from its field's default, and refuses
+    the second beside a manifest."""
     flags = [
         sp.add_argument("--width", type=int),
         sp.add_argument("--height", type=int),
         sp.add_argument("--seed-row", type=int, help="seed cell row (default: center)"),
         sp.add_argument("--seed-col", type=int, help="seed cell column (default: center)"),
         sp.add_argument("--boundary", choices=[b.value for b in Boundary]),
-        sp.add_argument("--seed", type=int, help="RNG seed"),
+        sp.add_argument("--seed", dest="rng_seed", metavar="SEED", type=int, help="RNG seed"),
         sp.add_argument("--max-steps", type=int),
         sp.add_argument("--model", choices=list(MODELS)),
-        # Each rule flag's dest is the name of the rule parameter it sets; one
-        # left out takes the default of the model's rule parameter class.
         sp.add_argument("--adoption-threshold", type=float),
         sp.add_argument("--boost-factor", type=float),
         sp.add_argument("--boost-below", type=int),
@@ -319,14 +321,15 @@ def _add_config_flags(sp: argparse.ArgumentParser, command: str) -> None:
     sp.set_defaults(config_flags=[(flag.dest, flag.option_strings[0]) for flag in flags])
 
 
-def _refuse_config_flags(args: argparse.Namespace) -> None:
-    """A manifest holds the whole configuration, so a config flag beside it is a usage error."""
-    given = [name for dest, name in args.config_flags if getattr(args, dest) is not None]
-    if given:
-        raise ValueError(f"--from-manifest takes no config flag, got {', '.join(given)}")
-
-
-def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
+def _run_config(args: argparse.Namespace, command: str) -> tuple[SimulationConfig, dict]:
+    """(config, manifest) of a ``command`` run: those of --from-manifest, which
+    holds the whole configuration and so takes no config flag beside it, or
+    the config built from the flags and an empty manifest."""
+    if args.from_manifest is not None:
+        refused = [name for dest, name in args.config_flags if getattr(args, dest) is not None]
+        if refused:
+            raise ValueError(f"--from-manifest takes no config flag, got {', '.join(refused)}")
+        return load_manifest(args.from_manifest, command)
     if (args.seed_row is None) != (args.seed_col is None):
         raise ValueError("--seed-row and --seed-col must be given together")
     seed_position = None if args.seed_row is None else (args.seed_row, args.seed_col)
@@ -336,17 +339,10 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     stray = sorted(given.keys() - {f.name for f in fields(cls)})
     if stray:
         raise ValueError(f"--model {cls.name} takes no rule parameter {' or '.join(map(repr, stray))}")
-    # A flag left out is None and takes the default of its SimulationConfig field.
-    flags = {
-        "width": args.width,
-        "height": args.height,
-        "boundary": args.boundary,
-        "rng_seed": args.seed,
-        "max_steps": args.max_steps,
-        "snapshot_every": getattr(args, "snapshot_every", None),
-    }
-    return SimulationConfig(seed_position=seed_position, rule_params=cls(**given),
-                            **{name: value for name, value in flags.items() if value is not None})
+    # A flag left out is None and takes the default of its field.
+    flags = {f.name: getattr(args, f.name) for f in fields(SimulationConfig)
+             if getattr(args, f.name, None) is not None}
+    return SimulationConfig(**flags, seed_position=seed_position, rule_params=cls(**given)), {}
 
 
 def _resolve_outdir(args: argparse.Namespace) -> Path:
@@ -370,16 +366,11 @@ def _fit_result_dict(fit: FitResult) -> dict:
 # commands
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.from_manifest is not None:
-        _refuse_config_flags(args)
-        config, manifest_in = load_manifest(args.from_manifest, "simulate")
-        snapshot_format = manifest_in.get("snapshot_format", SNAPSHOT_FORMATS[0])
-        if snapshot_format not in SNAPSHOT_FORMATS:
-            raise InputError(f"{args.from_manifest}: snapshot_format must be one of "
-                             f"{list(SNAPSHOT_FORMATS)}, got {snapshot_format!r}")
-    else:
-        config = _config_from_args(args)
-        snapshot_format = args.snapshot_format or SNAPSHOT_FORMATS[0]
+    config, manifest_in = _run_config(args, "simulate")
+    snapshot_format = manifest_in.get("snapshot_format", args.snapshot_format or SNAPSHOT_FORMATS[0])
+    if snapshot_format not in SNAPSHOT_FORMATS:  # only a manifest's: argparse checks the flag's
+        raise InputError(f"{args.from_manifest}: snapshot_format must be one of "
+                         f"{list(SNAPSHOT_FORMATS)}, got {snapshot_format!r}")
     outdir = _resolve_outdir(args)
 
     every, snapshot_paths = config.snapshot_every, []
@@ -412,9 +403,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
+    config, manifest_in = _run_config(args, "ensemble")
     if args.from_manifest is not None:
-        _refuse_config_flags(args)
-        config, manifest_in = load_manifest(args.from_manifest, "ensemble")
         runs = manifest_in.get("runs")
         try:
             check_runs(config, runs)
@@ -424,7 +414,6 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
             raise InputError(f"{args.from_manifest}: config entry 'snapshot_every' must be null "
                              f"for ensemble, got {config.snapshot_every!r}")
     else:
-        config = _config_from_args(args)
         runs = DEFAULT_RUNS if args.runs is None else args.runs
     check_runs(config, runs, args.jobs)
     outdir = _resolve_outdir(args)

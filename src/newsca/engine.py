@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -608,6 +607,10 @@ def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1) -> Ensemble
     seeds = derive_run_seeds(config.rng_seed, runs)
     blocks = min(jobs, runs)
     if blocks > 1:
+        # Imported here, not at module level: only threaded runs need the
+        # pool, and its import adds to every command's start-up.
+        from concurrent.futures import ThreadPoolExecutor
+
         parts = [seeds[i * runs // blocks:(i + 1) * runs // blocks] for i in range(blocks)]
         with ThreadPoolExecutor(max_workers=min(blocks, os.cpu_count() or 1)) as pool:
             trajectories = [tr for part in pool.map(lambda p: _run_stack(config, p), parts) for tr in part]

@@ -5,7 +5,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +346,15 @@ class TestEnsemble:
         assert capsys.readouterr().err == f"error: --from-manifest takes no config flag, got {names}\n"
         assert not b.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "ensemble"])
+    def test_each_config_flag_names_a_field(self, command):
+        # A config field is read from the flag whose dest is its name; the
+        # others make seed_position, pick the model or are the command's own.
+        names = {f.name for cls in (SimulationConfig, *MODELS.values()) for f in fields(cls)}
+        names |= {"seed_row", "seed_col", "model", "runs", "snapshot_format"}
+        dests = [dest for dest, _ in build_parser().parse_args([command]).config_flags]
+        assert [dest for dest in dests if dest not in names] == []
+
     def test_runs_default_to_100(self, tmp_path):
         assert main(["ensemble", "--width", "4", "--height", "4", "--outdir", str(tmp_path)]) == EXIT_OK
         assert json.loads((tmp_path / "manifest.json").read_text())["runs"] == 100
@@ -481,6 +490,19 @@ class TestFit:
         assert main(["fit", "--input", str(tmp_path / "model" / "model_series.csv"),
                      "--outdir", str(tmp_path / "fit")]) == EXIT_OK
         assert "search" in calls and calls.count("outside") == 2
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one.
+        assert main(["eval-model", "--outdir", str(tmp_path / "model")]) == EXIT_OK
+        plain, marked = tmp_path / "model" / "model_series.csv", tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        params = []
+        for csv_path in (plain, marked):
+            out = tmp_path / csv_path.stem
+            assert main(["fit", "--input", str(csv_path), "--outdir", str(out)]) == EXIT_OK
+            fitted = json.loads((out / "fit_params.json").read_text())
+            params.append([fitted[curve]["params"] for curve in ("grey", "white")])
+        assert params[0] == params[1]
 
     def test_fractional_steps_kept_in_fit_series(self, tmp_path):
         t = np.arange(0, 120.5, 0.5)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import math
@@ -753,12 +754,12 @@ class TestEnsemble:
         # Six blocks on two CPUs share two threads; the blocks, and so the results, stay the same.
         workers = []
 
-        class Recording(engine.ThreadPoolExecutor):
+        class Recording(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers=None, **kwargs):
                 workers.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = SimulationConfig(width=8, height=8, rng_seed=3)
         b = run_ensemble(cfg, 6, jobs=6)

@@ -1,5 +1,6 @@
 """The package's public surface: exactly the names listed here, each one real;
-and its import cost: scipy loads only when a fit runs."""
+and its import cost: scipy loads only when a fit runs, and the thread pool
+only when an ensemble runs on more than one job."""
 import os
 import subprocess
 import sys
@@ -34,19 +35,22 @@ def _cli(*args):
 
 
 # Each snippet runs in a fresh interpreter with OUT set to a temporary directory.
-@pytest.mark.parametrize("snippet,loads_scipy", [
-    ("import newsca", False),
-    ("import newsca.cli", False),
-    (_cli("simulate", "--width", "8", "--height", "6", "--max-steps", "4"), False),
-    (_cli("ensemble", "--width", "8", "--height", "6", "--runs", "3"), False),
-    (_cli("eval-model", "--t-max", "20"), False),
+@pytest.mark.parametrize("snippet,loads_scipy,loads_threads", [
+    ("import newsca", False, False),
+    ("import newsca.cli", False, False),
+    (_cli("simulate", "--width", "8", "--height", "6", "--max-steps", "4"), False, False),
+    (_cli("ensemble", "--width", "8", "--height", "6", "--runs", "3", "--jobs", "1"), False, False),
+    (_cli("ensemble", "--width", "8", "--height", "6", "--runs", "3", "--jobs", "2"), False, True),
+    (_cli("eval-model", "--t-max", "20"), False, False),
+    # scipy.optimize imports concurrent.futures itself.
     (_cli("eval-model", "--t-max", "60") + "; main(['fit', '--input', OUT + '/model_series.csv', '--outdir', OUT])",
-     True),
-], ids=["import", "import-cli", "simulate", "ensemble", "eval-model", "fit"])
-def test_scipy_loads_only_for_a_fit(tmp_path, snippet, loads_scipy):
-    check = "import sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+     True, True),
+], ids=["import", "import-cli", "simulate", "ensemble", "ensemble-jobs-2", "eval-model", "fit"])
+def test_scipy_loads_only_for_a_fit(tmp_path, snippet, loads_scipy, loads_threads):
+    check = ("import sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+             "'concurrent.futures' in sys.modules)")
     src = str(Path(newsca.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", f"OUT = {str(tmp_path)!r}\n{snippet}\n{check}"],
                           capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.splitlines()[-1] == str(loads_scipy)
+    assert done.stdout.splitlines()[-1] == f"{loads_scipy} {loads_threads}"
