@@ -14,8 +14,8 @@ from .analytics import CrossPoint, cross_point, normalize, stabilization_ratio
 from .engine import (GENERATOR_NAME, MAX_CELLS, EnsembleResult, SimulationConfig, Trajectory,
                      derive_run_seeds, make_rng, run, run_ensemble, step)
 from .grid import Boundary, Grid, grid_from_text, grid_to_text
-from .model import (AnalyticModel, FitResult, LogisticParams, ModelFit, eval_black, eval_grey,
-                    eval_white, fit_logistic, fit_model, logistic, reference_model)
+from .model import (AnalyticModel, FitResult, LogisticParams, ModelFit, fit_logistic, fit_model,
+                    logistic, reference_model)
 from .rules import (ADOPTION_CHARS, NEWS_CHARS, AdoptionState, CellState, InnovationRuleParams,
                     NewsRuleParams)
 

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rules import store_numbers
+
 # Relative tolerance on the step, the residual reduction and the gradient.
 FIT_TOLERANCE = 1e-12
 # A fit this close to the data (fractions) reproduces it, even one flat at every sample.
@@ -58,6 +60,7 @@ class LogisticParams:
     gamma: float
 
     def __post_init__(self) -> None:
+        store_numbers(self, ("c", "tau", "gamma"))
         if not 0 < self.c <= 1:
             raise ValueError(f"plateau c must be in (0, 1], got {self.c}")
         if not 0 < self.gamma < math.inf:
@@ -76,7 +79,11 @@ class AnalyticModel:
 
     def curves(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(grey, white, black) fractions at scalar or array ``t``, from one
-        evaluation of each sigmoid: ``g``, ``1 - w`` and ``w - g``."""
+        evaluation of each sigmoid: ``g``, ``1 - w`` and ``w - g``.
+
+        Black is signed by design: it dips slightly below zero near the
+        origin for some parameterizations, and is reported as computed.
+        """
         g, w = logistic(t, self.grey), logistic(t, self.white)
         return g, 1.0 - w, w - g
 
@@ -151,26 +158,6 @@ def logistic(t, params: LogisticParams):
     return float(out) if out.ndim == 0 else out
 
 
-def eval_grey(t, model: AnalyticModel):
-    """Grey (stale news) fraction: the rising sigmoid."""
-    return logistic(t, model.grey)
-
-
-def eval_white(t, model: AnalyticModel):
-    """White (uninformed) fraction: complement of its own sigmoid."""
-    return 1.0 - logistic(t, model.white)
-
-
-def eval_black(t, model: AnalyticModel):
-    """Black (fresh news) fraction: what normalization leaves over.
-
-    Equals ``1 - grey - white`` identically, i.e. the difference of the two
-    sigmoids. Signed by design: some parameterizations dip slightly below
-    zero near the origin, and the value is reported as computed.
-    """
-    return model.curves(t)[2]
-
-
 def reference_model() -> AnalyticModel:
     """The built-in reference parameterization of the 40x40 dynamics:
     grey (0.75, 30, 0.15), white (0.75, 20, 0.25)."""
@@ -197,9 +184,9 @@ def _initial_guess(t: np.ndarray, y: np.ndarray) -> list[float]:
     return [c0, tau0, gamma0]
 
 
-def fit_logistic(t, values, shape: str = "rising") -> FitResult:
-    """Least-squares fit of a sigmoid (``shape="rising"``) or its complement
-    (``shape="falling"``) to samples ``values`` at steps ``t``.
+def fit_logistic(t, values) -> FitResult:
+    """Least-squares fit of a rising sigmoid to samples ``values`` at steps
+    ``t``; :func:`fit_model` fits the falling white curve through its complement.
 
     Starts from a guess read off the data and refines it by
     Levenberg-Marquardt (MINPACK's ``lmder`` through ``scipy.optimize.leastsq``)
@@ -213,23 +200,21 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     Degenerate input (fewer than 4 points, or a constant series) yields a
     failure result rather than an exception, and so does a saturated fit:
     one that misses the data while fewer than 3 samples lie off its
-    plateaus. Values outside [0, 1] are a caller error and raise.
+    plateaus. Non-finite steps and values outside [0, 1], NaN included, are
+    a caller error and raise.
     """
-    if shape not in ("rising", "falling"):
-        raise ValueError(f"shape must be 'rising' or 'falling', got {shape!r}")
     t = np.asarray(t, dtype=float)
-    y = np.asarray(values, dtype=float)
+    y = _fractions(values)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("t and values must be 1-D arrays of equal length")
-    if np.any((y < 0) | (y > 1)):
-        raise ValueError("values must lie in [0, 1]")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("steps must be finite")
     if len(y) < 4:
         return _failure(f"need at least 4 points, got {len(y)}")
     if np.ptp(y) == 0.0:
         return _failure("constant series carries no sigmoid information")
 
-    target = y if shape == "rising" else 1.0 - y
-    guess = _initial_guess(t, target)
+    guess = _initial_guess(t, y)
     if not all(map(math.isfinite, guess)):
         return _failure("step spacing too extreme for a finite initial guess")
     # Imported here, not at module level: scipy.optimize takes most of the
@@ -251,7 +236,7 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     # under an extreme slope that product may overflow or turn invalid.
     with np.errstate(over="ignore", invalid="ignore"):
         x, _, info, _, ier = leastsq(
-            lambda p: _scaled_sigmoid(p[0], parts(p)) - target,
+            lambda p: _scaled_sigmoid(p[0], parts(p)) - y,
             guess,
             Dfun=lambda p: _jacobian(p[0], p[2], parts(p)),
             full_output=True,
@@ -284,6 +269,14 @@ def fit_logistic(t, values, shape: str = "rising") -> FitResult:
     )
 
 
+def _fractions(values) -> np.ndarray:
+    """``values`` as a float array; ValueError unless each lies in [0, 1]."""
+    y = np.asarray(values, dtype=float)
+    if not np.all((y >= 0) & (y <= 1)):
+        raise ValueError("values must lie in [0, 1]")
+    return y
+
+
 def _samples_off_plateaus(s: np.ndarray) -> int:
     """How many samples tau and gamma act on: those at which the unit-plateau
     sigmoid ``s``, the Jacobian's first column, is not within rounding of 0 or 1."""
@@ -305,19 +298,19 @@ def _standard_errors(jac: np.ndarray, cost: float, n: int) -> tuple[float, float
 
 
 def fit_model(t, grey_values, white_values) -> ModelFit:
-    """Fit grey (rising) and white (falling) independently; imply black.
+    """Fit grey (rising) and white (falling, through its complement
+    ``1 - white``) independently; imply black.
 
     The black one of the fitted model's ``curves`` at ``t`` is compared against
     the residual series ``1 - grey - white``, giving ``black_rmse``. Per-curve
     failures propagate into the result without blocking the other curve.
     """
     t = np.asarray(t, dtype=float)
-    grey_values = np.asarray(grey_values, dtype=float)
-    white_values = np.asarray(white_values, dtype=float)
+    grey_values, white_values = _fractions(grey_values), _fractions(white_values)
     if not (t.shape == grey_values.shape == white_values.shape):
         raise ValueError("t, grey and white series must be aligned")
-    grey_fit = fit_logistic(t, grey_values, shape="rising")
-    white_fit = fit_logistic(t, white_values, shape="falling")
+    grey_fit = fit_logistic(t, grey_values)
+    white_fit = fit_logistic(t, 1.0 - white_values)
     if grey_fit.params is None or white_fit.params is None:
         return ModelFit(model=None, grey=grey_fit, white=white_fit, black_rmse=None)
     model = AnalyticModel(grey=grey_fit.params, white=white_fit.params)

@@ -16,9 +16,6 @@ from newsca import (
     InnovationRuleParams,
     SimulationConfig,
     cross_point,
-    eval_black,
-    eval_grey,
-    eval_white,
     fit_logistic,
     fit_model,
     make_rng,
@@ -114,16 +111,12 @@ def test_criterion_6_analytic_evaluation():
         grey_true = _oracle(t, "0.75", "30", "0.15")
         white_true = 1 - _oracle(t, "0.75", "20", "0.25")
         black_true = _oracle(t, "0.75", "20", "0.25") - _oracle(t, "0.75", "30", "0.15")
-        for got, want in (
-            (eval_grey(t, model), grey_true),
-            (eval_white(t, model), white_true),
-            (eval_black(t, model), black_true),
-        ):
+        for got, want in zip(model.curves(t), (grey_true, white_true, black_true)):
             worst = max(worst, abs(got - float(want)))
     named = (
-        abs(eval_white(0, model) - 0.994980) < 1e-6
-        and abs(eval_black(25, model) - 0.342358) < 1e-6
-        and abs(eval_black(0, model) - (-0.0032205)) < 1e-6
+        abs(model.curves(0)[1] - 0.994980) < 1e-6
+        and abs(model.curves(25)[2] - 0.342358) < 1e-6
+        and abs(model.curves(0)[2] - (-0.0032205)) < 1e-6
     )
     ok = worst <= 1e-12 and named
     report(6, "analytic evaluation", ok,
@@ -147,7 +140,8 @@ def test_criterion_7_normalization_identity():
             ),
         )
         t = rng.uniform(-200, 300, size=10_000)
-        total = eval_grey(t, model) + eval_white(t, model) + eval_black(t, model)
+        grey, white, black = model.curves(t)
+        total = grey + white + black
         worst = max(worst, float(np.max(np.abs(total - 1.0))))
     ok = worst <= 1e-12
     report(7, "normalization identity", ok,
@@ -157,7 +151,8 @@ def test_criterion_7_normalization_identity():
 def test_criterion_8_fit_recovery(ensemble):
     model = reference_model()
     t = np.arange(121, dtype=float)
-    fit = fit_model(t, eval_grey(t, model), eval_white(t, model))
+    grey, white, _ = model.curves(t)
+    fit = fit_model(t, grey, white)
     assert fit.model is not None
     pairs = [
         (fit.model.grey.c, 0.75), (fit.model.grey.tau, 30.0), (fit.model.grey.gamma, 0.15),
@@ -167,7 +162,7 @@ def test_criterion_8_fit_recovery(ensemble):
 
     result, _ = ensemble
     steps = np.arange(len(result.mean_fractions), dtype=float)
-    grey_fit = fit_logistic(steps, result.mean_fractions[:, 1], shape="rising")
+    grey_fit = fit_logistic(steps, result.mean_fractions[:, 1])
     ok = worst_rel <= 1e-3 and grey_fit.converged and grey_fit.rmse <= 0.05
     report(8, "fit recovery", ok,
            f"noiseless worst rel err = {worst_rel:.2e}; ensemble grey rmse = {grey_fit.rmse:.4f}")

@@ -5,9 +5,6 @@ from hypothesis import strategies as st
 
 from newsca import (
     cross_point,
-    eval_black,
-    eval_grey,
-    eval_white,
     normalize,
     reference_model,
     stabilization_ratio,
@@ -61,9 +58,8 @@ class TestCrossPoint:
     def test_reference_curves_cross_near_one_third(self):
         # brute-force verified: the minimax step of the built-in model over
         # t in [0, 120] is 28, where all three curves sit near 1/3
-        model = reference_model()
-        t = np.arange(121)
-        series = np.column_stack([eval_white(t, model), eval_grey(t, model), eval_black(t, model)])
+        grey, white, black = reference_model().curves(np.arange(121))
+        series = np.column_stack([white, grey, black])
         cp = cross_point(series)
         assert cp.step == 28
         assert abs(cp.level - 1.0 / 3.0) < 1e-6

@@ -22,8 +22,6 @@ from newsca import (
     InnovationRuleParams,
     LogisticParams,
     SimulationConfig,
-    eval_grey,
-    eval_white,
     grid_from_text,
     grid_to_text,
     make_rng,
@@ -506,8 +504,7 @@ class TestFit:
 
     def test_fractional_steps_kept_in_fit_series(self, tmp_path):
         t = np.arange(0, 120.5, 0.5)
-        model = reference_model()
-        grey, white = eval_grey(t, model), eval_white(t, model)
+        grey, white, _ = reference_model().curves(t)
         csv_path = tmp_path / "half.csv"
         csv_path.write_text("step,white_frac,grey_frac\n" + "".join(
             f"{s!r},{w!r},{g!r}\n" for s, w, g in zip(t.tolist(), white.tolist(), grey.tolist())))
@@ -525,6 +522,16 @@ class TestFit:
         )
         assert main(["fit", "--input", str(csv_path),
                      "--outdir", str(tmp_path / "out")]) == EXIT_FIT_FAILURE
+
+    def test_white_whose_complement_rounds_to_a_constant_is_fit_failure(self, tmp_path):
+        # White is fitted through 1 - white, which is 1.0 at every row here: a constant series.
+        csv_path = tmp_path / "faint.csv"
+        csv_path.write_text("step,white_frac,grey_frac\n" + "".join(
+            f"{k},{(k + 1) * 1e-18!r},{k / 10!r}\n" for k in range(8)))
+        assert main(["fit", "--input", str(csv_path), "--outdir", str(tmp_path / "out")]) == EXIT_FIT_FAILURE
+        white = json.loads((tmp_path / "out" / "fit_params.json").read_text())["white"]
+        assert (white["params"], white["rmse"], white["iterations"]) == (None, None, 0)
+        assert white["message"] == "constant series carries no sigmoid information"
 
     # With no data row there is nothing to fit: the input is at fault (exit 2), not the fit (exit 4).
     @pytest.mark.parametrize("text", ["step,white_frac,grey_frac,black_frac\n",
@@ -613,7 +620,7 @@ class TestFit:
         # A step in grey is fitted exactly by an arbitrarily steep sigmoid,
         # whose Jacobian is singular; the standard errors are then undefined.
         t = np.arange(121)
-        white = eval_white(t, reference_model()).tolist()
+        white = reference_model().curves(t)[1].tolist()
         grey = np.where(t >= 60, 0.7, 0.0).tolist()
         csv_path = tmp_path / "step.csv"
         csv_path.write_text("step,white_frac,grey_frac\n"
@@ -785,8 +792,7 @@ def run_quietly(argv):
 
 def _series_rows():
     t = np.arange(12)
-    model = reference_model()
-    grey, white = eval_grey(t, model).tolist(), eval_white(t, model).tolist()
+    grey, white, _ = (curve.tolist() for curve in reference_model().curves(t))
     return [["step", "white_frac", "grey_frac", "black_frac"]] + [
         [str(k), repr(w), repr(g), repr(1.0 - w - g)] for k, w, g in zip(t, white, grey)]
 

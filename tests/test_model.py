@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from newsca import (
     AnalyticModel,
     LogisticParams,
-    eval_black,
-    eval_grey,
-    eval_white,
     fit_logistic,
     fit_model,
     logistic,
@@ -113,6 +110,13 @@ class TestLogistic:
         for c, gamma in ((math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf)):
             with pytest.raises(ValueError):
                 LogisticParams(c, 10, gamma)
+        # Each field's type is checked before its range: a bool or a string is no number.
+        for args in ((True, 1.0, 1.0), ("0.5", 1, 1), (0.5, False, 1.0), (0.5, 1.0, "1")):
+            with pytest.raises(ValueError, match="must be a number"):
+                LogisticParams(*args)
+        stored = LogisticParams(np.float32(0.5), np.int64(3), np.float64(0.25))
+        assert [type(v) for v in (stored.c, stored.tau, stored.gamma)] == [float, int, float]
+        assert stored == LogisticParams(0.5, 3, 0.25)
 
 
 class TestReferenceModel:
@@ -124,31 +128,29 @@ class TestReferenceModel:
     @pytest.mark.parametrize("t", [0, 20, 25, 30])
     def test_curves_match_oracle(self, t):
         model = reference_model()
-        assert abs(eval_grey(t, model) - float(oracle_grey(t))) <= 1e-12
-        assert abs(eval_white(t, model) - float(oracle_white(t))) <= 1e-12
-        assert abs(eval_black(t, model) - float(oracle_black(t))) <= 1e-12
+        for got, oracle in zip(model.curves(t), (oracle_grey, oracle_white, oracle_black)):
+            assert abs(got - float(oracle(t))) <= 1e-12
 
     def test_documented_values(self):
         model = reference_model()
-        assert eval_white(0, model) == pytest.approx(0.994980, abs=1e-6)
-        assert eval_black(25, model) == pytest.approx(0.342358, abs=1e-6)
+        assert model.curves(0)[1] == pytest.approx(0.994980, abs=1e-6)
+        assert model.curves(25)[2] == pytest.approx(0.342358, abs=1e-6)
         # the model dips slightly negative at the origin; reported as computed
-        assert eval_black(0, model) == pytest.approx(-0.0032205, abs=1e-6)
-        assert eval_grey(30, model) == 0.375
-        assert eval_white(20, model) == 0.625
+        assert model.curves(0)[2] == pytest.approx(-0.0032205, abs=1e-6)
+        assert model.curves(30)[0] == 0.375
+        assert model.curves(20)[1] == 0.625
 
     def test_long_run_limits(self):
-        model = reference_model()
-        assert eval_grey(1e6, model) == pytest.approx(0.75, abs=1e-12)
-        assert eval_white(1e6, model) == pytest.approx(0.25, abs=1e-12)
-        assert eval_black(1e6, model) == pytest.approx(0.0, abs=1e-12)
+        grey, white, black = reference_model().curves(1e6)
+        assert grey == pytest.approx(0.75, abs=1e-12)
+        assert white == pytest.approx(0.25, abs=1e-12)
+        assert black == pytest.approx(0.0, abs=1e-12)
 
     def test_curve_shapes(self):
-        model = reference_model()
-        t = np.arange(121)
-        assert np.all(np.diff(eval_grey(t, model)) > 0)
-        assert np.all(np.diff(eval_white(t, model)) < 0)
-        assert is_unimodal(eval_black(t, model), tol=1e-12)
+        grey, white, black = reference_model().curves(np.arange(121))
+        assert np.all(np.diff(grey) > 0)
+        assert np.all(np.diff(white) < 0)
+        assert is_unimodal(black, tol=1e-12)
 
     @given(
         grey=params_strategy,
@@ -156,25 +158,25 @@ class TestReferenceModel:
         t=st.floats(-1000, 1000),
     )
     def test_normalization_identity(self, grey, white, t):
-        model = AnalyticModel(grey=grey, white=white)
-        total = eval_grey(t, model) + eval_white(t, model) + eval_black(t, model)
-        assert abs(total - 1.0) <= 1e-12
+        assert abs(sum(AnalyticModel(grey=grey, white=white).curves(t)) - 1.0) <= 1e-12
 
 
 class TestFitLogistic:
     def test_recovers_rising_curve(self):
         t = np.arange(121, dtype=float)
         true = LogisticParams(0.75, 30.0, 0.15)
-        fit = fit_logistic(t, logistic(t, true), shape="rising")
+        fit = fit_logistic(t, logistic(t, true))
         assert fit.converged
         for got, want in [(fit.params.c, 0.75), (fit.params.tau, 30.0), (fit.params.gamma, 0.15)]:
             assert abs(got - want) / want <= 1e-3
         assert fit.rmse <= 1e-6
 
     def test_recovers_falling_curve(self):
+        # A falling curve is fitted as fit_model fits white: through its complement.
         t = np.arange(121, dtype=float)
         true = LogisticParams(0.75, 20.0, 0.25)
-        fit = fit_logistic(t, 1.0 - logistic(t, true), shape="falling")
+        white = 1.0 - logistic(t, true)
+        fit = fit_logistic(t, 1.0 - white)
         assert fit.converged
         for got, want in [(fit.params.c, 0.75), (fit.params.tau, 20.0), (fit.params.gamma, 0.25)]:
             assert abs(got - want) / want <= 1e-3
@@ -191,13 +193,15 @@ class TestFitLogistic:
         assert not fit.converged
         assert fit.params is None
 
-    def test_out_of_range_values_rejected(self):
-        with pytest.raises(ValueError):
-            fit_logistic([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, 1.2, 1.0])
+    @pytest.mark.parametrize("value", [1.2, -1e-300, math.nan])
+    def test_out_of_range_values_rejected(self, value):
+        with pytest.raises(ValueError, match=r"values must lie in \[0, 1\]"):
+            fit_logistic([0.0, 1.0, 2.0, 3.0], [0.0, 0.5, value, 1.0])
 
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            fit_logistic([0.0, 1.0, 2.0, 3.0], [0.0, 0.1, 0.2, 0.3], shape="sideways")
+    @pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan])
+    def test_non_finite_steps_rejected(self, step):
+        with pytest.raises(ValueError, match="steps must be finite"):
+            fit_logistic([0.0, 1.0, step, 3.0], [0.0, 0.1, 0.2, 0.3])
 
     def test_fit_is_idempotent(self):
         t = np.arange(0, 90, dtype=float)
@@ -228,12 +232,13 @@ class TestFitUncertainty:
         rng = np.random.default_rng(11)
         t = np.arange(121, dtype=float)
         model = reference_model()
-        curves = [(model.grey, "rising"), (model.white, "falling")]
+        # Each falling curve is fitted as fit_model fits white: through its complement.
+        curves = [(model.grey, False), (model.white, True)]
         curves += [(LogisticParams(rng.uniform(0.6, 0.9), rng.uniform(12.0, 40.0), rng.uniform(0.1, 0.35)),
-                    shape) for shape in ("rising", "falling") for _ in range(4)]
-        for true, shape in curves:
+                    falling) for falling in (False, True) for _ in range(4)]
+        for true, falling in curves:
             y = logistic(t, true)
-            fit = fit_logistic(t, y if shape == "rising" else 1.0 - y, shape=shape)
+            fit = fit_logistic(t, 1.0 - (1.0 - y) if falling else y)
             assert fit.converged and fit.nfev >= fit.iterations >= 1
             assert fit.stderr is not None and max(fit.stderr) < 1e-6
 
@@ -283,30 +288,31 @@ def _capped_series():
     """The early tail of a curve whose midpoint lies beyond the last sample:
     the search creeps along a flat valley until its evaluation budget ends."""
     t = np.arange(121.0)
-    return t, logistic(t, LogisticParams(0.6, 300.0, 0.05)), "rising"
+    return t, logistic(t, LogisticParams(0.6, 300.0, 0.05))
 
 
 def _ensemble_mean_series():
     mean = run_ensemble(SimulationConfig(width=16, height=16, rng_seed=3), 8).mean_fractions
-    return np.arange(len(mean), dtype=float), mean[:, 1], "rising"
+    return np.arange(len(mean), dtype=float), mean[:, 1]
 
 
 class TestMinpackCall:
     """fit_logistic calls MINPACK's lmder through leastsq, as
     least_squares(method="lm", x_scale="jac") does through its wrappers; the
     two agree bit for bit. The linear ramp and the capped tail also end
-    elsewhere under ``x_scale=1.0``, so they pin the scaling too."""
+    elsewhere under ``x_scale=1.0``, so they pin the scaling too. The falling
+    curves are fitted as fit_model fits white: through their complement."""
 
     CURVES = {
-        "clean-rising": lambda: (np.arange(121.0), logistic(np.arange(121.0), reference_model().grey), "rising"),
-        "clean-falling": lambda: (np.arange(121.0), eval_white(np.arange(121.0), reference_model()), "falling"),
+        "clean-rising": lambda: (np.arange(121.0), logistic(np.arange(121.0), reference_model().grey)),
+        "clean-falling": lambda: (np.arange(121.0), 1.0 - reference_model().curves(np.arange(121.0))[1]),
         "noisy": lambda: (np.arange(121.0), np.clip(
             logistic(np.arange(121.0), LogisticParams(0.7, 35.0, 0.2))
-            + np.random.default_rng(5).normal(0.0, 0.02, 121), 0.0, 1.0), "rising"),
-        "fractional-steps": lambda: (np.arange(40) * 1.5, 1.0 - logistic(
-            np.arange(40) * 1.5, LogisticParams(0.8, 25.0, 0.3)), "falling"),
+            + np.random.default_rng(5).normal(0.0, 0.02, 121), 0.0, 1.0)),
+        "fractional-steps": lambda: (np.arange(40) * 1.5, 1.0 - (1.0 - logistic(
+            np.arange(40) * 1.5, LogisticParams(0.8, 25.0, 0.3)))),
         "ensemble-mean": _ensemble_mean_series,
-        "linear-ramp": lambda: (np.arange(121.0), np.arange(121.0) / 200, "rising"),
+        "linear-ramp": lambda: (np.arange(121.0), np.arange(121.0) / 200),
         "capped-at-maxfev": _capped_series,
     }
 
@@ -314,14 +320,13 @@ class TestMinpackCall:
     def test_matches_least_squares(self, name):
         from scipy.optimize import least_squares
 
-        t, y, shape = self.CURVES[name]()
-        target = y if shape == "rising" else 1.0 - y
-        res = least_squares(lambda p: _scaled_sigmoid(p[0], _sigmoid_parts(t, p[1], p[2])) - target,
-                            _initial_guess(t, target),
+        t, y = self.CURVES[name]()
+        res = least_squares(lambda p: _scaled_sigmoid(p[0], _sigmoid_parts(t, p[1], p[2])) - y,
+                            _initial_guess(t, y),
                             jac=lambda p: _jacobian(p[0], p[2], _sigmoid_parts(t, p[1], p[2])),
                             method="lm", x_scale="jac",
                             ftol=FIT_TOLERANCE, xtol=FIT_TOLERANCE, gtol=FIT_TOLERANCE)
-        fit = fit_logistic(t, y, shape)
+        fit = fit_logistic(t, y)
         c, tau, gamma = res.x
         assert (fit.params.c, fit.params.tau, fit.params.gamma) == (min(c, 1.0), tau, gamma)
         assert fit.rmse == np.sqrt(2.0 * res.cost / len(t))
@@ -335,11 +340,11 @@ class TestMinpackCall:
     def test_each_point_takes_one_exponential(self, name, monkeypatch):
         # A residual and the Jacobian at its point share one np.exp; only the
         # solution may need one more, when the search ends on a rejected step.
-        t, y, shape = self.CURVES[name]()
+        t, y = self.CURVES[name]()
         calls = []
         exp = np.exp
         monkeypatch.setattr(np, "exp", lambda x: calls.append(1) or exp(x))
-        fit = fit_logistic(t, y, shape)
+        fit = fit_logistic(t, y)
         assert 0 < len(calls) <= fit.nfev + 1
 
 
@@ -347,7 +352,8 @@ class TestFitModel:
     def test_joint_recovery_of_reference_model(self):
         model = reference_model()
         t = np.arange(121, dtype=float)
-        result = fit_model(t, eval_grey(t, model), eval_white(t, model))
+        grey, white, _ = model.curves(t)
+        result = fit_model(t, grey, white)
         assert result.model is not None
         for got, want in [
             (result.model.grey.c, 0.75),
@@ -363,7 +369,7 @@ class TestFitModel:
     def test_per_curve_failure_isolation(self):
         model = reference_model()
         t = np.arange(121, dtype=float)
-        result = fit_model(t, np.zeros(121), eval_white(t, model))
+        result = fit_model(t, np.zeros(121), model.curves(t)[1])
         assert result.model is None
         assert not result.grey.converged
         assert result.white.converged
@@ -375,12 +381,32 @@ class TestFitModel:
 
     def test_curves_are_those_of_the_fitted_model(self):
         t = np.arange(121, dtype=float)
-        model = reference_model()
-        result = fit_model(t, eval_grey(t, model), eval_white(t, model))
-        for got, want in zip(result.curves, (eval_grey(t, result.model), eval_white(t, result.model),
-                                             eval_black(t, result.model))):
+        grey, white, _ = reference_model().curves(t)
+        result = fit_model(t, grey, white)
+        for got, want in zip(result.curves, result.model.curves(t)):
             np.testing.assert_array_equal(got, want)
-        assert fit_model(t, np.zeros(121), eval_white(t, model)).curves is None
+        assert fit_model(t, np.zeros(121), white).curves is None
+
+    @pytest.mark.parametrize("name", TestMinpackCall.CURVES)
+    def test_white_is_fitted_through_its_complement(self, name):
+        t, y = TestMinpackCall.CURVES[name]()
+        white = 1.0 - y
+        assert fit_model(t, y, white).white == fit_logistic(t, 1.0 - white)
+
+    def test_white_whose_complement_rounds_to_a_constant(self):
+        # Distinct white values below 1e-16 all leave 1.0 as complement: nothing to fit.
+        t = np.arange(20.0)
+        white = np.linspace(1e-18, 5e-17, 20)
+        assert np.ptp(white) > 0 and np.ptp(1.0 - white) == 0
+        fit = fit_model(t, logistic(t, LogisticParams(0.5, 10.0, 0.5)), white).white
+        assert (fit.params, fit.iterations, fit.nfev, fit.converged) == (None, 0, 0, False)
+        assert fit.rmse == math.inf and fit.message == "constant series carries no sigmoid information"
+
+    def test_out_of_range_white_rejected(self):
+        # 1 - w rounds a tiny negative w to 1; the white series is checked as given.
+        t = np.arange(4.0)
+        with pytest.raises(ValueError, match=r"values must lie in \[0, 1\]"):
+            fit_model(t, [0.0, 0.1, 0.2, 0.3], [1.0, 0.5, 0.0, -1e-17])
 
     # Differences of such steps overflow; RuntimeWarnings are errors under pytest.
     # The example's steep slope overflowed the covariance leastsq forms and the fit discards.

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from newsca.cli import EXIT_FIT_FAILURE, EXIT_NO_CONVERGENCE, EXIT_OK, main
-from newsca.model import eval_white, reference_model
+from newsca.model import reference_model
 
 DIGESTS = {
     "sim/series.csv": "2629c45ef73a6e2b398754f6f093d7fe8accbd47fb130e7d07bf7619c1d86237",
@@ -100,7 +100,7 @@ def test_singular_step_fit_params():
     """A step in grey is fitted by an arbitrarily steep sigmoid whose
     standard errors are undefined: its ``stderr`` is null."""
     t = np.arange(121)
-    white = eval_white(t, reference_model()).tolist()
+    white = reference_model().curves(t)[1].tolist()
     grey = np.where(t >= 60, 0.7, 0.0).tolist()
     with open("step.csv", "w") as fh:
         fh.write("step,white_frac,grey_frac\n" + "".join(f"{k},{w!r},{g!r}\n" for k, w, g in zip(t, white, grey)))

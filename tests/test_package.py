@@ -1,7 +1,9 @@
-"""The package's public surface: exactly the names listed here, each one real;
-and its import cost: scipy loads only when a fit runs, and the thread pool
-only when an ensemble runs on more than one job."""
+"""The package's public surface: exactly the names listed here, each one real,
+and README's Python examples run as written; and its import cost: scipy loads
+only when a fit runs, and the thread pool only when an ensemble runs on more
+than one job."""
 import os
+import re
 import subprocess
 import sys
 import types
@@ -16,10 +18,9 @@ PUBLIC = {
     "ADOPTION_CHARS", "AdoptionState", "AnalyticModel", "Boundary", "CellState", "CrossPoint",
     "EnsembleResult", "FitResult", "GENERATOR_NAME", "Grid", "InnovationRuleParams",
     "LogisticParams", "MAX_CELLS", "ModelFit", "NEWS_CHARS", "NewsRuleParams", "SimulationConfig",
-    "Trajectory", "cross_point", "derive_run_seeds", "eval_black", "eval_grey", "eval_white",
-    "fit_logistic", "fit_model", "grid_from_text", "grid_to_text", "logistic", "make_rng",
-    "normalize", "reference_model", "run", "run_ensemble", "stabilization_ratio",
-    "step",
+    "Trajectory", "cross_point", "derive_run_seeds", "fit_logistic",
+    "fit_model", "grid_from_text", "grid_to_text", "logistic", "make_rng", "normalize",
+    "reference_model", "run", "run_ensemble", "stabilization_ratio", "step",
 }
 
 
@@ -28,6 +29,16 @@ def test_all_is_the_public_set():
     for name in newsca.__all__:
         # getattr raises on a name that does not resolve; no submodule is exported.
         assert not isinstance(getattr(newsca, name), types.ModuleType), name
+
+
+def test_readme_python_blocks_run():
+    # In order and in one namespace, as a reader pastes them: a later block may use an earlier one's names.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), flags=re.M | re.S)
+    assert blocks
+    namespace = {}
+    for k, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {k}", "exec"), namespace)
 
 
 def _cli(*args):
