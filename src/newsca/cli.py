@@ -114,9 +114,10 @@ def save_manifest(path: Path, manifest: dict) -> None:
 
 def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
     """(config, contents) of a manifest written by ``command`` with this
-    package's generator; raises InputError if it is malformed or was
-    written by another command or generator, whose rerun here would be
-    another experiment."""
+    package's generator; raises InputError if it is malformed, its command's
+    own entries included (simulate's ``snapshot_format``, ensemble's ``runs``
+    and null ``snapshot_every``), or was written by another command or
+    generator, whose rerun here would be another experiment."""
     try:
         manifest = json.loads(path.read_text())
         if type(manifest) is not dict:
@@ -126,7 +127,17 @@ def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
                 raise InputError(f"{key} must be {want!r}, got {manifest[key]!r}")
         if type(manifest["version"]) is not str:
             raise InputError(f"version must be a string, got {manifest['version']!r}")
-        return config_from_dict(manifest["config"]), manifest
+        config = config_from_dict(manifest["config"])
+        if command == "simulate":
+            snapshot_format = manifest.get("snapshot_format", SNAPSHOT_FORMATS[0])
+            if snapshot_format not in SNAPSHOT_FORMATS:
+                raise InputError(f"snapshot_format must be one of {list(SNAPSHOT_FORMATS)}, got {snapshot_format!r}")
+        elif command == "ensemble":
+            check_runs(config, manifest.get("runs"))
+            if config.snapshot_every is not None:  # ensemble writes no snapshots
+                raise InputError(f"config entry 'snapshot_every' must be null for ensemble, "
+                                 f"got {config.snapshot_every!r}")
+        return config, manifest
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -368,9 +379,6 @@ def _fit_result_dict(fit: FitResult) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config, manifest_in = _run_config(args, "simulate")
     snapshot_format = manifest_in.get("snapshot_format", args.snapshot_format or SNAPSHOT_FORMATS[0])
-    if snapshot_format not in SNAPSHOT_FORMATS:  # only a manifest's: argparse checks the flag's
-        raise InputError(f"{args.from_manifest}: snapshot_format must be one of "
-                         f"{list(SNAPSHOT_FORMATS)}, got {snapshot_format!r}")
     outdir = _resolve_outdir(args)
 
     every, snapshot_paths = config.snapshot_every, []
@@ -404,17 +412,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
     config, manifest_in = _run_config(args, "ensemble")
-    if args.from_manifest is not None:
-        runs = manifest_in.get("runs")
-        try:
-            check_runs(config, runs)
-        except ValueError as exc:
-            raise InputError(f"{args.from_manifest}: {exc}") from None
-        if config.snapshot_every is not None:  # ensemble writes no snapshots
-            raise InputError(f"{args.from_manifest}: config entry 'snapshot_every' must be null "
-                             f"for ensemble, got {config.snapshot_every!r}")
-    else:
-        runs = DEFAULT_RUNS if args.runs is None else args.runs
+    runs = manifest_in.get("runs", DEFAULT_RUNS if args.runs is None else args.runs)
     check_runs(config, runs, args.jobs)
     outdir = _resolve_outdir(args)
 
@@ -528,8 +526,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process and reused by
-    each call of :func:`main`, so callers must not change it. argparse looks
-    up ``sys.stdout`` and ``sys.stderr`` only when it prints, so --help,
+    each call of :func:`main`, which in-process callers such as the tests
+    make many times; callers must not change it. argparse looks up
+    ``sys.stdout`` and ``sys.stderr`` only when it prints, so --help,
     --version and usage errors go to the streams in force at each call."""
     parser = _Parser(prog="newsca", description=__doc__)
     parser.add_argument("--version", action="version", version=f"newsca {__version__}")
@@ -544,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sp, "ensemble")
     sp.add_argument("--jobs", type=int, default=1, metavar="N",
                     help="step the runs as N blocks on at most as many threads as there are CPUs; the "
-                         "outputs are identical for any N. More jobs pay only on large stacks: in the "
-                         "README's figures, 100 runs are slower with 2 jobs than with 1")
+                         "outputs are identical for any N. More jobs pay only on large stacks: on two "
+                         "cores, 100 runs are slower with 2 jobs than with 1")
     sp.add_argument("--outdir", default=None)
     sp.set_defaults(func=cmd_ensemble)
 

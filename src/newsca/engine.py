@@ -25,8 +25,7 @@ Adoption, for either model, compares each draw with the model's exact
 cutoff table, :func:`newsca.rules.cutoffs`, instead of evaluating its rule,
 and only at code-0 cells with a seed-state neighbor, as no other can adopt.
 Run ``r`` draws its ``n_r`` code-0 cells' doubles by one call,
-``rngs[r].random((n_r,), out=...)``, and none if ``n_r`` is 0; numpy checks
-an int size given with ``out`` on a slower path than a tuple. The draws
+``rngs[r].random((n_r,), out=...)``, and none if ``n_r`` is 0. The draws
 are made in run order into one buffer and applied to the code-0 cells of
 the flattened stack, which come run by run and row-major within each run,
 so every run consumes and produces exactly what it would stepped alone.
@@ -41,11 +40,7 @@ the stack less the cells before it that are not code 0, all of which lie
 in the crop before it.
 The draws and the next cells go into the same buffer set, made once per
 stack, so a step allocates little beyond the index of its code-0 cells.
-The kernel hands numpy cell codes as plain ints, never as enum members,
-which numpy compares through a much slower loop, and counts the per-state
-verdicts with ``np.count_nonzero`` rather than testing them with ``any``
-or ``all``, which numpy 2 runs through a Python wrapper. A run leaves the
-stack at its first fixed point or at ``max_steps``; then
+A run leaves the stack at its first fixed point or at ``max_steps``; then
 :meth:`_Buffers.keep` moves the census of the runs that stay to the front
 of the set. The count rows of every state go into one table per stack,
 and a run keeps only its column of it and the step it converged at; a
@@ -411,6 +406,7 @@ def step(grid: Grid, rng: np.random.Generator | Sequence[np.random.Generator], p
         a = 0
         for g, n in zip(rngs, rows[:, 0].tolist()):
             if n:
+                # A tuple size: numpy checks an int size given with ``out`` on a slower path.
                 g.random((n,), out=draws[a:a + n])
                 a += n
         # mode="clip" lets take write into ``out`` directly; every index is in range.
@@ -466,9 +462,10 @@ def _fixed(buffers: _Buffers, params: RuleParams) -> np.ndarray:
         return (rows[:, 0] == 0) | (rows[:, 2] == 0)
     if always:
         test = rows[:, 2] == 0
+        # np.count_nonzero, not ``any``, which numpy 2 runs through a Python wrapper.
         if not np.count_nonzero(test):
             return test
-        fixed = np.zeros(len(test), dtype=bool)
+        fixed = np.zeros(len(test), dtype=bool)  # np.zeros_like takes a slower Python path
         # With no black cell, a block sum below 16 marks a grey cell with no white neighbor.
         fixed[test] = ~(block[test] < _WHITE).reshape(-1, block[0].size).any(axis=1)
         return fixed
@@ -544,7 +541,7 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
             for k, r in enumerate(live.tolist()):
                 observe(t, r, cells[k])
         fixed = _fixed(buffers, params)
-        done = np.count_nonzero(fixed)
+        done = np.count_nonzero(fixed)  # not ``any`` or ``all``, which numpy 2 runs through a Python wrapper
         if done or t == config.max_steps:
             for r in live[fixed].tolist():
                 converged_at[r] = t

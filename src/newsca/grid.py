@@ -47,9 +47,13 @@ class Grid:
         if type(self.boundary) is not Boundary:  # the identity test is 10x cheaper than Boundary(member)
             self.boundary = Boundary(self.boundary)
         cells = np.asarray(self.cells)
-        self.cells = np.ascontiguousarray(cells, dtype=np.uint8)
-        if cells.dtype != np.uint8 and not np.array_equal(self.cells, cells):
-            raise ValueError(f"cell codes must be integers in [0, 255], got {cells[self.cells != cells][0]}")
+        if cells.dtype == np.uint8:  # the run loop's case, which needs no check
+            self.cells = np.ascontiguousarray(cells)
+        else:
+            with np.errstate(invalid="ignore"):  # NaN and inf cast to some code; the test below refuses them
+                self.cells = np.ascontiguousarray(cells, dtype=np.uint8)
+            if not np.array_equal(self.cells, cells):
+                raise ValueError(f"cell codes must be integers in [0, 255], got {cells[self.cells != cells][0]}")
         if self.cells.ndim not in (2, 3):
             raise ValueError("cells must be a 2-D array or a 3-D stack of them")
         if 0 in self.cells.shape:
@@ -110,7 +114,7 @@ def grid_from_text(text: str, chars: dict) -> Grid:
     if not lines:
         raise ValueError("empty grid text")
     header = lines[0].split()
-    if len(header) != 3:
+    if len(header) != 3 or not all(n.isdecimal() and int(n) > 0 for n in header[:2]):
         raise ValueError(f"malformed grid header: {lines[0]!r}")
     width, height = int(header[0]), int(header[1])
     boundary = Boundary(header[2])

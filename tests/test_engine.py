@@ -947,3 +947,67 @@ class TestTracedBoundary:
         rngs = [CountingRng(make_rng(s), drawn, lock) for s in range(3)]
         step(Grid(cells), rngs, NewsRuleParams())
         assert drawn == [(rngs[0], 29), (rngs[2], 29)]
+
+
+class TestRngContract:
+    # The RNG contract, stated by where each generator ends rather than by the
+    # calls that took it there: a run leaves its generator exactly
+    # ``counts[:-1, 0].sum()`` doubles past a fresh PCG64 of its seed, one per
+    # code-0 cell of each state it stepped, the last recorded state never
+    # being stepped. The run loop makes its generators by the module-global
+    # newsca.engine.make_rng, which the test patches to keep them.
+    each_way = pytest.mark.parametrize("how", ["run", "jobs=1", "jobs=2"])
+
+    @staticmethod
+    def check(config, how, runs=5):
+        """Run ``config`` as ``how`` says and check the identity for each run."""
+        made, real_make_rng = {}, engine.make_rng
+
+        def keeping(seed):
+            made[seed] = real_make_rng(seed)
+            return made[seed]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "make_rng", keeping)
+            if how == "run":
+                trajectories, seeds = [run(config)], [config.rng_seed]
+            else:
+                result = run_ensemble(config, runs, jobs=int(how[-1]))
+                trajectories, seeds = result.trajectories, result.run_seeds
+        assert sorted(made) == sorted(seeds)
+        for tr, seed in zip(trajectories, seeds, strict=True):
+            drawn = int(tr.counts[:-1, 0].sum())
+            assert made[seed].bit_generator.state == np.random.PCG64(seed).advance(drawn).state, seed
+        return trajectories
+
+    # Every run starts on its light cone's crop and leaves it for the whole
+    # field; the 120x120 runs are all still live at max_steps.
+    @each_way
+    @pytest.mark.parametrize("config,converged", [
+        (SimulationConfig(rng_seed=1), True),
+        (SimulationConfig(width=120, height=120, rng_seed=1, max_steps=100), False),
+        (SimulationConfig(width=41, height=17, seed_position=(0, 0), rng_seed=3), True),
+        (SimulationConfig(width=30, height=20, boundary="toroidal", rng_seed=4), True),
+        (SimulationConfig(width=30, height=20, boundary="toroidal", rng_seed=5,
+                          rule_params=InnovationRuleParams(threshold=0.9)), True),
+        (SimulationConfig(width=25, height=30, rng_seed=6, rule_params=InnovationRuleParams(threshold=0.9)), True),
+    ], ids=["news-40", "news-120-max-steps", "news-corner-seed", "news-torus", "innovation-torus",
+            "innovation-bounded"])
+    def test_each_generator_ends_one_double_per_code_0_cell_stepped(self, config, converged, how):
+        trajectories = self.check(config, how)
+        assert engine._light_cone(config, 0) is not None
+        assert all(engine._light_cone(config, tr.steps) is None for tr in trajectories)
+        assert [tr.converged for tr in trajectories] == [converged] * len(trajectories)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), model=st.sampled_from(["news", "innovation"]), boundary=boundaries,
+           how=st.sampled_from(["run", "jobs=1", "jobs=2", "jobs=3"]))
+    def test_small_configs(self, data, model, boundary, how):
+        height, width = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        params = (NewsRuleParams() if model == "news"
+                  else InnovationRuleParams(threshold=data.draw(st.floats(0.1, 3.0))))
+        config = SimulationConfig(width=width, height=height, boundary=boundary, rule_params=params,
+                                  seed_position=(data.draw(st.integers(0, height - 1)),
+                                                 data.draw(st.integers(0, width - 1))),
+                                  rng_seed=data.draw(st.integers(0, 2**32)), max_steps=data.draw(st.integers(1, 40)))
+        self.check(config, how, runs=data.draw(st.integers(1, 4)))

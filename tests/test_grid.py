@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -179,12 +180,19 @@ class TestAsciiSerialization:
         assert text.splitlines()[0] == "4 3 toroidal"
         assert grid_from_text(text, ADOPTION_CHARS) == grid
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "3 2\n...\n...\n", "3 2 bounded\n...\n", "2 2 bounded\n...\n..\n", "2 1 bounded\n.x\n"],
-    )
-    def test_malformed_rejected(self, text):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("text,match", [
+        ("", "empty grid text"),
+        ("3 2\n...\n...\n", "malformed grid header: '3 2'"),
+        ("0 0 bounded\n", "malformed grid header: '0 0 bounded'"),
+        ("-1 0 bounded\n", "malformed grid header: '-1 0 bounded'"),
+        ("2 x bounded\n..\n", "malformed grid header: '2 x bounded'"),
+        ("3 2 bounded\n...\n", "grid body does not match header dimensions"),
+        ("2 2 bounded\n...\n..\n", "grid body does not match header dimensions"),
+        ("2 1 bounded\n.x\n", "unknown cell character 'x'"),
+    ], ids=["empty", "two-fields", "zero-size", "negative-size", "size-not-a-number", "missing-row", "long-row",
+            "unknown-char"])
+    def test_malformed_rejected(self, text, match):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             grid_from_text(text, NEWS_CHARS)
 
 
@@ -207,13 +215,16 @@ class TestGridType:
         assert a != b
         assert a == Grid(a.cells.copy(), a.boundary)
 
-    # The uint8 cast would turn 300 into 44, -1 into 255 and 2.7 into 2; a bool mask casts exactly.
+    # The uint8 cast would turn 300 into 44, -1 into 255 and 2.7 into 2, and
+    # NaN and inf into some code, with a warning; a bool mask casts exactly.
     @pytest.mark.parametrize("cells,kept", [
         (np.array([[300, 0], [0, 0]]), False),
         (np.array([[-1, 0], [0, 0]]), False),
         (np.array([[2.7, 0], [0, 0]]), False),
+        (np.array([[np.nan, 0], [0, 0]]), False),
+        (np.array([[np.inf, 0], [0, 0]]), False),
         (np.array([[True, False], [False, True]]), True),
-    ], ids=["300", "-1", "2.7", "bool"])
+    ], ids=["300", "-1", "2.7", "nan", "inf", "bool"])
     def test_only_codes_the_uint8_cast_keeps_accepted(self, cells, kept):
         if kept:
             np.testing.assert_array_equal(Grid(cells).cells, cells)

@@ -1,7 +1,8 @@
-"""The package's public surface: exactly the names listed here, each one real,
-and README's Python examples run as written; and its import cost: scipy loads
-only when a fit runs, and the thread pool only when an ensemble runs on more
-than one job."""
+"""The package's public surface: exactly the names listed here, each one real;
+README's Python examples run as written and its dotted names resolve; and its
+import cost: scipy loads only when a fit runs, and the thread pool only when
+an ensemble runs on more than one job."""
+import importlib
 import os
 import re
 import subprocess
@@ -31,14 +32,34 @@ def test_all_is_the_public_set():
         assert not isinstance(getattr(newsca, name), types.ModuleType), name
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_python_blocks_run():
     # In order and in one namespace, as a reader pastes them: a later block may use an earlier one's names.
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), flags=re.M | re.S)
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), flags=re.M | re.S)
     assert blocks
     namespace = {}
     for k, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md python block {k}", "exec"), namespace)
+
+
+def test_readme_dotted_names_resolve():
+    # Each backticked ``newsca.<...>`` name: the longest prefix that imports as a module, then getattr for the rest.
+    names = sorted(set(re.findall(r"`(newsca(?:\.\w+)+)", README.read_text(encoding="utf-8"))))
+    assert names
+    for name in names:
+        parts = name.split(".")
+        k = len(parts)
+        while True:
+            try:
+                obj = importlib.import_module(".".join(parts[:k]))
+                break
+            except ModuleNotFoundError:
+                k -= 1
+        for attr in parts[k:]:
+            assert hasattr(obj, attr), f"README names {name}, but {obj.__name__} has no {attr!r}"
+            obj = getattr(obj, attr)
 
 
 def _cli(*args):
