@@ -112,12 +112,18 @@ def save_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
+# The top-level entries every manifest may hold, and those of each rerunnable command's own.
+MANIFEST_ENTRIES = ("artifact", "version", "rng", "command", "config")
+COMMAND_ENTRIES = {"simulate": ("snapshot_format",), "ensemble": ("runs",)}
+
+
 def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
     """(config, contents) of a manifest written by ``command`` with this
     package's generator; raises InputError if it is malformed, its command's
     own entries included (simulate's ``snapshot_format``, ensemble's ``runs``
-    and null ``snapshot_every``), or was written by another command or
-    generator, whose rerun here would be another experiment."""
+    and null ``snapshot_every``), holds a top-level entry that is neither
+    common to all manifests nor its command's own, or was written by another
+    command or generator, whose rerun here would be another experiment."""
     try:
         manifest = json.loads(path.read_text())
         if type(manifest) is not dict:
@@ -125,6 +131,9 @@ def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
         for key, want in (("command", command), ("rng", GENERATOR_NAME)):
             if manifest[key] != want:
                 raise InputError(f"{key} must be {want!r}, got {manifest[key]!r}")
+        stray = sorted(manifest.keys() - {*MANIFEST_ENTRIES, *COMMAND_ENTRIES[command]})
+        if stray:
+            raise InputError(f"{command} manifests hold no entry {', '.join(map(repr, stray))}")
         if type(manifest["version"]) is not str:
             raise InputError(f"version must be a string, got {manifest['version']!r}")
         config = config_from_dict(manifest["config"])
@@ -170,9 +179,9 @@ def write_convergence_csv(path: Path, result: EnsembleResult) -> None:
     lines = ["run,seed,converged_at,black_extinct_at,steps,final_white_frac,final_grey_frac,final_black_frac"]
     finals = normalize([tr.counts[-1] for tr in result.trajectories], result.config.field_size)
     for i, (tr, seed, (fw, fg, fb)) in enumerate(zip(result.trajectories, result.run_seeds, finals.tolist())):
-        conv = "" if tr.converged_at is None else tr.converged_at
-        ext = "" if tr.black_extinct_at is None else tr.black_extinct_at
-        lines.append(f"{i},{seed},{conv},{ext},{tr.steps},{fw:.9g},{fg:.9g},{fb:.9g}")
+        conv, ext = tr.converged_at, tr.black_extinct_at  # black_extinct_at scans the run's counts
+        lines.append(f"{i},{seed},{'' if conv is None else conv},{'' if ext is None else ext},{tr.steps},"
+                     f"{fw:.9g},{fg:.9g},{fb:.9g}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -398,10 +407,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     grey, white, black = stabilization_ratio(fractions)
     print(f"model={config.rule_params.name} field={config.width}x{config.height} "
           f"boundary={config.boundary.value} rng_seed={config.rng_seed}")
-    conv = trajectory.converged_at
+    conv, ext = trajectory.converged_at, trajectory.black_extinct_at
     print(f"converged_at={conv if conv is not None else 'none'} "
-          f"black_extinct_at={trajectory.black_extinct_at if trajectory.black_extinct_at is not None else 'none'} "
-          f"steps={trajectory.steps}")
+          f"black_extinct_at={ext if ext is not None else 'none'} steps={trajectory.steps}")
     print(f"final grey:white:black = {grey:.9g} : {white:.9g} : {black:.9g}")
     print(f"wrote {outdir / 'series.csv'}" + (f" and {len(snapshot_paths)} snapshots" if snapshot_paths else ""))
     if not trajectory.converged:

@@ -42,11 +42,13 @@ The draws and the next cells go into the same buffer set, made once per
 stack, so a step allocates little beyond the index of its code-0 cells.
 A run leaves the stack at its first fixed point or at ``max_steps``; then
 :meth:`_Buffers.keep` moves the census of the runs that stay to the front
-of the set. The count rows of every state go into one table per stack,
-and a run keeps only its column of it and the step it converged at; a
-caller that needs the states passes an observer, which sees each one as
-the loop passes it. The kernel is checked against the per-cell oracle in
-:mod:`newsca.reference`.
+of the set. The count rows of every state go, in uint32, into blocks of
+:data:`_BLOCK` states, a block appended when the last fills, so none is
+copied to grow; when the stack ends, each run's rows are copied out of
+them once, into its int64 counts, and a run keeps only those and the step
+it converged at. A caller that needs the states passes an observer, which
+sees each one as the loop passes it. The kernel is checked against the
+per-cell oracle in :mod:`newsca.reference`.
 """
 from __future__ import annotations
 
@@ -71,6 +73,9 @@ RuleParams = NewsRuleParams | InnovationRuleParams
 # Most cells one run, or the stack of an ensemble's runs, may hold (8192^2);
 # checked before anything is allocated.
 MAX_CELLS = 2**26
+
+# States per block of a stack's count rows (:func:`_run_stack`).
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -525,18 +530,19 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
     cells = np.repeat(config.initial_grid().cells[None], len(seeds), axis=0)
     whole = _Buffers.new(cells.shape)
     live = np.arange(len(seeds))  # the run of each grid in the stack
-    cols = slice(None)  # the table columns of the live runs; a slice, written faster, until one leaves
-    # table[t, r] is the count row of run r's state t, written while the run is live.
-    table = np.empty((min(config.max_steps + 1, 64), len(seeds), 3), dtype=np.int64)
+    cols = slice(None)  # the block columns of the live runs; a slice, written faster, until one leaves
+    # blocks[t // _BLOCK][t % _BLOCK, r] is the count row of run r's state t,
+    # written while the run is live; the rows fit in uint32, as MAX_CELLS < 2**32.
+    blocks: list[np.ndarray] = []
     converged_at: list[int | None] = [None] * len(seeds)
 
     t, box = 0, _light_cone(config, 0)
     while True:
         buffers = whole if box is None else whole.cropped(box)
         _census(cells, boundary, params, buffers)
-        if t == len(table):
-            table = np.concatenate((table, np.empty_like(table)))
-        table[t, cols] = buffers.rows
+        if t % _BLOCK == 0:
+            blocks.append(np.empty((min(_BLOCK, config.max_steps + 1 - t), len(seeds), 3), dtype=np.uint32))
+        blocks[-1][t % _BLOCK, cols] = buffers.rows
         if observe is not None:
             for k, r in enumerate(live.tolist()):
                 observe(t, r, cells[k])
@@ -558,9 +564,14 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
         if box is not None:
             box = _light_cone(config, t)
 
-    # A run that is not converged left the stack at max_steps.
-    return [Trajectory(counts=table[:(config.max_steps if c is None else c) + 1, r].copy(), converged_at=c)
-            for r, c in enumerate(converged_at)]
+    trajectories = []
+    for r, c in enumerate(converged_at):
+        # A run that is not converged left the stack at max_steps.
+        counts = np.empty(((config.max_steps if c is None else c) + 1, 3), dtype=np.int64)
+        for a in range(0, len(counts), _BLOCK):
+            counts[a:a + _BLOCK] = blocks[a // _BLOCK][:len(counts) - a, r]
+        trajectories.append(Trajectory(counts=counts, converged_at=c))
+    return trajectories
 
 
 def run(config: SimulationConfig, observe: Callable[[int, int, np.ndarray], None] | None = None) -> Trajectory:
@@ -597,8 +608,12 @@ def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1) -> Ensemble
     Per-run seeds come from :func:`derive_run_seeds` on ``config.rng_seed``;
     each run owns a private generator. The runs are stepped as one stack, or
     with ``jobs > 1`` as that many contiguous blocks of runs, each block a
-    stack, on at most one thread per CPU; aggregation sums in run-index
-    order, so the result is identical for any ``jobs``.
+    stack, on at most one thread per CPU. The mean is a running sum of the
+    runs' fractions, each run's last held through the longest run's horizon,
+    added in run-index order and divided by ``runs`` once: the result is
+    identical for any ``jobs``, and to the bit the mean of the runs'
+    fractions stacked. Beyond the stacks, the ensemble holds its runs'
+    counts and one (horizon, 3) sum, not a (runs, horizon, 3) array.
     """
     check_runs(config, runs, jobs)
     seeds = derive_run_seeds(config.rng_seed, runs)
@@ -614,12 +629,10 @@ def run_ensemble(config: SimulationConfig, runs: int, jobs: int = 1) -> Ensemble
     else:
         trajectories = _run_stack(config, seeds)
 
-    horizon = max(len(tr.counts) for tr in trajectories)
-    stacked = np.empty((runs, horizon, 3), dtype=np.float64)
-    for i, tr in enumerate(trajectories):
+    # ``mean(axis=0)`` of the stacked fractions sums them in this order, then divides.
+    total = np.zeros((max(len(tr.counts) for tr in trajectories), 3))
+    for tr in trajectories:
         frac = normalize(tr.counts, config.field_size)
-        stacked[i, : len(frac)] = frac
-        stacked[i, len(frac):] = frac[-1]  # hold the fixed point
-
-    return EnsembleResult(config=config, run_seeds=seeds, mean_fractions=stacked.mean(axis=0),
-                          trajectories=trajectories)
+        total[:len(frac)] += frac
+        total[len(frac):] += frac[-1]  # hold the fixed point
+    return EnsembleResult(config=config, run_seeds=seeds, mean_fractions=total / runs, trajectories=trajectories)

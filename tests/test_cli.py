@@ -193,6 +193,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "snapshot_format" in err and err.count("\n") == 1
 
+    def test_runs_in_simulate_manifest_is_io_error(self, tmp_path, capsys):
+        assert main(["simulate", "--width", "8", "--height", "6", "--outdir", str(tmp_path)]) == EXIT_OK
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["runs"] = 5
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["simulate", "--from-manifest", str(path), "--outdir", str(tmp_path / "b")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: {path}: simulate manifests hold no entry 'runs'\n"
+        assert not (tmp_path / "b").exists()
+
     def test_ensemble_manifest_is_io_error(self, tmp_path, capsys):
         assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",
                      "--outdir", str(tmp_path)]) == EXIT_OK
@@ -754,12 +766,15 @@ class TestManifestRoundTrip:
         (lambda m: m.pop("version"), "missing key 'version'"),
         (lambda m: m.update(version=None), "version must be a string, got None"),
         (lambda m: m.update(version=1), "version must be a string, got 1"),
+        (lambda m: m.update(snapshot_format="bogus", extra=1),
+         "ensemble manifests hold no entry 'extra', 'snapshot_format'"),
     ], ids=["missing-config-key", "extra-config-key", "missing-rule-key", "extra-rule-key",
             "unknown-model", "missing-runs", "invalid-json", "width-float", "max-steps-bool",
             "seed-position-float", "snapshot-every-string", "boost-below-float", "unknown-boundary",
             "field-above-max-cells", "runs-above-max-cells", "other-command", "missing-command",
             "other-generator", "manifest-list", "manifest-null", "config-list", "model-list",
-            "rule-params-int", "snapshot-every-set", "missing-version", "version-null", "version-int"])
+            "rule-params-int", "snapshot-every-set", "missing-version", "version-null", "version-int",
+            "stray-entries"])
     def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit, names):
         path = tmp_path / "manifest.json"
         assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",

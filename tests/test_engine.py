@@ -27,6 +27,7 @@ from newsca import (
     run_ensemble,
     step,
 )
+from newsca.analytics import normalize
 from newsca.reference import count_states, neighbor_counts, step_reference
 from newsca import engine
 from newsca.cli import EXIT_OK, config_to_dict, main
@@ -720,6 +721,35 @@ class TestEnsemble:
         assert a.converged_steps == b.converged_steps
         assert a.run_seeds == b.run_seeds
 
+    # The mean is a running sum of the runs' fractions; it must equal, to
+    # the bit, the mean of the runs' fractions stacked, each run held at its
+    # last through the horizon, for any jobs, with runs cut at max_steps and
+    # with one run. Each run's counts, copied out of the stack's count blocks
+    # across block ends and after other runs left, are its states' counts,
+    # in one C-contiguous int64 array.
+    @pytest.mark.parametrize("config,runs,jobs", [
+        (SimulationConfig(rng_seed=1), 100, 1),
+        (SimulationConfig(rng_seed=1), 100, 2),
+        (SimulationConfig(rng_seed=1), 100, 3),
+        (SimulationConfig(width=12, height=12, rng_seed=3, max_steps=70), 10, 1),
+        (SimulationConfig(rng_seed=1), 1, 1),
+    ], ids=["jobs-1", "jobs-2", "jobs-3", "cut-at-max-steps", "one-run"])
+    def test_mean_is_the_stacked_mean(self, observed, config, runs, jobs):
+        ens = run_ensemble(config, runs, jobs)
+        horizon = len(ens.mean_fractions)
+        stacked = np.empty((runs, horizon, 3))
+        for i, (tr, seed) in enumerate(zip(ens.trajectories, ens.run_seeds)):
+            assert tr.counts.dtype == np.int64 and tr.counts.flags.c_contiguous
+            assert tr.counts.tolist() == [list(count_states(grid)) for _, grid in observed[seed]]
+            stacked[i, :len(tr.counts)] = normalize(tr.counts, config.field_size)
+            stacked[i, len(tr.counts):] = stacked[i, len(tr.counts) - 1]
+        assert horizon == max(len(tr.counts) for tr in ens.trajectories)
+        assert np.array_equal(ens.mean_fractions, stacked.mean(axis=0))
+        if runs > 1:
+            assert horizon > engine._BLOCK
+        if config.max_steps < SimulationConfig().max_steps:
+            assert 0 < len(ens.unconverged) < runs
+
     def test_seed_derivation_prefix_stable(self):
         assert derive_run_seeds(7, 10)[:3] == derive_run_seeds(7, 3)
         assert derive_run_seeds(7, 3) != derive_run_seeds(8, 3)
@@ -821,6 +851,22 @@ class TestMemory:
             tracemalloc.stop()
         assert len(list((tmp_path / "out").glob("snapshot_*.txt"))) > 200
         assert peak <= 48 * 200 * 200 + 256 * 1024
+
+    # An ensemble holds its stack's buffers, its count rows in uint32 and its
+    # runs' counts, not a table of every run's fractions: 300 default runs at
+    # seed 1 (643 states) peak at about 23 bytes per cell of the stack, where
+    # an int64 count table grown by doubling and a (runs, horizon, 3) array
+    # of the runs' fractions took them to 43.
+    def test_ensemble_holds_no_fractions_per_run_and_step(self):
+        config, runs = SimulationConfig(rng_seed=1), 300
+        run_ensemble(replace(config, width=10, height=10), 3)  # fills lazy caches
+        tracemalloc.start()
+        try:
+            run_ensemble(config, runs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * runs * config.field_size
 
     @pytest.mark.parametrize("shape", [(6, 7), (3, 6, 7)], ids=["grid", "stack"])
     def test_step_without_buffers_returns_new_cells(self, shape):
