@@ -151,6 +151,8 @@ def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
         raise InputError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path}: nested too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +592,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

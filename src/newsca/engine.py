@@ -33,11 +33,11 @@ A cell's next state reads only its 3x3 block, so at state ``t`` every cell
 that is not code 0 lies within Chebyshev distance ``t`` of the seed cell.
 While the cells within distance ``t + 1`` make up at most half of the field
 and, on a torus, reach no edge, the census, the fixed-point test and the
-step read and write only that crop (:func:`_light_cone`); the code-0 cells
-outside it are counted, not scanned. Each run still draws one double for
-every code-0 cell, so a cell in the crop reads the draw at its index in
-the stack less the cells before it that are not code 0, all of which lie
-in the crop before it.
+step read and write only that crop (:func:`_light_cone`), in views of the
+buffer set (:meth:`_Buffers.view`); the code-0 cells outside it are
+counted, not scanned. Each run still draws one double for every code-0
+cell, so a cell in the crop reads the draw at its index in the stack less
+the cells before it that are not code 0, all in the crop before it.
 The draws and the next cells go into the same buffer set, made once per
 stack, so a step allocates little beyond the index of its code-0 cells.
 A run leaves the stack at its first fixed point or at ``max_steps``; then
@@ -246,7 +246,7 @@ class _Buffers:
     run loop swaps with the old cells. ``spare`` starts all code 0.
 
     ``box`` is the crop of the field, (rows, columns), that the census
-    covers, or None for the whole field; :meth:`cropped` says what it holds.
+    covers, or None for the whole field; :meth:`view` says what it holds.
     """
 
     white: np.ndarray
@@ -265,27 +265,21 @@ class _Buffers:
                    np.empty((runs, 3), dtype=np.uint32), np.empty(shape, dtype=np.uint8),
                    np.empty(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8), np.empty((runs, h * w)))
 
-    def cropped(self, box: tuple[slice, slice]) -> "_Buffers":
-        """This set with the census of the crop ``box`` of each grid: ``white``,
-        ``plane``, ``block`` and ``across`` become crop-shaped views of the
-        front of this set's, while ``rows``, ``spare`` and ``draws`` are this
-        set's and still cover whole grids.
+    def view(self, k: int, box: tuple[slice, slice] | None = None) -> "_Buffers":
+        """Views of the first ``k`` slots of each buffer. With a crop ``box``
+        of each grid, ``white``, ``plane``, ``across`` and ``block`` are
+        crop-shaped views of the front of this set's, while ``rows``,
+        ``spare`` and ``draws`` still cover whole grids; without one, all
+        keep this set's shape.
 
         Every cell outside the crop must be code 0 in the old grids and in
         ``spare``; then :func:`_census`, :func:`_fixed` and :func:`step`
         read and write only the crop, and are exact.
         """
-        runs, (h, w) = len(self.rows), (box[0].stop - box[0].start, box[1].stop - box[1].start)
-
-        def front(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
-            return a.reshape(-1)[:runs * rows * cols].reshape(runs, rows, cols)
-
-        return _Buffers(front(self.white, h, w), front(self.plane, h, w), self.rows, front(self.across, h, w),
-                        front(self.block, h, w), self.spare, self.draws, box)
-
-    def first(self, k: int) -> "_Buffers":
-        """Views of the first ``k`` slots of each buffer, on the same crop."""
-        return _Buffers(*(getattr(self, name)[:k] for name in self.__slots__ if name != "box"), self.box)
+        h, w = self.white.shape[1:] if box is None else (box[0].stop - box[0].start, box[1].stop - box[1].start)
+        white, plane, across, block = (a.reshape(-1)[:k * h * w].reshape(k, h, w)
+                                       for a in (self.white, self.plane, self.across, self.block))
+        return _Buffers(white, plane, self.rows[:k], across, block, self.spare[:k], self.draws[:k], box)
 
     def keep(self, mask: np.ndarray) -> "_Buffers":
         """Move the census of the ``k`` grids ``mask`` keeps, in order, into
@@ -293,7 +287,7 @@ class _Buffers:
         k = int(np.count_nonzero(mask))
         for a in (self.rows, self.white, self.block):
             a[:k] = a[mask]
-        return self.first(k)
+        return self.view(k, self.box)
 
 
 def _sum_of_three(src: np.ndarray, dst: np.ndarray, boundary: Boundary) -> None:
@@ -346,8 +340,8 @@ def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: 
     where a grid, or its crop, holds fewer than 2**16 cells. The seed state
     is compared as a plain int: numpy compares with an enum member through
     a loop many times slower.
-    On a set :meth:`_Buffers.cropped` made, only the crop is read, and the
-    code-0 cells outside it are added to the white column.
+    On a set :meth:`_Buffers.view` made with a crop, only the crop is read,
+    and the code-0 cells outside it are added to the white column.
     """
     box = buffers.box
     if box is not None:
@@ -387,7 +381,7 @@ def step(grid: Grid, rng: np.random.Generator | Sequence[np.random.Generator], p
     of a stack consumes and changes exactly as if it were stepped alone.
     The run loop passes the stack's ``buffers``, which already hold the
     census of ``grid``; the new grid is written into their ``spare`` cells.
-    If the set is cropped, only the crop of ``spare`` is written, and the
+    If the set has a crop, only the crop of ``spare`` is written, and the
     rest of it must already be code 0. Without buffers the step takes the
     census of the whole field into a new set, so the new grid never shares
     memory with ``grid``.
@@ -522,8 +516,10 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
 
     While the seed's light cone covers little of the field
     (:func:`_light_cone`), a state's census, fixed-point test and step
-    read and write only the crop, from a cropped view of the stack's
-    buffer set; every run still draws one double per code-0 cell.
+    read and write only the crop, through a view of the stack's buffer
+    set (:meth:`_Buffers.view`); every run still draws one double per
+    code-0 cell. The set keeps the size of the first state until the stack
+    ends: when runs leave, the loop views its first slots.
     """
     params, boundary = config.rule_params, config.boundary
     rngs = [make_rng(seed) for seed in seeds]
@@ -538,7 +534,7 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
 
     t, box = 0, _light_cone(config, 0)
     while True:
-        buffers = whole if box is None else whole.cropped(box)
+        buffers = whole if box is None else whole.view(len(live), box)
         _census(cells, boundary, params, buffers)
         if t % _BLOCK == 0:
             blocks.append(np.empty((min(_BLOCK, config.max_steps + 1 - t), len(seeds), 3), dtype=np.uint32))
@@ -557,7 +553,7 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
             cells, live = cells[keep], live[keep]
             cols = live
             rngs = [g for g, f in zip(rngs, fixed) if not f]
-            buffers, whole = buffers.keep(keep), whole.first(len(live))
+            buffers, whole = buffers.keep(keep), whole.view(len(live))
         new = step(Grid(cells, boundary), rngs, params, buffers).cells
         cells, whole.spare = new, cells
         t += 1

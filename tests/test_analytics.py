@@ -25,6 +25,11 @@ class TestNormalize:
         with pytest.raises(ValueError, match="step 1"):
             normalize(np.array([[1599, 0, 1], [1598, 0, 1]]), 1600)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2, 3)])
+    def test_not_count_rows_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected a \(rows, 3\) count array"):
+            normalize(np.zeros(shape, dtype=np.int64), 0)
+
     @given(
         data=st.data(),
         field=st.integers(1, 500),

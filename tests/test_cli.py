@@ -683,11 +683,15 @@ class TestFit:
         assert "function evaluations" in err
         assert not (tmp_path / "out" / "fit_series.csv").exists()
 
-    def test_missing_column_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text,missing", [("step,white_frac\n0,0.9\n", "'white_frac' or 'grey_frac'"),
+                                              ("t,white_frac,grey_frac\n0,0.9,0.1\n", "'step'")],
+                             ids=["no-grey", "no-step"])
+    def test_missing_column_rejected(self, tmp_path, capsys, text, missing):
         csv_path = tmp_path / "cols.csv"
-        csv_path.write_text("step,white_frac\n0,0.9\n")
+        csv_path.write_text(text)
         assert main(["fit", "--input", str(csv_path),
                      "--outdir", str(tmp_path / "out")]) == EXIT_IO
+        assert capsys.readouterr().err == f"error: {csv_path}: line 1: missing {missing} column\n"
 
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["fit", "--input", str(tmp_path / "nope.csv"),
@@ -768,13 +772,16 @@ class TestManifestRoundTrip:
         (lambda m: m.update(version=1), "version must be a string, got 1"),
         (lambda m: m.update(snapshot_format="bogus", extra=1),
          "ensemble manifests hold no entry 'extra', 'snapshot_format'"),
+        ("[" * 200_000, "nested too deeply"),
+        ('{"command": "ensemble", "rng": "numpy-pcg64", "config": ' + "[" * 5000 + "]" * 5000 + "}",
+         "nested too deeply"),
     ], ids=["missing-config-key", "extra-config-key", "missing-rule-key", "extra-rule-key",
             "unknown-model", "missing-runs", "invalid-json", "width-float", "max-steps-bool",
             "seed-position-float", "snapshot-every-string", "boost-below-float", "unknown-boundary",
             "field-above-max-cells", "runs-above-max-cells", "other-command", "missing-command",
             "other-generator", "manifest-list", "manifest-null", "config-list", "model-list",
             "rule-params-int", "snapshot-every-set", "missing-version", "version-null", "version-int",
-            "stray-entries"])
+            "stray-entries", "deep-json", "deep-config"])
     def test_malformed_manifest_is_io_error(self, tmp_path, capsys, edit, names):
         path = tmp_path / "manifest.json"
         assert main(["ensemble", "--width", "6", "--height", "6", "--runs", "2",

@@ -286,8 +286,7 @@ class TestStep:
         assert (box is not None) == (steps == 12)
 
         def census_of(stack):
-            buffers = _Buffers.new(stack.shape)
-            buffers = buffers if box is None else buffers.cropped(box)
+            buffers = _Buffers.new(stack.shape).view(len(stack), box)
             _census(stack, boundary, params, buffers)
             return buffers
 
@@ -820,10 +819,9 @@ class TestMemory:
         cells = np.stack([observed[seed][-1][1].cells for seed in run_ensemble(config, runs).run_seeds])
         params, boundary = config.rule_params, config.boundary
         rngs = [make_rng(seed) for seed in range(runs)]
-        buffers, box = _Buffers.new(cells.shape), engine._light_cone(config, steps)
+        box = engine._light_cone(config, steps)
         assert (box is not None) == (steps == 20)
-        if box is not None:
-            buffers = buffers.cropped(box)
+        buffers = _Buffers.new(cells.shape).view(runs, box)
         _census(cells, boundary, params, buffers)
         step(Grid(cells, boundary), rngs, params, buffers)  # fills lazy caches
         tracemalloc.start()

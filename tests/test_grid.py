@@ -214,6 +214,7 @@ class TestGridType:
         b = initial_grid(3, 3, (1, 1), boundary=Boundary.TOROIDAL)
         assert a != b
         assert a == Grid(a.cells.copy(), a.boundary)
+        assert a.__eq__(object()) is NotImplemented and a != object()
 
     # The uint8 cast would turn 300 into 44, -1 into 255 and 2.7 into 2, and
     # NaN and inf into some code, with a warning; a bool mask casts exactly.

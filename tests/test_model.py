@@ -203,6 +203,11 @@ class TestFitLogistic:
         with pytest.raises(ValueError, match="steps must be finite"):
             fit_logistic([0.0, 1.0, step, 3.0], [0.0, 0.1, 0.2, 0.3])
 
+    @pytest.mark.parametrize("t", [[0.0, 1.0, 2.0], [[0.0, 1.0], [2.0, 3.0]]], ids=["shorter", "2-D"])
+    def test_misshapen_steps_rejected(self, t):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            fit_logistic(t, [0.0, 0.1, 0.2, 0.3])
+
     def test_fit_is_idempotent(self):
         t = np.arange(0, 90, dtype=float)
         first = fit_logistic(t, logistic(t, LogisticParams(0.6, 40.0, 0.2)))
@@ -264,6 +269,14 @@ class TestFitUncertainty:
 
     def test_failed_fit_has_no_stderr(self):
         assert fit_logistic(np.arange(20.0), np.full(20, 0.5)).stderr is None
+
+    # A non-finite Jacobian entry, or a cost that makes the variance infinite.
+    @pytest.mark.parametrize("bad,cost", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)],
+                             ids=["nan-jacobian", "inf-jacobian", "inf-variance"])
+    def test_non_finite_gives_no_stderr(self, bad, cost):
+        jac = np.eye(5, 3)
+        jac[0, 0] = bad
+        assert _standard_errors(jac, cost, 5) is None
 
 
 def _old_sigmoid(t, c, tau, gamma):

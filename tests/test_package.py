@@ -1,7 +1,7 @@
 """The package's public surface: exactly the names listed here, each one real;
-README's Python examples run as written and its dotted names resolve; and its
+README's Python examples run as written and its dotted names resolve; its
 import cost: scipy loads only when a fit runs, and the thread pool only when
-an ensemble runs on more than one job."""
+an ensemble runs on more than one job; and its module entry point."""
 import importlib
 import os
 import re
@@ -66,6 +66,13 @@ def _cli(*args):
     return f"from newsca.cli import main; main({list(args)!r} + ['--outdir', OUT])"
 
 
+def _python(*args):
+    """``python *args`` in a fresh interpreter that imports this checkout's newsca; its output is captured."""
+    src = str(Path(newsca.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 # Each snippet runs in a fresh interpreter with OUT set to a temporary directory.
 @pytest.mark.parametrize("snippet,loads_scipy,loads_threads", [
     ("import newsca", False, False),
@@ -81,8 +88,15 @@ def _cli(*args):
 def test_scipy_loads_only_for_a_fit(tmp_path, snippet, loads_scipy, loads_threads):
     check = ("import sys; print(any(m.split('.')[0] == 'scipy' for m in sys.modules), "
              "'concurrent.futures' in sys.modules)")
-    src = str(Path(newsca.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", f"OUT = {str(tmp_path)!r}\n{snippet}\n{check}"],
-                          capture_output=True, text=True, env=env, check=True)
+    done = _python("-c", f"OUT = {str(tmp_path)!r}\n{snippet}\n{check}")
+    assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == f"{loads_scipy} {loads_threads}"
+
+
+# README's module entry point, the package's only one.
+def test_python_m_newsca():
+    done = _python("-m", "newsca", "--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"newsca {newsca.__version__}\n", "")
+    done = _python("-m", "newsca")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
