@@ -40,7 +40,7 @@ from .model import (
     fit_model,
     reference_model,
 )
-from .rules import MODELS
+from .rules import MODELS, require_number, shown
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,46 +64,51 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 # manifest
 
-def config_to_dict(config: SimulationConfig) -> dict:
-    return {**asdict(config), "boundary": config.boundary.value, "model": config.rule_params.name}
+def config_to_dict(config: SimulationConfig, snapshot_every: int | None = None) -> dict:
+    """A manifest's ``config``: ``config``'s fields, its model and simulate's ``snapshot_every``."""
+    return {**asdict(config), "boundary": config.boundary.value, "model": config.rule_params.name,
+            "snapshot_every": snapshot_every}
 
 
-def _check_fields(cls, d: dict, what: str) -> None:
-    """``d`` holds exactly the fields of ``cls``; ``cls`` checks their values."""
-    names = sorted(f.name for f in fields(cls))
+def check_snapshot_every(every: int | None) -> int | None:
+    """``every`` if it is None, for no snapshots, or an integer of at least 1; else ValueError."""
+    if every is not None and require_number("snapshot_every", every, integral=True) < 1:
+        raise ValueError("snapshot_every must be >= 1")
+    return every
+
+
+def _check_fields(cls, d: dict, what: str, *more: str) -> None:
+    """``d`` holds exactly the fields of ``cls`` and the entries ``more``."""
+    names = sorted([*(f.name for f in fields(cls)), *more])
     if sorted(d) != names:
-        raise InputError(f"{what} must hold {names}, got {sorted(d)}")
+        raise InputError(f"{what} must hold {names}, got {shown(sorted(d))}")
 
 
 def config_from_dict(d: dict) -> SimulationConfig:
-    """Inverse of :func:`config_to_dict`. The config and its ``rule_params``
-    must be JSON objects holding exactly the fields of SimulationConfig and
-    of the named model; those classes check each value, unconverted."""
+    """Inverse of :func:`config_to_dict`, but ``snapshot_every`` is only checked.
+    The config and its ``rule_params`` must be JSON objects holding exactly
+    their entries; the config classes check each value, unconverted."""
     if type(d) is not dict:
         raise InputError("config must be a JSON object")
     d = dict(d)
     model = d.pop("model")
     if type(model) is not str or model not in MODELS:
-        raise InputError(f"config entry 'model' must be one of {sorted(MODELS)}, got {model!r}")
+        raise InputError(f"config entry 'model' must be one of {sorted(MODELS)}, got {shown(model)}")
     cls = MODELS[model]
-    _check_fields(SimulationConfig, d, "config")
+    _check_fields(SimulationConfig, d, "config", "snapshot_every")
+    check_snapshot_every(d.pop("snapshot_every"))
     if type(d["rule_params"]) is not dict:
-        raise InputError(f"config entry 'rule_params' must be a JSON object, got {d['rule_params']!r}")
+        raise InputError(f"config entry 'rule_params' must be a JSON object, got {shown(d['rule_params'])}")
     _check_fields(cls, d["rule_params"], f"rule_params of model {cls.name!r}")
     return SimulationConfig(**{**d, "rule_params": cls(**d["rule_params"])})
 
 
-def build_manifest(command: str, config: SimulationConfig | None = None, **extras) -> dict:
-    manifest = {
-        "artifact": "newsca",
-        "version": __version__,
-        "rng": GENERATOR_NAME,
-        "command": command,
-    }
+def build_manifest(command: str, config: SimulationConfig | None = None, snapshot_every: int | None = None,
+                   **extras) -> dict:
+    manifest = {"artifact": "newsca", "version": __version__, "rng": GENERATOR_NAME, "command": command}
     if config is not None:
-        manifest["config"] = config_to_dict(config)
-    manifest.update(extras)
-    return manifest
+        manifest["config"] = config_to_dict(config, snapshot_every)
+    return {**manifest, **extras}
 
 
 def save_manifest(path: Path, manifest: dict) -> None:
@@ -130,22 +135,23 @@ def load_manifest(path: Path, command: str) -> tuple[SimulationConfig, dict]:
             raise InputError("the manifest must be a JSON object")
         for key, want in (("command", command), ("rng", GENERATOR_NAME)):
             if manifest[key] != want:
-                raise InputError(f"{key} must be {want!r}, got {manifest[key]!r}")
+                raise InputError(f"{key} must be {want!r}, got {shown(manifest[key])}")
         stray = sorted(manifest.keys() - {*MANIFEST_ENTRIES, *COMMAND_ENTRIES[command]})
         if stray:
-            raise InputError(f"{command} manifests hold no entry {', '.join(map(repr, stray))}")
+            raise InputError(f"{command} manifests hold no entry {', '.join(map(shown, stray))}")
         if type(manifest["version"]) is not str:
-            raise InputError(f"version must be a string, got {manifest['version']!r}")
+            raise InputError(f"version must be a string, got {shown(manifest['version'])}")
         config = config_from_dict(manifest["config"])
         if command == "simulate":
             snapshot_format = manifest.get("snapshot_format", SNAPSHOT_FORMATS[0])
             if snapshot_format not in SNAPSHOT_FORMATS:
-                raise InputError(f"snapshot_format must be one of {list(SNAPSHOT_FORMATS)}, got {snapshot_format!r}")
+                raise InputError(f"snapshot_format must be one of {list(SNAPSHOT_FORMATS)}, "
+                                 f"got {shown(snapshot_format)}")
         elif command == "ensemble":
             check_runs(config, manifest.get("runs"))
-            if config.snapshot_every is not None:  # ensemble writes no snapshots
-                raise InputError(f"config entry 'snapshot_every' must be null for ensemble, "
-                                 f"got {config.snapshot_every!r}")
+            every = manifest["config"]["snapshot_every"]
+            if every is not None:  # ensemble writes no snapshots
+                raise InputError(f"config entry 'snapshot_every' must be null for ensemble, got {shown(every)}")
         return config, manifest
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from None
@@ -214,20 +220,15 @@ def write_fit_series_csv(path: Path, steps: np.ndarray, white, grey, black, curv
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_pgm(path: Path, grid: Grid, chars: dict) -> None:
-    """Plain-text portable graymap: white=255, grey=128, black=0, looked up
-    through each cell code's snapshot character in ``chars``."""
-    levels = {code: str(PGM_LEVELS[char]) for code, char in chars.items()}
-    path.write_text(f"P2\n{grid.width} {grid.height}\n255\n" + render_rows(grid.cells, levels, " "))
-
-
 def write_snapshot(outdir: Path, t: int, grid: Grid, fmt: str, chars: dict) -> Path:
-    """Write the snapshot of step ``t``, cells in the alphabet ``chars``, and return its path."""
+    """Write the snapshot of step ``t``, cells in the alphabet ``chars``, and return its path:
+    ASCII text (:func:`newsca.grid.grid_to_text`) or, as ``pgm``, a plain-text portable
+    graymap, each cell's level looked up through its character in PGM_LEVELS."""
+    path = outdir / f"snapshot_{t:06d}.{'pgm' if fmt == 'pgm' else 'txt'}"
     if fmt == "pgm":
-        path = outdir / f"snapshot_{t:06d}.pgm"
-        write_pgm(path, grid, chars)
+        levels = {code: str(PGM_LEVELS[char]) for code, char in chars.items()}
+        path.write_text(f"P2\n{grid.width} {grid.height}\n255\n" + render_rows(grid.cells, levels, " "))
     else:
-        path = outdir / f"snapshot_{t:06d}.txt"
         path.write_text(grid_to_text(grid, chars))
     return path
 
@@ -312,8 +313,9 @@ def _add_config_flags(sp: argparse.ArgumentParser, command: str) -> None:
     """The flags of a run's configuration, and --from-manifest, which stands
     for all of them. Each flag's dest is the field it sets, of SimulationConfig
     or of a rule parameter class, but for --seed-row and --seed-col (the
-    ``seed_position`` pair), --model, --runs and --snapshot-format. Each
-    defaults to None, so one left out is told from one given:
+    ``seed_position`` pair), --model and the command's own --runs,
+    --snapshot-every and --snapshot-format. Each defaults to None, so one
+    left out is told from one given:
     :func:`_run_config` fills the first from its field's default, and refuses
     the second beside a manifest."""
     flags = [
@@ -368,8 +370,7 @@ def _run_config(args: argparse.Namespace, command: str) -> tuple[SimulationConfi
 
 
 def _resolve_outdir(args: argparse.Namespace) -> Path:
-    outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(outdir)
+    path = Path(args.outdir or os.environ.get(OUTDIR_ENV) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -389,10 +390,11 @@ def _fit_result_dict(fit: FitResult) -> dict:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config, manifest_in = _run_config(args, "simulate")
+    every = manifest_in["config"]["snapshot_every"] if manifest_in else check_snapshot_every(args.snapshot_every)
     snapshot_format = manifest_in.get("snapshot_format", args.snapshot_format or SNAPSHOT_FORMATS[0])
     outdir = _resolve_outdir(args)
 
-    every, snapshot_paths = config.snapshot_every, []
+    snapshot_paths = []
 
     def write_due(t: int, r: int, cells: np.ndarray) -> None:  # as the run passes, so none is held
         if t % every == 0:
@@ -403,7 +405,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     fractions = normalize(trajectory.counts, config.field_size)
 
     write_series_csv(outdir / "series.csv", trajectory.counts, fractions)
-    manifest = build_manifest("simulate", config, snapshot_format=snapshot_format)
+    manifest = build_manifest("simulate", config, every, snapshot_format=snapshot_format)
     save_manifest(outdir / "manifest.json", manifest)
 
     grey, white, black = stabilization_ratio(fractions)
@@ -510,8 +512,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "black_rmse": fit.black_rmse,
     }
     save_manifest(outdir / "fit_params.json", payload)
-    manifest = build_manifest("fit", input=str(args.input))
-    save_manifest(outdir / "manifest.json", manifest)
+    save_manifest(outdir / "manifest.json", build_manifest("fit", input=str(args.input)))
 
     stopped = []
     for name, res in (("grey", fit.grey), ("white", fit.white)):

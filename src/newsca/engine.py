@@ -1,6 +1,6 @@
 """Synchronous lattice stepper, full-run driver, and seeded ensemble executor.
 
-Every cell's next state is computed from a frozen snapshot of the current
+Every cell's next state is computed from the current state of the whole
 grid, then all cells switch at once. Randomness comes from one seeded
 numpy PCG64 generator per run; exactly one uniform draw is consumed per
 adoptable cell (white / not-adopted) per step, in row-major cell order,
@@ -63,7 +63,7 @@ from .analytics import normalize
 from .grid import Boundary, Grid
 # Re-exported because benchmarks/workloads.py imports step_reference from here.
 from .reference import step_reference  # noqa: F401
-from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams, cutoffs, require_number, store_numbers
+from .rules import MAX_DRAW, InnovationRuleParams, NewsRuleParams, cutoffs, require_number, shown, store_numbers
 
 # Recorded in output manifests; changing the generator breaks reproducibility.
 GENERATOR_NAME = "numpy-pcg64"
@@ -86,11 +86,9 @@ class SimulationConfig:
     a list is stored as a tuple. ``boundary`` may be given by its value,
     such as ``"toroidal"``. ``rule_params`` selects the model:
     NewsRuleParams for the three-state news automaton, InnovationRuleParams
-    for the two-state adoption one. ``snapshot_every`` is the step interval
-    of ``newsca simulate``'s snapshots; the engine does not read it.
-    ``__post_init__`` checks the type of every field, then its range, and
-    raises ValueError naming the field; a bool is no integer. A numpy
-    scalar is stored as the Python number it holds.
+    for the two-state adoption one. ``__post_init__`` checks the type of
+    every field, then its range, and raises ValueError naming the field; a
+    bool is no integer. A numpy scalar is stored as the Python number it holds.
     """
 
     width: int = 40
@@ -100,15 +98,13 @@ class SimulationConfig:
     rng_seed: int = 0
     max_steps: int = 1000
     rule_params: RuleParams = field(default_factory=NewsRuleParams)
-    snapshot_every: int | None = None
 
     def __post_init__(self) -> None:
         store_numbers(self, ("width", "height", "rng_seed", "max_steps"), integral=True)
-        if self.snapshot_every is not None:
-            store_numbers(self, ("snapshot_every",), integral=True)
         if self.seed_position is not None:
             if not isinstance(self.seed_position, list | tuple) or len(self.seed_position) != 2:
-                raise ValueError(f"seed_position must be None or a pair of integers, got {self.seed_position!r}")
+                raise ValueError("seed_position must be None or a pair of integers, got "
+                                 + shown(self.seed_position))
             object.__setattr__(self, "seed_position", tuple(
                 require_number(f"seed_position[{i}]", v, integral=True) for i, v in enumerate(self.seed_position)))
         if type(self.boundary) is not Boundary:
@@ -123,8 +119,6 @@ class SimulationConfig:
             raise ValueError("max_steps must be >= 1")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
         if self.seed_position is not None:
             r, c = self.seed_position
             if not (0 <= r < self.height and 0 <= c < self.width):

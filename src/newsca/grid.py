@@ -16,6 +16,11 @@ from enum import Enum
 import numpy as np
 
 
+def shown(value, limit: int = 80) -> str:
+    """``repr(value)``, cut to ``limit`` characters ending in ``...`` if it is longer."""
+    return text if len(text := repr(value)) <= limit else text[:limit - 3] + "..."
+
+
 class Boundary(Enum):
     """Edge handling: truncated neighborhoods or periodic wraparound."""
 
@@ -24,7 +29,7 @@ class Boundary(Enum):
 
     @classmethod
     def _missing_(cls, value):
-        raise ValueError(f"boundary must be one of {[b.value for b in cls]}, got {value!r}")
+        raise ValueError(f"boundary must be one of {[b.value for b in cls]}, got {shown(value)}")
 
 
 @dataclass

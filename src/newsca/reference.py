@@ -73,14 +73,12 @@ def _count_codes(grid: Grid, states: type[IntEnum]) -> list[int]:
 
 def count_states(grid: Grid) -> tuple[int, int, int]:
     """(white, grey, black) cell counts of a news grid; always sums to width*height."""
-    white, grey, black = _count_codes(grid, CellState)
-    return white, grey, black
+    return tuple(_count_codes(grid, CellState))
 
 
 def count_adoption(grid: Grid) -> tuple[int, int]:
     """(not adopted, adopted) cell counts of an innovation grid."""
-    not_adopted, adopted = _count_codes(grid, AdoptionState)
-    return not_adopted, adopted
+    return tuple(_count_codes(grid, AdoptionState))
 
 
 def next_news_state(

@@ -21,6 +21,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .grid import shown
+
 # The largest value ``rng.random()`` returns. Adoption tests are monotone in
 # the draw, so a cell that does not adopt at this draw can never adopt.
 MAX_DRAW = float(np.nextafter(1.0, 0.0))
@@ -32,7 +34,7 @@ def require_number(name: str, value, integral: bool = False):
     scalar is accepted and returned as the Python number it holds, so that
     equal parameters hash alike and compute in double precision."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
-        raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {shown(value)}")
     return value.item() if isinstance(value, np.generic) else value
 
 

@@ -45,7 +45,7 @@ from newsca.cli import (
     main,
     read_series_csv,
     write_model_csv,
-    write_pgm,
+    write_snapshot,
 )
 from shapes import extreme_series
 
@@ -192,6 +192,38 @@ class TestSimulate:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "snapshot_format" in err and err.count("\n") == 1
+
+    # The snapshot interval is simulate's own setting, not a field of the
+    # engine's config: a flag below 1 is a usage error, and a manifest entry
+    # that is no integer of at least 1 an I/O error.
+    def test_snapshot_every_below_1_is_usage_error(self, tmp_path, capsys):
+        code = main(["simulate", "--width", "6", "--height", "6", "--snapshot-every", "0",
+                     "--outdir", str(tmp_path / "a")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: snapshot_every must be >= 1\n"
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("value,message", [
+        (0, "snapshot_every must be >= 1"),
+        (-3, "snapshot_every must be >= 1"),
+        ("5", "snapshot_every must be an integer, got '5'"),
+        (True, "snapshot_every must be an integer, got True"),
+        (2.5, "snapshot_every must be an integer, got 2.5"),
+        ([2], "snapshot_every must be an integer, got [2]"),
+        ({"a": 2}, "snapshot_every must be an integer, got {'a': 2}"),
+    ], ids=["zero", "negative", "string", "bool", "float", "list", "object"])
+    def test_bad_snapshot_every_in_manifest_is_io_error(self, tmp_path, capsys, value, message):
+        assert main(["simulate", "--width", "6", "--height", "6", "--snapshot-every", "2",
+                     "--outdir", str(tmp_path)]) == EXIT_OK
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["snapshot_every"] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["simulate", "--from-manifest", str(path), "--outdir", str(tmp_path / "b")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "b").exists()
 
     def test_runs_in_simulate_manifest_is_io_error(self, tmp_path, capsys):
         assert main(["simulate", "--width", "8", "--height", "6", "--outdir", str(tmp_path)]) == EXIT_OK
@@ -361,7 +393,7 @@ class TestEnsemble:
         # A config field is read from the flag whose dest is its name; the
         # others make seed_position, pick the model or are the command's own.
         names = {f.name for cls in (SimulationConfig, *MODELS.values()) for f in fields(cls)}
-        names |= {"seed_row", "seed_col", "model", "runs", "snapshot_format"}
+        names |= {"seed_row", "seed_col", "model", "runs", "snapshot_every", "snapshot_format"}
         dests = [dest for dest, _ in build_parser().parse_args([command]).config_flags]
         assert [dest for dest in dests if dest not in names] == []
 
@@ -713,9 +745,10 @@ class TestPipeline:
 
 class TestManifestRoundTrip:
     def test_news_config(self):
-        cfg = SimulationConfig(width=17, height=9, seed_position=(4, 11),
-                               rng_seed=99, max_steps=250, snapshot_every=10)
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        cfg = SimulationConfig(width=17, height=9, seed_position=(4, 11), rng_seed=99, max_steps=250)
+        d = config_to_dict(cfg, snapshot_every=10)
+        assert d["snapshot_every"] == 10 and config_to_dict(cfg)["snapshot_every"] is None
+        assert config_from_dict(d) == cfg
 
     def test_innovation_config(self):
         cfg = SimulationConfig(rule_params=InnovationRuleParams(threshold=0.5))
@@ -935,6 +968,17 @@ class TestMangledInputs:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    # An error echoes at most a short head of the value it rejects.
+    @pytest.mark.parametrize("width", ['"' + "x" * 1_000_000 + '"', "[" * 900 + "]" * 900],
+                             ids=["million-character-string", "900-deep-array"])
+    def test_echo_of_a_huge_value_is_cut(self, tmp_path, width):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(ENSEMBLE_MANIFEST).replace('"width": 6', '"width": ' + width))
+        code, err = run_quietly(["ensemble", "--from-manifest", str(path), "--outdir", str(tmp_path / "b")])
+        assert code == EXIT_IO
+        self.assert_one_error_line(err)
+        assert len(err.encode()) < 300, err[:400]
+
     @settings(max_examples=50, deadline=None)
     @given(text=mangled_series())
     def test_mangled_series_csv(self, text):
@@ -988,7 +1032,7 @@ def per_cell_text(grid, chars):
 
 
 def per_cell_pgm(grid, chars):
-    """write_pgm's file written one cell at a time."""
+    """A pgm snapshot written one cell at a time."""
     rows = [" ".join(str(PGM_LEVELS[chars[int(v)]]) for v in row) for row in grid.cells]
     return "\n".join(["P2", f"{grid.width} {grid.height}", "255", *rows]) + "\n"
 
@@ -1004,8 +1048,8 @@ class TestSnapshotWriters:
         grid = Grid(cells, boundary)
         assert grid_to_text(grid, cls.chars) == per_cell_text(grid, cls.chars)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "snapshot.pgm"
-            write_pgm(path, grid, cls.chars)
+            path = write_snapshot(Path(tmp), 3, grid, "pgm", cls.chars)
+            assert path.name == "snapshot_000003.pgm"
             assert path.read_text() == per_cell_pgm(grid, cls.chars)
 
     @pytest.mark.parametrize("cls", list(MODELS.values()), ids=list(MODELS))
@@ -1015,7 +1059,7 @@ class TestSnapshotWriters:
         with pytest.raises(ValueError, match=f"cell code {code} "):
             grid_to_text(grid, cls.chars)
         with pytest.raises(ValueError, match=f"cell code {code} "):
-            write_pgm(tmp_path / "snapshot.pgm", grid, cls.chars)
+            write_snapshot(tmp_path, 0, grid, "pgm", cls.chars)
 
 
 class TestTopLevel:

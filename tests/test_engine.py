@@ -5,7 +5,7 @@ import math
 import os
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -459,9 +459,9 @@ class TestRun:
         assert tr.counts.tolist() == [[24, 0, 1]]
 
     # run hands its observer every recorded state, in step order, as a
-    # (height, width) view; snapshot_every is the CLI's, and changes nothing.
+    # (height, width) view.
     def test_observer_sees_every_state(self):
-        config = SimulationConfig(width=9, height=7, rng_seed=2, snapshot_every=5)
+        config = SimulationConfig(width=9, height=7, rng_seed=2)
         seen = []
 
         def observe(t, r, cells):
@@ -471,7 +471,6 @@ class TestRun:
         tr = run(config, observe)
         assert [t for t, _ in seen] == list(range(tr.steps + 1))
         assert [list(c) for _, c in seen] == tr.counts.tolist()
-        assert np.array_equal(run(replace(config, snapshot_every=None)).counts, tr.counts)
 
     def test_innovation_frozen_single_seed(self):
         # threshold 1 needs two adopted neighbors; one seed can never spread
@@ -502,12 +501,14 @@ class TestRun:
             SimulationConfig(max_steps=0)
         with pytest.raises(ValueError):
             SimulationConfig(seed_position=(40, 0))
-        with pytest.raises(ValueError):
-            SimulationConfig(snapshot_every=0)
         with pytest.raises(ValueError, match="rng_seed"):
             SimulationConfig(rng_seed=-1)
         with pytest.raises(ValueError, match="MAX_CELLS"):
             SimulationConfig(width=100_000, height=100_000)
+        # How often simulate writes a snapshot is the CLI's setting, not the engine's.
+        assert len(fields(SimulationConfig)) == 7
+        with pytest.raises(TypeError):
+            SimulationConfig(snapshot_every=5)
 
 
 # A value of each kind a config field may be given wrongly: a bool is no
@@ -516,7 +517,6 @@ NOT_AN_INT = [True, 2.5, "2", None, [2], {"a": 2}]
 NOT_A_NUMBER = [True, "2", None, [2], {"a": 2}]
 FIELD_ERRORS = [
     *[(SimulationConfig, name, v) for name in ("width", "height", "rng_seed", "max_steps") for v in NOT_AN_INT],
-    *[(SimulationConfig, "snapshot_every", v) for v in NOT_AN_INT if v is not None],
     *[(SimulationConfig, "seed_position", v) for v in
       (True, 2, 2.5, "ab", [2], (1, 2, 3), (1, 2.5), (True, 1), [1, "2"], [None, 1], {"a": 1, "b": 2})],
     *[(SimulationConfig, "boundary", v) for v in (True, 2.5, "open", None, ["toroidal"], {"toroidal": 1})],
@@ -549,7 +549,7 @@ class TestFieldTypes:
                                 boost_below=np.int64(3))
         assert params == NewsRuleParams()
         assert InnovationRuleParams(threshold=np.float32(0.5)) == InnovationRuleParams(threshold=0.5)
-        ints = dict(width=9, height=7, rng_seed=4, max_steps=60, snapshot_every=5)
+        ints = dict(width=9, height=7, rng_seed=4, max_steps=60)
         cfg = SimulationConfig(seed_position=(np.int64(3), np.int64(2)), rule_params=params,
                                **{name: np.int64(v) for name, v in ints.items()})
         plain = SimulationConfig(seed_position=(3, 2), **ints)
@@ -572,7 +572,7 @@ class TestFieldTypes:
         np.testing.assert_array_equal(cutoffs.__wrapped__(given), cutoffs.__wrapped__(plain))
 
     def test_numpy_scalar_config_serialises_as_the_plain_one(self):
-        ints = dict(width=12, height=9, rng_seed=4, max_steps=60, snapshot_every=5)
+        ints = dict(width=12, height=9, rng_seed=4, max_steps=60)
         cfg = SimulationConfig(seed_position=(np.int64(3), np.int32(2)),
                                rule_params=NewsRuleParams(boost_factor=np.float64(2.0), boost_below=np.int64(2)),
                                **{name: np.int64(v) for name, v in ints.items()})
@@ -675,12 +675,11 @@ class TestEnsemble:
     # every run is fixed at step 0 (p * m can never exceed 8).
     @pytest.mark.parametrize("cfg", [
         SimulationConfig(width=12, height=12, rng_seed=3, max_steps=70),
-        SimulationConfig(width=9, height=7, rng_seed=8, boundary=Boundary.TOROIDAL, max_steps=50,
-                         snapshot_every=10),
+        SimulationConfig(width=9, height=7, rng_seed=8, boundary=Boundary.TOROIDAL, max_steps=50),
         SimulationConfig(width=8, height=8, rng_seed=4, max_steps=11,
                          rule_params=InnovationRuleParams(threshold=0.9)),
         SimulationConfig(width=6, height=6, rng_seed=5, rule_params=NewsRuleParams(adoption_threshold=8)),
-    ], ids=["news-cut", "news-torus-snapshots", "innovation-cut", "fixed-at-step-0"])
+    ], ids=["news-cut", "news-torus", "innovation-cut", "fixed-at-step-0"])
     def test_batched_runs_match_single_runs(self, observed, cfg):
         runs = 10
         ens = run_ensemble(cfg, runs)

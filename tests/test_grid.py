@@ -23,6 +23,7 @@ from newsca import (
     step,
 )
 from newsca.engine import _block_sums, _Buffers
+from newsca.grid import shown
 from newsca.reference import MOORE_OFFSETS, count_adoption, count_states, neighborhood
 
 news_grids = arrays(
@@ -248,3 +249,20 @@ class TestGridType:
     def test_unknown_boundary_rejected(self, boundary):
         with pytest.raises(ValueError, match=r"^boundary must be one of \['bounded', 'toroidal'\]"):
             Grid(np.zeros((2, 2), dtype=np.uint8), boundary)
+
+
+class TestShown:
+    """Error messages echo a rejected value through ``shown``: its repr, cut short."""
+
+    @pytest.mark.parametrize("value", ["open", 2.5, True, [1, 2.0], {"a": 2}, 10**70])
+    def test_short_repr_is_kept(self, value):
+        assert shown(value) == repr(value)
+
+    @pytest.mark.parametrize("value", ["x" * 1_000_000, 10**4000, [[1] * 50] * 50])
+    def test_long_repr_is_cut(self, value):
+        text = shown(value)
+        assert len(text) == 80 and text == repr(value)[:77] + "..."
+
+    def test_long_boundary_echo_is_cut(self):
+        with pytest.raises(ValueError, match=r"got '" + "x" * 76 + r"\.\.\.$"):
+            Grid(np.zeros((2, 2), dtype=np.uint8), "x" * 1_000_000)

@@ -7,7 +7,11 @@ CLI before changes that must leave every byte as it was:
   residual and its Jacobian, and the fit command building
   ``fit_params.json`` without ``asdict`` and its model curves from one
   sigmoid each (all ten; the last three cover eval-model's curves, a
-  failed fit and a null ``stderr``).
+  failed fit and a null ``stderr``);
+- the snapshot interval ``snapshot_every`` leaving the engine's config for
+  the CLI, which still writes it into each manifest's ``config`` (the last
+  five: the manifests of ensemble and simulate, ensemble's summary, and a
+  simulate run's series and one pgm snapshot).
 
 Each command runs in a temporary working directory with relative paths, as
 ``fit_params.json`` records the path of its input."""
@@ -30,6 +34,11 @@ DIGESTS = {
     "model/model_series.csv": "5a6d356a3f445c27b15d6be61572ed6d6f2e4a7c39a071ea7aacd86c4edad5dc",
     "tiny/fit_params.json": "2c18ce6699bf8140c381c43b372fca5cce7b6760af49529b6738a9d46c9aa17a",
     "step/fit_params.json": "2e2615e4db4f6ac0d9bcf5f9586a387c42fb4b0e06ab31f6d0fe37acf82d3d04",
+    "ens/manifest.json": "722deb4758024719e642f52313127400e0b4fbd7dde6dbdfe0ca0df321bcfd62",
+    "ens/summary.json": "14df8afc89f61362e656d7433ec3d33d7f068fbc452c85f3b8246002c0da67a8",
+    "snap/manifest.json": "10c173d889689d1718493f3aec58d95f608593b07266b96ca10236ec30d6151d",
+    "snap/series.csv": "2629c45ef73a6e2b398754f6f093d7fe8accbd47fb130e7d07bf7619c1d86237",
+    "snap/snapshot_000008.pgm": "ff37a62c46764e50e5da872b38cae8a91d5f574697bf2daebe9b2e789e5143ac",
 }
 
 # 6 runs of a 10x10 field stopped at 50 steps: two runs converge and four do
@@ -68,6 +77,19 @@ def test_simulate_series():
 def test_ensemble_mean_and_convergence():
     assert main(ENSEMBLE) == EXIT_NO_CONVERGENCE
     assert_pinned("ens/mean_series.csv", "ens/convergence.csv")
+
+
+def test_ensemble_manifest_and_summary():
+    """Their ``config`` holds ``snapshot_every``, null for ensemble."""
+    assert main(ENSEMBLE) == EXIT_NO_CONVERGENCE
+    assert_pinned("ens/manifest.json", "ens/summary.json")
+
+
+def test_simulate_manifest_and_snapshots():
+    """The manifest's ``config`` holds the snapshot interval, 4 here."""
+    assert main(["simulate", "--width", "12", "--height", "9", "--seed", "3", "--snapshot-every", "4",
+                 "--snapshot-format", "pgm", "--outdir", "snap"]) == EXIT_OK
+    assert_pinned("snap/manifest.json", "snap/series.csv", "snap/snapshot_000008.pgm")
 
 
 def test_fit_of_an_ensemble_mean():
