@@ -276,14 +276,16 @@ def read_series_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
                     continue
                 try:
                     values = [float(row[i]) for i in columns]
-                except (ValueError, IndexError) as exc:
-                    raise bad(f"unparseable row: {exc}") from None
+                except IndexError:
+                    raise bad(f"unparseable row: too few fields in row {shown(row)}") from None
+                except ValueError:
+                    raise bad(f"unparseable row: a field is not a number in row {shown(row)}") from None
                 if not all(map(math.isfinite, values)):
-                    raise bad(f"non-finite value in row {row}")
+                    raise bad(f"non-finite value in row {shown(row)}")
                 if not (0 <= values[1] <= 1 and 0 <= values[2] <= 1):
-                    raise bad(f"white or grey fraction outside [0, 1] in row {row}")
+                    raise bad(f"white or grey fraction outside [0, 1] in row {shown(row)}")
                 if len(values) == 4 and abs(sum(values[1:]) - 1) > 1e-6:
-                    raise bad(f"fractions sum to {sum(values[1:])!r}, not 1, in row {row}")
+                    raise bad(f"fractions sum to {sum(values[1:])!r}, not 1, in row {shown(row)}")
                 if rows and values[0] <= rows[-1][0]:
                     raise bad(f"step {values[0]:g} does not follow step {rows[-1][0]:g}")
                 rows.append(values)

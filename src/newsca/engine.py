@@ -40,6 +40,12 @@ cell, so a cell in the crop reads the draw at its index in the stack less
 the cells before it that are not code 0, all in the crop before it.
 The draws and the next cells go into the same buffer set, made once per
 stack, so a step allocates little beyond the index of its code-0 cells.
+The set also makes, once, every view of its arrays that a state reads:
+flat, per-run and bool views, the count columns, and the calls of both
+block-sum passes over fixed views. A state makes only the views that
+depend on it: its slices of the draws and its prefixes as long as its
+count of code-0 cells, its views of the old cells and of the new, which
+swap every state, and while it is cropped a view of the set itself.
 A run leaves the stack at its first fixed point or at ``max_steps``; then
 :meth:`_Buffers.keep` moves the census of the runs that stay to the front
 of the set. The count rows of every state go, in uint32, into blocks of
@@ -110,19 +116,19 @@ class SimulationConfig:
         if type(self.boundary) is not Boundary:
             object.__setattr__(self, "boundary", Boundary(self.boundary))
         if not isinstance(self.rule_params, RuleParams):
-            raise ValueError(f"rule_params must be a NewsRuleParams or InnovationRuleParams, got {self.rule_params!r}")
+            raise ValueError(f"rule_params must be a NewsRuleParams or InnovationRuleParams, got {shown(self.rule_params)}")
         if self.width < 1 or self.height < 1:
             raise ValueError("grid dimensions must be positive")
         if self.width * self.height > MAX_CELLS:
-            raise ValueError(f"a {self.width}x{self.height} field exceeds MAX_CELLS = {MAX_CELLS} cells")
+            raise ValueError(f"a {shown(self.width)}x{shown(self.height)} field exceeds MAX_CELLS = {MAX_CELLS} cells")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed}")
+            raise ValueError(f"rng_seed must be a non-negative integer, got {shown(self.rng_seed)}")
         if self.seed_position is not None:
             r, c = self.seed_position
             if not (0 <= r < self.height and 0 <= c < self.width):
-                raise ValueError(f"seed position {self.seed_position} out of bounds")
+                raise ValueError(f"seed position {shown(self.seed_position)} out of bounds")
 
     @property
     def field_size(self) -> int:
@@ -223,6 +229,10 @@ def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
 _WHITE = 16
 
 
+# One call of the census's block sums: ``ufunc(*operands)``, the last operand its output.
+_Call = tuple[np.ufunc, tuple[np.ndarray, ...]]
+
+
 @dataclass(slots=True)
 class _Buffers:
     """The arrays one state of a (runs, height, width) stack is written
@@ -241,6 +251,20 @@ class _Buffers:
 
     ``box`` is the crop of the field, (rows, columns), that the census
     covers, or None for the whole field; :meth:`view` says what it holds.
+    ``boundary`` is the grids' boundary mode, on which the block sums are
+    taken; a crop's are taken as bounded.
+
+    Every view a state reads of these arrays is made once, with the set
+    (``__post_init__``, so by :meth:`new`, :meth:`view` and :meth:`keep`
+    alike): the flat views of ``white``, ``plane``, ``across`` (as bool),
+    ``block`` and ``draws``; ``plane`` as bool; the per-run (runs, cells)
+    views of ``white`` (as uint8), ``plane`` and ``block``; the three
+    columns of ``rows``; and ``sums``, the calls of both block-sum passes,
+    each over fixed views of ``plane``, ``across`` and ``block``
+    (:func:`_sum_of_three`). A state still makes the views that depend on
+    it: its slice of the draws, the prefixes as long as its count of
+    code-0 cells, its views of the old cells and of ``spare``, which the
+    run loop swaps every state, and with a crop the set itself.
     """
 
     white: np.ndarray
@@ -250,14 +274,47 @@ class _Buffers:
     block: np.ndarray
     spare: np.ndarray
     draws: np.ndarray
+    boundary: Boundary
     box: tuple[slice, slice] | None = None
+    white_flat: np.ndarray = field(init=False)
+    white_runs: np.ndarray = field(init=False)
+    plane_bool: np.ndarray = field(init=False)
+    plane_flat: np.ndarray = field(init=False)
+    plane_runs: np.ndarray = field(init=False)
+    across_flat: np.ndarray = field(init=False)
+    block_flat: np.ndarray = field(init=False)
+    block_runs: np.ndarray = field(init=False)
+    draws_flat: np.ndarray = field(init=False)
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
+    sums: list[_Call] = field(init=False)
+
+    def __post_init__(self) -> None:
+        runs = len(self.white)
+        self.white_flat = self.white.reshape(-1)
+        self.white_runs = self.white.view(np.uint8).reshape(runs, -1)
+        self.plane_bool = self.plane.view(bool)
+        self.plane_flat = self.plane.reshape(-1)
+        self.plane_runs = self.plane.reshape(runs, -1)
+        self.across_flat = self.across.reshape(-1).view(bool)
+        self.block_flat = self.block.reshape(-1)
+        self.block_runs = self.block.reshape(runs, -1)
+        self.draws_flat = self.draws.reshape(-1)
+        self.columns = self.rows[:, 0], self.rows[:, 1], self.rows[:, 2]
+        # The crop is summed as if bounded: the cells beyond it are code 0,
+        # so they hold no seed state, and a code-0 cell on its edge weighs
+        # 16 on its own, so it never reads as stale.
+        boundary = self.boundary if self.box is None else Boundary.BOUNDED
+        _, h, w = self.plane.shape
+        self.sums = (_sum_of_three(self.plane.reshape(runs * h, w, 1), self.across.reshape(runs * h, w, 1), boundary)
+                     + _sum_of_three(self.across, self.block, boundary))
 
     @classmethod
-    def new(cls, shape: tuple[int, int, int]) -> "_Buffers":
+    def new(cls, shape: tuple[int, int, int], boundary: Boundary) -> "_Buffers":
         runs, h, w = shape
         return cls(np.empty(shape, dtype=bool), np.empty(shape, dtype=np.uint8),
                    np.empty((runs, 3), dtype=np.uint32), np.empty(shape, dtype=np.uint8),
-                   np.empty(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8), np.empty((runs, h * w)))
+                   np.empty(shape, dtype=np.uint8), np.zeros(shape, dtype=np.uint8), np.empty((runs, h * w)),
+                   boundary)
 
     def view(self, k: int, box: tuple[slice, slice] | None = None) -> "_Buffers":
         """Views of the first ``k`` slots of each buffer. With a crop ``box``
@@ -273,7 +330,8 @@ class _Buffers:
         h, w = self.white.shape[1:] if box is None else (box[0].stop - box[0].start, box[1].stop - box[1].start)
         white, plane, across, block = (a.reshape(-1)[:k * h * w].reshape(k, h, w)
                                        for a in (self.white, self.plane, self.across, self.block))
-        return _Buffers(white, plane, self.rows[:k], across, block, self.spare[:k], self.draws[:k], box)
+        return _Buffers(white, plane, self.rows[:k], across, block, self.spare[:k], self.draws[:k],
+                        self.boundary, box)
 
     def keep(self, mask: np.ndarray) -> "_Buffers":
         """Move the census of the ``k`` grids ``mask`` keeps, in order, into
@@ -284,8 +342,9 @@ class _Buffers:
         return self.view(k, self.box)
 
 
-def _sum_of_three(src: np.ndarray, dst: np.ndarray, boundary: Boundary) -> None:
-    """``dst[o, i, j] = src[o, i - 1, j] + src[o, i, j] + src[o, i + 1, j]``
+def _sum_of_three(src: np.ndarray, dst: np.ndarray, boundary: Boundary) -> list[_Call]:
+    """The calls, in order, that set
+    ``dst[o, i, j] = src[o, i - 1, j] + src[o, i, j] + src[o, i + 1, j]``
     for uint8 (outer, n, inner) arrays, ``i +- 1`` wrapping around on a toroidal
     ``boundary`` and dropped past an edge on a bounded one.
 
@@ -293,37 +352,34 @@ def _sum_of_three(src: np.ndarray, dst: np.ndarray, boundary: Boundary) -> None:
     across an edge of axis 1, which lies in the next or previous ``o``, is
     subtracted again, and on a torus the wrapped term added instead. uint8
     arithmetic wraps modulo 256, so the result is exact while every true sum
-    stays below 256.
+    stays below 256. The calls read and write views of ``src`` and ``dst``
+    only, so they may be made once and run on every state the arrays hold.
     """
     k, s, d = src.shape[2], src.reshape(-1), dst.reshape(-1)
-    np.add(s[k:], s[:-k], out=d[k:])
-    d[:k] = s[:k]
-    d[:-k] += s[k:]
+    calls = [(np.add, (s[k:], s[:-k], d[k:])), (np.positive, (s[:k], d[:k])), (np.add, (d[:-k], s[k:], d[:-k]))]
     if len(src) > 1:  # a one-grid stack's column pass has no edge to take out
-        dst[1:, 0] -= src[:-1, -1]
-        dst[:-1, -1] -= src[1:, 0]
+        calls += [(np.subtract, (dst[1:, 0], src[:-1, -1], dst[1:, 0])),
+                  (np.subtract, (dst[:-1, -1], src[1:, 0], dst[:-1, -1]))]
     if boundary is Boundary.TOROIDAL:
-        dst[:, 0] += src[:, -1]
-        dst[:, -1] += src[:, 0]
+        calls += [(np.add, (dst[:, 0], src[:, -1], dst[:, 0])), (np.add, (dst[:, -1], src[:, 0], dst[:, -1]))]
+    return calls
 
 
-def _block_sums(plane: np.ndarray, boundary: Boundary, buffers: _Buffers) -> np.ndarray:
-    """Per-cell sum of the 3x3 block of a uint8 or bool (runs, height,
-    width) ``plane`` centred on the cell, the cell itself included, written
-    into ``buffers.block`` and returned.
+def _block_sums(buffers: _Buffers) -> np.ndarray:
+    """Per-cell sum of the 3x3 block of ``buffers.plane`` centred on the
+    cell, the cell itself included, written into ``buffers.block`` and
+    returned.
 
-    The flattened stack is summed along rows into ``buffers.across``, then
-    along columns (:func:`_sum_of_three`), in uint8, so each sum must stay
-    below 256.
+    The calls in ``buffers.sums`` sum the flattened stack along rows into
+    ``buffers.across``, then along columns (:func:`_sum_of_three`), in
+    uint8, so each sum must stay below 256.
     """
-    p = plane.view(np.uint8)  # numpy adds bools as a logical or
-    runs, h, w = p.shape
-    _sum_of_three(p.reshape(runs * h, w, 1), buffers.across.reshape(runs * h, w, 1), boundary)
-    _sum_of_three(buffers.across, buffers.block, boundary)
+    for ufunc, operands in buffers.sums:
+        ufunc(*operands)
     return buffers.block
 
 
-def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: _Buffers) -> None:
+def _census(cells: np.ndarray, params: RuleParams, buffers: _Buffers) -> None:
     """Take the census of the (runs, height, width) stack ``cells`` into ``buffers``.
 
     Rows are (white, grey, black) for news and (not adopted, 0, adopted) for
@@ -333,30 +389,28 @@ def _census(cells: np.ndarray, boundary: Boundary, params: RuleParams, buffers: 
     uint32, as MAX_CELLS < 2**32, and are summed in uint16, which is faster,
     where a grid, or its crop, holds fewer than 2**16 cells. The seed state
     is compared as a plain int: numpy compares with an enum member through
-    a loop many times slower.
+    a loop many times slower. The block sums are taken on the set's
+    boundary (:func:`_block_sums`).
     On a set :meth:`_Buffers.view` made with a crop, only the crop is read,
     and the code-0 cells outside it are added to the white column.
     """
-    box = buffers.box
+    box, size = buffers.box, buffers.white_runs.shape[1]
     if box is not None:
-        # The crop is summed as if bounded: the cells beyond it are code 0,
-        # so they hold no seed state, and a code-0 cell on its edge weighs
-        # 16 on its own, so it never reads as stale.
-        field, cells, boundary = cells[0].size, cells[:, box[0], box[1]], Boundary.BOUNDED
-    white = np.equal(cells, 0, out=buffers.white)
-    plane = buffers.plane
-    np.equal(cells, int(params.seed_state), out=plane.view(bool))
-    rows, per_run = buffers.rows, (len(cells), -1)
-    acc = np.uint16 if cells[0].size < 2**16 else np.uint32
-    np.add.reduce(white.view(np.uint8).reshape(per_run), axis=1, dtype=acc, out=rows[:, 0])
-    np.add.reduce(plane.reshape(per_run), axis=1, dtype=acc, out=rows[:, 2])
-    np.subtract(cells[0].size, rows[:, 0], out=rows[:, 1])
-    rows[:, 1] -= rows[:, 2]
+        field, cells = cells[0].size, cells[:, box[0], box[1]]
+    np.equal(cells, 0, out=buffers.white)
+    np.equal(cells, int(params.seed_state), out=buffers.plane_bool)
+    white, grey, seed = buffers.columns
+    acc = np.uint16 if size < 2**16 else np.uint32
+    np.add.reduce(buffers.white_runs, axis=1, dtype=acc, out=white)
+    np.add.reduce(buffers.plane_runs, axis=1, dtype=acc, out=seed)
+    np.subtract(size, white, out=grey)
+    grey -= seed
     if box is not None:
-        rows[:, 0] += field - cells[0].size
+        white += field - size
     if params.stale:
-        plane += np.multiply(white.view(np.uint8), _WHITE, out=buffers.block)
-    _block_sums(plane, boundary, buffers)
+        plane = buffers.plane_runs
+        plane += np.multiply(buffers.white_runs, _WHITE, out=buffers.block_runs)
+    _block_sums(buffers)
 
 
 def step(grid: Grid, rng: np.random.Generator | Sequence[np.random.Generator], params: RuleParams,
@@ -383,34 +437,33 @@ def step(grid: Grid, rng: np.random.Generator | Sequence[np.random.Generator], p
     cells = grid.cells
     stack, rngs = (cells, rng) if cells.ndim == 3 else (cells[None], (rng,))
     if buffers is None:
-        buffers = _Buffers.new(stack.shape)
-        _census(stack, grid.boundary, params, buffers)
-    rows, white, block, box = buffers.rows, buffers.white, buffers.block, buffers.box
-    new, scratch = buffers.spare, buffers.plane
+        buffers = _Buffers.new(stack.shape, grid.boundary)
+        _census(stack, params, buffers)
+    box, new = buffers.box, buffers.spare
     old, out = (stack, new) if box is None else (stack[:, box[0], box[1]], new[:, box[0], box[1]])
     if params.stale:
         # One state staler is one code lower: black (2) to grey (1), grey to white (0).
-        np.subtract(old, np.less(block, _WHITE, out=scratch.view(bool)), out=out)
+        np.subtract(old, np.less(buffers.block, _WHITE, out=buffers.plane_bool), out=out)
     else:
         np.copyto(out, old)
-    where = white.reshape(-1).nonzero()[0]  # grid by grid, each in row-major order
+    where = buffers.white_flat.nonzero()[0]  # grid by grid, each in row-major order
     if where.size:
-        draws = buffers.draws.reshape(-1)
+        draws = buffers.draws_flat
         a = 0
-        for g, n in zip(rngs, rows[:, 0].tolist()):
+        for g, n in zip(rngs, buffers.columns[0].tolist()):
             if n:
                 # A tuple size: numpy checks an int size given with ``out`` on a slower path.
                 g.random((n,), out=draws[a:a + n])
                 a += n
         # mode="clip" lets take write into ``out`` directly; every index is in range.
-        seed_nb = block.reshape(-1).take(where, out=scratch.reshape(-1)[:where.size], mode="clip")
+        seed_nb = buffers.block_flat.take(where, out=buffers.plane_flat[:where.size], mode="clip")
         seed_nb &= _WHITE - 1
         # Only cells with a seed-state neighbor can adopt. Rebinding ``where``
         # frees the index of every code-0 cell before the adoption test.
-        near = np.not_equal(seed_nb, 0, out=buffers.across.reshape(-1)[:where.size].view(bool)).nonzero()[0]
+        near = np.not_equal(seed_nb, 0, out=buffers.across_flat[:where.size]).nonzero()[0]
         where, seed_nb = where[near], seed_nb[near]
         if box is not None:
-            r, i, j = np.unravel_index(where, white.shape)
+            r, i, j = np.unravel_index(where, buffers.white.shape)
             cell = np.ravel_multi_index((r, i + box[0].start, j + box[1].start), stack.shape)
             # ``near`` ranks a cell among the crop's code-0 cells. The cells
             # before it in the stack that are not code 0 all lie in the crop,
@@ -450,25 +503,26 @@ def _fixed(buffers: _Buffers, params: RuleParams) -> np.ndarray:
     where some count can never adopt, every grid does.
     """
     always, can = _adoptable(params)
-    rows, white, block = buffers.rows, buffers.white, buffers.block
+    white, _, seed = buffers.columns
     if always and not params.stale:
-        return (rows[:, 0] == 0) | (rows[:, 2] == 0)
+        return (white == 0) | (seed == 0)
+    block = buffers.block_runs
     if always:
-        test = rows[:, 2] == 0
+        test = seed == 0
         # np.count_nonzero, not ``any``, which numpy 2 runs through a Python wrapper.
         if not np.count_nonzero(test):
             return test
         fixed = np.zeros(len(test), dtype=bool)  # np.zeros_like takes a slower Python path
         # With no black cell, a block sum below 16 marks a grey cell with no white neighbor.
-        fixed[test] = ~(block[test] < _WHITE).reshape(-1, block[0].size).any(axis=1)
+        fixed[test] = ~(block[test] < _WHITE).any(axis=1)
         return fixed
     seed_nb = block & (_WHITE - 1)  # count of seed-state neighbors at code-0 cells
     # Only code-0 cells read the table; clipping the other cells' counts, which
     # reach 9 where a whole block is seed-state, keeps their lookups in range.
-    change = white & can.take(seed_nb, mode="clip")
+    change = buffers.white_runs.view(bool) & can.take(seed_nb, mode="clip")
     if params.stale:
         change |= block < _WHITE
-    return ~change.reshape(len(rows), -1).any(axis=1)
+    return ~change.any(axis=1)
 
 
 def _light_cone(config: SimulationConfig, t: int) -> tuple[slice, slice] | None:
@@ -518,7 +572,7 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
     params, boundary = config.rule_params, config.boundary
     rngs = [make_rng(seed) for seed in seeds]
     cells = np.repeat(config.initial_grid().cells[None], len(seeds), axis=0)
-    whole = _Buffers.new(cells.shape)
+    whole = _Buffers.new(cells.shape, boundary)
     live = np.arange(len(seeds))  # the run of each grid in the stack
     cols = slice(None)  # the block columns of the live runs; a slice, written faster, until one leaves
     # blocks[t // _BLOCK][t % _BLOCK, r] is the count row of run r's state t,
@@ -529,7 +583,7 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
     t, box = 0, _light_cone(config, 0)
     while True:
         buffers = whole if box is None else whole.view(len(live), box)
-        _census(cells, boundary, params, buffers)
+        _census(cells, params, buffers)
         if t % _BLOCK == 0:
             blocks.append(np.empty((min(_BLOCK, config.max_steps + 1 - t), len(seeds), 3), dtype=np.uint32))
         blocks[-1][t % _BLOCK, cols] = buffers.rows
@@ -547,7 +601,8 @@ def _run_stack(config: SimulationConfig, seeds: list[int],
             cells, live = cells[keep], live[keep]
             cols = live
             rngs = [g for g, f in zip(rngs, fixed) if not f]
-            buffers, whole = buffers.keep(keep), whole.view(len(live))
+            buffers = buffers.keep(keep)
+            whole = buffers if box is None else whole.view(len(live))
         new = step(Grid(cells, boundary), rngs, params, buffers).cells
         cells, whole.spare = new, cells
         t += 1
@@ -584,11 +639,11 @@ def check_runs(config: SimulationConfig, runs: int, jobs: int = 1) -> None:
     require_number("runs", runs, integral=True)
     require_number("jobs", jobs, integral=True)
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise ValueError(f"jobs must be >= 1, got {shown(jobs)}")
     if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+        raise ValueError(f"runs must be >= 1, got {shown(runs)}")
     if runs * config.field_size > MAX_CELLS:
-        raise ValueError(f"{runs} runs of a {config.width}x{config.height} field exceed "
+        raise ValueError(f"{shown(runs)} runs of a {shown(config.width)}x{shown(config.height)} field exceed "
                          f"MAX_CELLS = {MAX_CELLS} cells")
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rules import store_numbers
+from .rules import shown, store_numbers
 
 # Relative tolerance on the step, the residual reduction and the gradient.
 FIT_TOLERANCE = 1e-12
@@ -62,9 +62,9 @@ class LogisticParams:
     def __post_init__(self) -> None:
         store_numbers(self, ("c", "tau", "gamma"))
         if not 0 < self.c <= 1:
-            raise ValueError(f"plateau c must be in (0, 1], got {self.c}")
+            raise ValueError(f"plateau c must be in (0, 1], got {shown(self.c)}")
         if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+            raise ValueError(f"gamma must be positive and finite, got {shown(self.gamma)}")
         if not math.isfinite(self.tau):
             raise ValueError("tau must be finite")
 

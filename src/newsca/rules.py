@@ -85,11 +85,11 @@ class NewsRuleParams:
         store_numbers(self, ("adoption_threshold", "boost_factor"))
         store_numbers(self, ("boost_below",), integral=True)
         if not 0 < self.adoption_threshold < math.inf:
-            raise ValueError(f"adoption_threshold must be positive and finite, got {self.adoption_threshold}")
+            raise ValueError(f"adoption_threshold must be positive and finite, got {shown(self.adoption_threshold)}")
         if not 1 <= self.boost_factor < math.inf:
-            raise ValueError(f"boost_factor must be >= 1 and finite, got {self.boost_factor}")
+            raise ValueError(f"boost_factor must be >= 1 and finite, got {shown(self.boost_factor)}")
         if not 0 <= self.boost_below <= 8:
-            raise ValueError(f"boost_below must be in [0, 8], got {self.boost_below}")
+            raise ValueError(f"boost_below must be in [0, 8], got {shown(self.boost_below)}")
 
     def adopts(self, m: int, p: float) -> bool:
         """Whether a white cell with ``m`` black neighbors and draw ``p`` turns black.
@@ -130,7 +130,7 @@ class InnovationRuleParams:
     def __post_init__(self) -> None:
         store_numbers(self, ("threshold",))
         if not 0 < self.threshold < math.inf:
-            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
+            raise ValueError(f"threshold must be positive and finite, got {shown(self.threshold)}")
 
     def adopts(self, m: int, p: float) -> bool:
         """Whether a not-adopted cell with ``m`` adopted neighbors and draw ``p`` adopts."""

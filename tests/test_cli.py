@@ -979,6 +979,50 @@ class TestMangledInputs:
         self.assert_one_error_line(err)
         assert len(err.encode()) < 300, err[:400]
 
+    # An integer is echoed cut as well: one from a manifest, which json
+    # reads up to 4,300 digits (exit 2), or from --jobs (exit 1). Each
+    # fails on its own rule.
+    @pytest.mark.parametrize("path,value,rule", [
+        (("config", "rng_seed"), -10**4000, "rng_seed must be a non-negative integer"),
+        (("config", "seed_position"), [10**4000, 0], "out of bounds"),
+        (("config", "width"), 10**4000, "exceeds MAX_CELLS"),
+        (("config", "rule_params", "boost_below"), 10**4000, "boost_below must be in [0, 8]"),
+        (("runs",), -10**4000, "runs must be >= 1"),
+        ((), -10**4000, "jobs must be >= 1")],
+        ids=["rng_seed", "seed_position", "field-size", "boost_below", "runs", "jobs"])
+    def test_echo_of_a_huge_integer_is_cut(self, tmp_path, path, value, rule):
+        manifest = json.loads(json.dumps(ENSEMBLE_MANIFEST))
+        argv = ["ensemble", "--from-manifest", str(tmp_path / "manifest.json"), "--outdir", str(tmp_path / "b")]
+        if path:
+            owner = manifest
+            for key in path[:-1]:
+                owner = owner[key]
+            owner[path[-1]] = value
+        else:
+            argv += ["--jobs", str(value)]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        code, err = run_quietly(argv)
+        assert code == (EXIT_IO if path else EXIT_USAGE)
+        self.assert_one_error_line(err)
+        assert rule in err and len(err.encode()) < 300, err[:400]
+
+    # An error in a series CSV names its line and its reason, and echoes a
+    # cut row: a row with a 100,000-character field, which float() does not
+    # parse or which follows a NaN, and a 5,000-digit grey fraction, which
+    # reads as inf.
+    @pytest.mark.parametrize("row,reason", [
+        ("0,nan,0.1," + "x" * 100_000, "non-finite value in row"),
+        ("0," + "x" * 100_000 + ",0.1", "unparseable row"),
+        ("0,0.5," + "1" * 5000, "non-finite value in row")],
+        ids=["after-nan", "unparseable-field", "5000-digit-grey"])
+    def test_echo_of_a_huge_csv_row_is_cut(self, tmp_path, row, reason):
+        path = tmp_path / "series.csv"
+        path.write_text("step,white_frac,grey_frac\n" + row + "\n")
+        code, err = run_quietly(["fit", "--input", str(path), "--outdir", str(tmp_path / "out")])
+        assert code == EXIT_IO
+        self.assert_one_error_line(err)
+        assert f"line 2: {reason}" in err and len(err.encode()) < 300, err[:400]
+
     @settings(max_examples=50, deadline=None)
     @given(text=mangled_series())
     def test_mangled_series_csv(self, text):

@@ -28,7 +28,7 @@ from newsca import (
     step,
 )
 from newsca.analytics import normalize
-from newsca.reference import count_states, neighbor_counts, step_reference
+from newsca.reference import count_adoption, count_states, neighbor_counts, step_reference
 from newsca import engine
 from newsca.cli import EXIT_OK, config_to_dict, main
 from newsca.engine import _Buffers, _census, _fixed, check_runs
@@ -64,8 +64,8 @@ innovation_thresholds = st.one_of(_at_and_beside(p * m for p in (1.0, MAX_DRAW) 
 def is_fixed(grid, params):
     """The run loop's fixed-point test, applied to one grid."""
     stack = grid.cells[None]
-    buffers = _Buffers.new(stack.shape)
-    _census(stack, grid.boundary, params, buffers)
+    buffers = _Buffers.new(stack.shape, grid.boundary)
+    _census(stack, params, buffers)
     return bool(_fixed(buffers, params)[0])
 
 
@@ -103,6 +103,17 @@ def observed(monkeypatch):
 
     monkeypatch.setattr(engine, "_run_stack", recording)
     return states
+
+
+def packed_sums(cells, params, boundary):
+    """The census block sums of a stack as the per-cell oracle counts them:
+    the 3x3 sums of 16 * white + seed for news, of the seed-state mask for
+    innovation."""
+    white, seed = cells == 0, cells == params.seed_state
+    expected = seed + neighbor_counts(seed, boundary).astype(int)
+    if params.stale:
+        expected += 16 * (white + neighbor_counts(white, boundary).astype(int))
+    return expected
 
 
 def max_draws():
@@ -260,34 +271,41 @@ class TestStep:
     def test_packed_census_matches_neighbor_counts(self, data, params, boundary, runs, shape):
         cells = data.draw(arrays(np.uint8, (runs, *shape), elements=st.integers(0, int(params.seed_state))))
         white, seed = cells == 0, cells == params.seed_state
-        census = _Buffers.new(cells.shape)
-        _census(cells, boundary, params, census)
+        census = _Buffers.new(cells.shape, boundary)
+        _census(cells, params, census)
         assert np.array_equal(census.white, white)
-        expected = seed + neighbor_counts(seed, boundary).astype(int)
-        if params.stale:
-            expected += 16 * (white + neighbor_counts(white, boundary).astype(int))
-        assert np.array_equal(census.block, expected)
+        assert np.array_equal(census.block, packed_sums(cells, params, boundary))
         per_grid = [[int(white[k].sum()), int((cells[k] == 1).sum()) if params.stale else 0,
                      int(seed[k].sum())] for k in range(runs)]
         assert census.rows.tolist() == per_grid
 
     # The rows are uint32 reductions written into the stack's buffer set. A
-    # large field and a large stack are counted. When runs leave the stack,
-    # keep moves the census of those that stay, here runs 3, 4 and 20, to
-    # the front of the set, in order, as a fresh census of them would be.
-    # The state at step 12 of the stack is counted on its light cone's crop.
-    @pytest.mark.parametrize("runs,size,steps", [(1, 300, 120), (25, 40, 40), (25, 40, 12)],
-                             ids=["300x300-field", "25-run-40x40-stack", "25-run-40x40-light-cone"])
-    def test_census_rows_match_count_states(self, observed, runs, size, steps):
-        config = SimulationConfig(width=size, height=size, rng_seed=1, max_steps=steps)
-        params, boundary = config.rule_params, config.boundary
+    # large field and large stacks are counted: of news on a bounded field,
+    # and of innovation on a toroidal one, whose block sums add the wrapped
+    # terms. When runs leave the stack, keep moves the census of those that
+    # stay, here runs 3, 4 and 20, to the front of the set, in order, as a
+    # fresh census of them would be. The kept set makes its own views of
+    # those front slots: a census taken again through it, after every slot
+    # of the old set is overwritten, matches the fresh one and the per-cell
+    # oracle. The states at step 12 of a stack are counted on their light
+    # cone's crop.
+    news, innovation = (NewsRuleParams(), Boundary.BOUNDED), (InnovationRuleParams(threshold=0.9), Boundary.TOROIDAL)
+
+    @pytest.mark.parametrize("runs,size,steps,model", [
+        (1, 300, 120, news), (25, 40, 40, news), (25, 40, 12, news), (25, 40, 30, innovation), (25, 40, 12, innovation)],
+        ids=["300x300-field", "25-run-40x40-stack", "25-run-40x40-light-cone", "25-run-40x40-torus-innovation",
+             "25-run-40x40-torus-innovation-light-cone"])
+    def test_census_rows_match_count_states(self, observed, runs, size, steps, model):
+        params, boundary = model
+        config = SimulationConfig(width=size, height=size, rng_seed=1, max_steps=steps, boundary=boundary,
+                                  rule_params=params)
         cells = np.stack([observed[seed][-1][1].cells for seed in run_ensemble(config, runs).run_seeds])
         box = engine._light_cone(config, steps)
         assert (box is not None) == (steps == 12)
 
         def census_of(stack):
-            buffers = _Buffers.new(stack.shape).view(len(stack), box)
-            _census(stack, boundary, params, buffers)
+            buffers = _Buffers.new(stack.shape, boundary).view(len(stack), box)
+            _census(stack, params, buffers)
             return buffers
 
         buffers = census_of(cells)
@@ -300,10 +318,26 @@ class TestStep:
                 kept = getattr(census, name)
                 assert np.array_equal(kept, getattr(fresh, name)), name
                 assert np.shares_memory(kept, getattr(buffers, name)), name
+            for name in ("rows", "white", "plane", "across", "block"):
+                getattr(buffers, name)[...] = 1
+            _census(stack, params, census)
+            for name in ("rows", "white", "block"):
+                assert np.array_equal(getattr(census, name), getattr(fresh, name)), name
+            # On the crop, the seed-state counts and the stale marks are the
+            # whole field's: the step and the fixed-point test read only those.
+            block, expected = census.block, packed_sums(stack, params, boundary)
+            if box is None:
+                assert np.array_equal(block, expected)
+            else:
+                expected = expected[:, box[0], box[1]]
+                assert np.array_equal(block & 15, expected & 15) and np.array_equal(block < 16, expected < 16)
         rows = census.rows
         assert rows.dtype == np.uint32 and np.shares_memory(rows, buffers.rows)
-        assert rows.tolist() == [list(count_states(Grid(c))) for c in stack]
-        assert (rows[:, 1] > 0).all() and (rows[:, 2] > 0).all()  # mid-spread, not empty fields
+        if params.stale:
+            assert rows.tolist() == [list(count_states(Grid(c))) for c in stack]
+        else:
+            assert rows.tolist() == [[a, 0, b] for a, b in (count_adoption(Grid(c)) for c in stack)]
+        assert (rows[:, 1 if params.stale else 0] > 0).all() and (rows[:, 2] > 0).all()  # mid-spread
 
     @settings(max_examples=40, deadline=None)
     @given(cells=adoption_cells, boundary=boundaries, seed=st.integers(0, 2**32))
@@ -355,8 +389,8 @@ class TestStep:
             codes = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=top + 1, unique=True))
             grids.append(data.draw(arrays(np.uint8, shape, elements=st.sampled_from(codes))))
         cells = np.stack(grids)
-        buffers = _Buffers.new(cells.shape)
-        _census(cells, boundary, params, buffers)
+        buffers = _Buffers.new(cells.shape, boundary)
+        _census(cells, params, buffers)
         alone = [is_fixed(Grid(g, boundary), params) for g in grids]
         assert _fixed(buffers, params).tolist() == alone
         assert alone == [step(Grid(g, boundary), max_draws(), params) == Grid(g, boundary) for g in grids]
@@ -820,12 +854,12 @@ class TestMemory:
         rngs = [make_rng(seed) for seed in range(runs)]
         box = engine._light_cone(config, steps)
         assert (box is not None) == (steps == 20)
-        buffers = _Buffers.new(cells.shape).view(runs, box)
-        _census(cells, boundary, params, buffers)
+        buffers = _Buffers.new(cells.shape, boundary).view(runs, box)
+        _census(cells, params, buffers)
         step(Grid(cells, boundary), rngs, params, buffers)  # fills lazy caches
         tracemalloc.start()
         try:
-            _census(cells, boundary, params, buffers)
+            _census(cells, params, buffers)
             step(Grid(cells, boundary), rngs, params, buffers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

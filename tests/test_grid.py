@@ -142,7 +142,9 @@ class TestNeighborhood:
         c = data.draw(st.integers(0, grid.width - 1))
         nb = neighborhood(grid, (r, c))
         mask = (grid.cells == CellState.BLACK)[None]
-        counts = (_block_sums(mask, boundary, _Buffers.new(mask.shape)) - mask)[0]
+        buffers = _Buffers.new(mask.shape, boundary)
+        buffers.plane[...] = mask
+        counts = (_block_sums(buffers) - mask)[0]
         assert np.count_nonzero(nb == CellState.BLACK) == counts[r, c]
 
 
